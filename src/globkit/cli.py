@@ -293,7 +293,7 @@ def cmd_weq(args):
     try:
         morph = mdl.morphism_from_dims(src, tgt, [tuple(r) for r in data["map"]])
         report = hmt.weak_equiv(morph, bundle)
-    except (mdl.ModelError, hmt.HomotopyError, AssertionError) as e:
+    except (mdl.ModelError, hmt.HomotopyError) as e:
         raise CliError(1, str(e))
     rep = {"conditions": [report.cond1, report.cond2, report.cond3, report.cond4],
            "weak_equivalence": report.is_weak_equivalence}

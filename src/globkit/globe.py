@@ -145,14 +145,23 @@ class GlobularSet:
     tgt: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        assert len(self.src) == len(self.cells) and len(self.tgt) == len(self.cells)
-        assert self.src[0] == () and self.tgt[0] == ()
+        if not self.cells or len(self.src) != len(self.cells) or \
+                len(self.tgt) != len(self.cells):
+            raise GlobeError("globular set needs boundary rows for each of its %d "
+                             "dimensions" % len(self.cells))
+        if any(not isinstance(n, int) or n < 0 for n in self.cells):
+            raise GlobeError("cell counts %s are not all naturals" % (self.cells,))
+        if self.src[0] != () or self.tgt[0] != ():
+            raise GlobeError("0-cells have no boundary")
         for d in range(1, len(self.cells)):
-            assert len(self.src[d]) == self.cells[d]
-            assert len(self.tgt[d]) == self.cells[d]
-            for c in range(self.cells[d]):
-                assert 0 <= self.src[d][c] < self.cells[d - 1]
-                assert 0 <= self.tgt[d][c] < self.cells[d - 1]
+            for name, row in (("src", self.src[d]), ("tgt", self.tgt[d])):
+                if len(row) != self.cells[d]:
+                    raise GlobeError("%s at dim %d has %d entries for %d cells"
+                                     % (name, d, len(row), self.cells[d]))
+                for c, v in enumerate(row):
+                    if not (isinstance(v, int) and 0 <= v < self.cells[d - 1]):
+                        raise GlobeError("%s of %d-cell %d is %r, not one of the %d "
+                                         "%d-cells" % (name, d, c, v, self.cells[d - 1], d - 1))
         for d in range(2, len(self.cells)):
             for c in range(self.cells[d]):
                 a, b = self.src[d][c], self.tgt[d][c]

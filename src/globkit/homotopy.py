@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import coherator as coh
 from . import groups
 from .coherator import compose, eps, gen_term, identity, tuple_term, wordt
-from .globe import Table, disk
+from .globe import Table, disk, sword, tword
 
 
 class HomotopyError(Exception):
@@ -54,31 +54,31 @@ def hom_classes(model, n):
     if n + 1 > model.trunc:
         raise HomotopyError("dimension %d exceeds the represented range" % (n + 1))
     cells = range(model.carrier.count(n))
-    rel = set()
-    for e in range(model.carrier.count(n + 1)):
-        rel.add((model.carrier.source(n + 1, e), model.carrier.target(n + 1, e)))
+    rel = set(zip(model.carrier.src[n + 1], model.carrier.tgt[n + 1]))
     for c in cells:
         if (c, c) not in rel:
             raise HomotopyError("homotopy relation not reflexive at %d-cell %d" % (n, c))
     for (a, b) in rel:
         if (b, a) not in rel:
             raise HomotopyError("homotopy relation not symmetric at (%d, %d)" % (a, b))
+    related = {c: set() for c in cells}
     for (a, b) in rel:
-        for (b2, c) in rel:
-            if b2 == b and (a, c) not in rel:
-                raise HomotopyError("homotopy relation not transitive")
+        related[a].add(b)
+    # A reflexive, symmetric relation is transitive iff related cells have
+    # equal neighbourhoods.  Comparing each class's least cell with its
+    # neighbours suffices: a neighbour placed in an earlier class would have
+    # put that least cell there too.
     class_of = {}
     classes = []
     for c in cells:
-        for i, cl in enumerate(classes):
-            if (cl[0], c) in rel:
-                class_of[c] = i
-                classes[i] = cl + (c,)
-                break
-        else:
-            class_of[c] = len(classes)
-            classes.append((c,))
-    return class_of, [tuple(c) for c in classes]
+        if c in class_of:
+            continue
+        for b in related[c]:
+            if related[b] != related[c]:
+                raise HomotopyError("homotopy relation not transitive")
+            class_of[b] = len(classes)
+        classes.append(tuple(sorted(related[c])))
+    return dict(sorted(class_of.items())), classes
 
 
 @dataclass
@@ -300,10 +300,10 @@ def divide(model, bundle, n, i, gamma, u, v, side="left"):
         raise HomotopyError("u and v are not parallel")
     up, vp = car.source(n, gamma), car.target(n, gamma)
     if side == "left":
-        if model.iter_src(n, gamma, i) != model.iter_tgt(n - 1, u, i):
+        if car.boundary(sword(i, n), gamma) != car.boundary(tword(i, n - 1), u):
             raise HomotopyError("iterated source of gamma does not meet u")
     else:
-        if model.iter_tgt(n, gamma, i) != model.iter_src(n - 1, u, i):
+        if car.boundary(tword(i, n), gamma) != car.boundary(sword(i, n - 1), u):
             raise HomotopyError("iterated target of gamma does not meet u")
 
     nab_n = model.interp_for(tower[bundle.comp_name(n, i)])
@@ -397,7 +397,7 @@ def base_change_iso(model, bundle, n, u):
     if n == 1:
         x = u
         return {i: i for i in range(len(elems_u))}, grp_u, grp_u
-    x = model.iter_src(n - 1, u, 0)
+    x = model.carrier.boundary(sword(0, n - 1), u)
     kx = iterated_unit(model, bundle, x, n - 1)
     grp_x, elems_x, _ = pi_n_at(model, bundle, n, kx)
 

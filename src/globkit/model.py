@@ -2,10 +2,12 @@
 
 A model is a truncated globular set together with an interpretation of every
 generator of the tower as a function from the fiber product over its target
-table to cells one dimension up.  Evaluation of an arbitrary term is
-structurally recursive; the fiber products themselves realize the gluing
-condition, so the concrete layer acts by boundary words through the canonical
-presentations of the target's realization.
+table to cells one dimension up.  The fiber products themselves realize the
+gluing condition, so the concrete layer acts by boundary words through the
+canonical presentations of the target's realization.  Each term is compiled
+once per model: a concrete map becomes, per source leg, an input slot and a
+table of its boundary word on the carrier; a tuple becomes its components'
+programs; a generator chain looks its generator's table up when it runs.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from . import coherator as coh
 from . import groups
 from .coherator import BaseT, TupleT
-from .globe import GlobularSet, realize_sum
+from .globe import GlobeError, GlobularSet, realize_sum, sword, tword
 
 
 class ModelError(Exception):
@@ -47,6 +49,8 @@ class Model:
 
     def __post_init__(self):
         self._fibers = {}
+        self._words = {}     # word -> boundary of each carrier cell of dim word.tgt
+        self._programs = {}  # term -> compiled program
 
     @property
     def trunc(self):
@@ -58,38 +62,26 @@ class Model:
             return self._fibers[table]
         combos = [(c,) for c in range(self.carrier.count(table.upper[0]))]
         for k, j in enumerate(table.lower):
-            m_next = table.upper[k + 1]
-            ext = []
-            for t in combos:
-                lo = self.iter_src(table.upper[k], t[-1], j)
-                for c in range(self.carrier.count(m_next)):
-                    if self.iter_tgt(m_next, c, j) == lo:
-                        ext.append(t + (c,))
-            combos = ext
+            lo = self._word_table(sword(j, table.upper[k]))
+            over = {}
+            for c, face in enumerate(self._word_table(tword(j, table.upper[k + 1]))):
+                over.setdefault(face, []).append(c)
+            combos = [t + (c,) for t in combos for c in over.get(lo[t[-1]], ())]
         combos = tuple(combos)
         self._fibers[table] = combos
         return combos
 
-    def iter_src(self, d, c, j):
-        while d > j:
-            c = self.carrier.source(d, c)
-            d -= 1
-        return c
-
-    def iter_tgt(self, d, c, j):
-        while d > j:
-            c = self.carrier.target(d, c)
-            d -= 1
-        return c
-
-    def boundary(self, word, c):
+    def _word_table(self, word):
+        """The word applied to every carrier cell of its top dimension, or
+        None for an identity word."""
         if word.is_identity:
-            return c
-        d = word.tgt
-        while d > word.src + 1:
-            c = self.carrier.source(d, c)
-            d -= 1
-        return self.carrier.source(d, c) if word.kind == "s" else self.carrier.target(d, c)
+            return None
+        table = self._words.get(word)
+        if table is None:
+            table = tuple(self.carrier.boundary(word, c)
+                          for c in range(self.carrier.count(word.tgt)))
+            self._words[word] = table
+        return table
 
     def interp_for(self, gen):
         if gen.name not in self.interp:
@@ -98,37 +90,59 @@ class Model:
             self.interp[gen.name] = self.filler(self, gen)
         return self.interp[gen.name]
 
+    def program(self, term):
+        """The term compiled against this carrier, compiled once per model.
+
+        A program is called as `program(x, get)`: `x` is an element of the
+        fiber product over the term's target, `get` is `interp_for`, and the
+        result is a tuple indexed by the term's source table.  Generator
+        tables are fetched through `get` on every call, never at compile
+        time, so an interpretation overwritten or filled later is the one
+        used.
+        """
+        prog = self._programs.get(term)
+        if prog is None:
+            prog = self._programs[term] = self._compile(term)
+        return prog
+
+    def _compile(self, term):
+        if isinstance(term, BaseT):
+            plan = self._plan(term.gmap)
+            if len(plan) == 1:  # disk-sourced, the common case: no loop
+                ((k, table),) = plan
+                if table is None:
+                    return lambda x, get: (x[k],)
+                return lambda x, get: (table[x[k]],)
+            return lambda x, get: tuple([x[k] if table is None else table[x[k]]
+                                         for k, table in plan])
+        if isinstance(term, TupleT):
+            comps = tuple(self._compile(c) for c in term.comps)
+            return lambda x, get: tuple([comp(x, get)[0] for comp in comps])
+        gen, tail, arg = term.gen, self._compile(term.tail), self._compile(term.arg)
+        return lambda x, get: arg((get(gen)[tail(x, get)],), get)
+
+    def _plan(self, gm):
+        """Per leg of the source: (input slot, word table) of its top cell's
+        image, through the target's canonical presentation."""
+        treal = realize_sum(gm.target)
+        sreal = realize_sum(gm.source)
+        plan = []
+        for k, m in enumerate(gm.source.upper):
+            slot, word = treal.presentation(m, gm.maps[m][sreal.legs[k][m][0]])
+            plan.append((slot, self._word_table(word)))
+        return tuple(plan)
+
     def eval(self, term, x):
         """Evaluate a term on an element of the fiber product of its target.
 
         Returns a tuple indexed by the term's source table; use `eval1` for
         disk-sourced terms.
         """
-        x = tuple(x)
-        if isinstance(term, BaseT):
-            return self._eval_gmap(term.gmap, x)
-        if isinstance(term, TupleT):
-            return tuple(self.eval1(c, x) for c in term.comps)
-        y = self.eval(term.tail, x)
-        z = self.interp_for(term.gen)[y]
-        return self.eval(term.arg, (z,))
+        return self.program(term)(tuple(x), self.interp_for)
 
     def eval1(self, term, x):
-        out = self.eval(term, x)
-        assert len(out) == 1
-        return out[0]
-
-    def _eval_gmap(self, gm, x):
-        treal = realize_sum(gm.target)
-        sreal = realize_sum(gm.source)
-        out = []
-        for k in range(gm.source.width):
-            m = gm.source.upper[k]
-            top = sreal.legs[k][m][0]
-            image = gm.maps[m][top]
-            k2, w = treal.presentation(m, image)
-            out.append(self.boundary(w, x[k2]))
-        return tuple(out)
+        (out,) = self.eval(term, x)
+        return out
 
     def degenerate(self, d, c):
         if self.units is None:
@@ -138,14 +152,16 @@ class Model:
     def check(self, gens=None):
         """Verify the two boundary equations of each generator on every input."""
         report = []
+        get = self.interp_for
         for gen in (gens if gens is not None else self.tower.gens()):
-            table = self.interp_for(gen)
+            table = get(gen)
+            fsrc, gtgt = self.program(gen.fsrc), self.program(gen.gtgt)
+            src, tgt = self.carrier.src[gen.dim], self.carrier.tgt[gen.dim]
             for x in self.cells(gen.target):
                 v = table[x]
-                want_s = self.eval1(gen.fsrc, x)
-                want_t = self.eval1(gen.gtgt, x)
-                got_s = self.carrier.source(gen.dim, v)
-                got_t = self.carrier.target(gen.dim, v)
+                (want_s,) = fsrc(x, get)
+                (want_t,) = gtgt(x, get)
+                got_s, got_t = src[v], tgt[v]
                 if got_s != want_s:
                     report.append((gen.name, x, "src", want_s, got_s))
                 if got_t != want_t:
@@ -155,10 +171,12 @@ class Model:
 
 def unit_filler(model, gen):
     """Fill a generator degenerately when its two boundary sides agree."""
+    get = model.interp_for
+    fsrc, gtgt = model.program(gen.fsrc), model.program(gen.gtgt)
     out = {}
     for x in model.cells(gen.target):
-        a = model.eval1(gen.fsrc, x)
-        b = model.eval1(gen.gtgt, x)
+        (a,) = fsrc(x, get)
+        (b,) = gtgt(x, get)
         if a != b:
             raise FillerError(gen.name, x, a, b)
         out[x] = model.degenerate(gen.dim - 1, a)
@@ -314,9 +332,6 @@ class _StrictOps:
         return G.op(xm.boundary[a], g) * na + A.inv(a)
 
 
-_BUNDLE_RE = None
-
-
 def build_strict(spec, tower, bundle, extra_bundles=(), label=""):
     """Strict model: pregroupoid generators get the strict operations, every
     other generator is filled degenerately (or the build fails with a witness).
@@ -363,7 +378,8 @@ def restrict(model, functor):
         img = functor.assignment.get(gen.name)
         if img is None:
             img = functor.translate(coh.gen_term(gen))
-        return {x: model.eval1(img, x) for x in m.cells(gen.target)}
+        prog, get = model.program(img), model.interp_for
+        return {x: prog(x, get)[0] for x in m.cells(gen.target)}
 
     out = Model(functor.source, model.carrier, {}, filler, model.units,
                 model.label + "|restricted")
@@ -389,25 +405,55 @@ def model_to_json(model):
     return data
 
 
+def _is_index(value, count):
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < count
+
+
+def _json_field(obj, key, kind, where):
+    """obj[key] from a model file, which must be a JSON value of `kind`."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ModelError("model file: %s needs a %s field %r" % (where, kind.__name__, key))
+    return value
+
+
 def model_from_json(data, tower):
-    trunc = data["dimension"]
+    trunc = _json_field(data, "dimension", int, "the top level")
     if trunc != tower.trunc:
         raise ModelError("model dimension %d does not match tower truncation %d"
                          % (trunc, tower.trunc))
-    cells = [data["cells"][0]["count"]]
+    entries = _json_field(data, "cells", list, "the top level")
+    if len(entries) != trunc + 1:
+        raise ModelError("model file: %d cell entries, expected one per dimension 0..%d"
+                         % (len(entries), trunc))
+    cells = [_json_field(entries[0], "count", int, "cells[0]")]
     src = [()]
     tgt = [()]
     for d in range(1, trunc + 1):
-        entry = data["cells"][d]
-        cells.append(len(entry["src"]))
-        src.append(tuple(entry["src"]))
-        tgt.append(tuple(entry["tgt"]))
-    carrier = GlobularSet(tuple(cells), tuple(src), tuple(tgt))
+        src.append(tuple(_json_field(entries[d], "src", list, "cells[%d]" % d)))
+        tgt.append(tuple(_json_field(entries[d], "tgt", list, "cells[%d]" % d)))
+        cells.append(len(src[d]))
+    try:
+        carrier = GlobularSet(tuple(cells), tuple(src), tuple(tgt))
+    except GlobeError as e:
+        raise ModelError("model file: %s" % e) from None
     interp = {}
-    for name, rows in data.get("interp", {}).items():
+    for name, rows in _json_field(data, "interp", dict, "the top level").items():
         if name not in tower:
             raise ModelError("interpretation for unknown generator %r" % name)
-        interp[name] = {tuple(r["in"]): r["out"] for r in rows}
+        if not isinstance(rows, list):
+            raise ModelError("model file: the interpretation of %r is not a list" % name)
+        dim = tower[name].dim
+        table = interp[name] = {}
+        for r in rows:
+            ins = _json_field(r, "in", list, "a row of %r" % name)
+            out = _json_field(r, "out", int, "a row of %r" % name)
+            if not all(isinstance(c, int) for c in ins):
+                raise ModelError("model file: %r has a non-integer input %r" % (name, ins))
+            if not _is_index(out, carrier.count(dim)):
+                raise ModelError("model file: %r sends %s to %d, not one of the %d %d-cells"
+                                 % (name, ins, out, carrier.count(dim), dim))
+            table[tuple(ins)] = out
     model = Model(tower, carrier, interp, None, None, data.get("label", "file"))
     for gen in tower.gens():
         if gen.name not in interp:
@@ -432,12 +478,19 @@ class ModelMorphism:
 
     def validate(self):
         ms, mt = self.source, self.target
-        assert ms.tower is mt.tower, "morphisms require a common tower"
-        assert len(self.maps) == ms.trunc + 1
+        if ms.tower is not mt.tower:
+            raise ModelError("morphisms require a common tower")
+        if len(self.maps) != ms.trunc + 1:
+            raise ModelError("morphism has maps for %d dimensions, expected %d"
+                             % (len(self.maps), ms.trunc + 1))
         for d in range(ms.trunc + 1):
-            assert len(self.maps[d]) == ms.carrier.count(d)
-            for c in range(ms.carrier.count(d)):
-                assert 0 <= self.maps[d][c] < mt.carrier.count(d)
+            if len(self.maps[d]) != ms.carrier.count(d):
+                raise ModelError("morphism map at dim %d has %d entries, expected %d"
+                                 % (d, len(self.maps[d]), ms.carrier.count(d)))
+            for c, v in enumerate(self.maps[d]):
+                if not _is_index(v, mt.carrier.count(d)):
+                    raise ModelError("morphism sends %d-cell %d to %r, not one of the "
+                                     "target's %d cells" % (d, c, v, mt.carrier.count(d)))
         for d in range(1, ms.trunc + 1):
             for c in range(ms.carrier.count(d)):
                 if mt.carrier.source(d, self.maps[d][c]) != self.maps[d - 1][ms.carrier.source(d, c)]:
@@ -457,6 +510,8 @@ class ModelMorphism:
 
 def morphism_from_dims(source, target, dim_maps):
     """Build a morphism from maps given up to some dimension, repeating the top."""
+    if not dim_maps:
+        raise ModelError("morphism has no dimension maps")
     maps = []
     for d in range(source.trunc + 1):
         row = dim_maps[d] if d < len(dim_maps) else dim_maps[-1]

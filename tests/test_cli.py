@@ -130,6 +130,31 @@ def test_weq_verb(tmp_path, capsys):
     assert code == 0 and "weak equivalence: True" in out
 
 
+def test_malformed_model_and_morphism_files_exit_1(tmp_path, capsys):
+    from globkit import groups as G, model as M
+    path = str(tmp_path / "std.tower")
+    run(capsys, "stdlib", "--dim", "3", "--out", path)
+    tower, bundle = C.stdlib(3)
+    good = M.model_to_json(M.build_strict(M.KG1(G.cyclic(2)), tower, bundle))
+    no_cells = {k: v for k, v in good.items() if k != "cells"}
+    bad_src = json.loads(json.dumps(good))
+    bad_src["cells"][2]["src"][0] = 7
+    mpath = str(tmp_path / "model.json")
+    for data, words in ((no_cells, "field 'cells'"),
+                        (bad_src, "src of 2-cell 0 is 7")):
+        with open(mpath, "w") as fh:
+            json.dump(data, fh)
+        code, _, err = run(capsys, "model-check", path, mpath)
+        assert code == 1 and words in err, err
+    morph = {"source": {"kg1": "Z2"}, "target": {"kg1": "Z4"},
+             "map": [[0], [0, 9]]}
+    wpath = str(tmp_path / "m.json")
+    with open(wpath, "w") as fh:
+        json.dump(morph, fh)
+    code, _, err = run(capsys, "weq", path, wpath)
+    assert code == 1 and "1-cell 1 to 9" in err, err
+
+
 def test_fundamental_and_gpd_pi_verbs(tmp_path, capsys):
     from globkit import gpd as P
     from globkit import groups as G

@@ -8,6 +8,7 @@ from globkit import coherator as C
 from globkit import groups as G
 from globkit import homotopy as H
 from globkit import model as M
+from globkit.globe import GlobularSet
 from globkit.model import Discrete, KAn, KG1, XMod
 
 
@@ -51,6 +52,49 @@ def test_relation_is_equivalence_with_witnesses(std4):
                 assert m.carrier.source(n + 1, e) == c == m.carrier.target(n + 1, e)
                 r = om[(e,)]
                 assert m.carrier.source(n + 1, r) == m.carrier.target(n + 1, e)
+
+
+def reference_hom_classes(model, n):
+    """The quadratic class assignment `hom_classes` replaced, as the oracle."""
+    rel = {(model.carrier.source(n + 1, e), model.carrier.target(n + 1, e))
+           for e in range(model.carrier.count(n + 1))}
+    class_of, classes = {}, []
+    for c in range(model.carrier.count(n)):
+        for i, cl in enumerate(classes):
+            if (cl[0], c) in rel:
+                class_of[c] = i
+                classes[i] = cl + (c,)
+                break
+        else:
+            class_of[c] = len(classes)
+            classes.append((c,))
+    return class_of, classes
+
+
+def test_hom_classes_match_reference_on_strict_specs(strict_models):
+    for m in strict_models:
+        for n in range(m.trunc):
+            assert H.hom_classes(m, n) == reference_hom_classes(m, n), (m.label, n)
+
+
+def test_hom_classes_rejects_non_equivalences(std4):
+    tower, _ = std4
+
+    def relation(*pairs):
+        """Four 0-cells, with a 1-cell for each loop and each given pair."""
+        pairs = [(c, c) for c in range(4)] + list(pairs)
+        carrier = GlobularSet((4, len(pairs)), ((), tuple(a for a, _ in pairs)),
+                              ((), tuple(b for _, b in pairs)))
+        return M.Model(tower, carrier)
+
+    assert H.hom_classes(relation((1, 3), (3, 1)), 0) == \
+        ({0: 0, 1: 1, 2: 2, 3: 1}, [(0,), (1, 3), (2,)])
+    with pytest.raises(H.HomotopyError, match="not symmetric"):
+        H.hom_classes(relation((2, 3)), 0)
+    with pytest.raises(H.HomotopyError, match="not transitive"):
+        H.hom_classes(relation((0, 1), (1, 0), (1, 2), (2, 1)), 0)
+    with pytest.raises(H.HomotopyError, match="not transitive"):
+        H.hom_classes(relation((1, 2), (2, 1), (2, 3), (3, 2)), 0)
 
 
 def test_pi_groupoid_laws_on_builtins(std4):

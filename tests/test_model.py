@@ -6,6 +6,7 @@ import random
 import pytest
 
 from globkit import coherator as C
+from globkit import gpd
 from globkit import groups as G
 from globkit import model as M
 from globkit.globe import Table, all_tables, disk, realize_sum
@@ -147,27 +148,81 @@ def test_fiber_product_counts_against_hom_oracle(std3):
         assert len(model.cells(table)) == oracle_count(table), table
 
 
+def oracle_gmap(model, gm, x):
+    """A concrete map on a fiber element, read off the target's canonical
+    presentations and walked with the carrier's own boundary maps."""
+    treal, sreal = realize_sum(gm.target), realize_sum(gm.source)
+    out = []
+    for k, m in enumerate(gm.source.upper):
+        slot, word = treal.presentation(m, gm.maps[m][sreal.legs[k][m][0]])
+        out.append(model.carrier.boundary(word, x[slot]))
+    return tuple(out)
+
+
+def oracle_eval(model, raw, x):
+    """Evaluate a raw syntax tree node by node, with no compiled program."""
+    if isinstance(raw, C.RBase):
+        return oracle_gmap(model, raw.gmap, tuple(x))
+    if isinstance(raw, C.RGen):
+        return (model.interp_for(raw.gen)[tuple(x)],)
+    if isinstance(raw, C.RTuple):
+        return tuple(oracle_eval(model, c, x)[0] for c in raw.comps)
+    return oracle_eval(model, raw.inner, oracle_eval(model, raw.outer, x))
+
+
+def oracle_check(model):
+    """`Model.check`'s report, recomputed with the raw-term oracle."""
+    report = []
+    for gen in model.tower.gens():
+        fsrc, gtgt = C.term_to_raw(gen.fsrc), C.term_to_raw(gen.gtgt)
+        for x in model.cells(gen.target):
+            v = model.interp_for(gen)[x]
+            for side, raw, got in (("src", fsrc, model.carrier.source(gen.dim, v)),
+                                   ("tgt", gtgt, model.carrier.target(gen.dim, v))):
+                (want,) = oracle_eval(model, raw, x)
+                if got != want:
+                    report.append((gen.name, x, side, want, got))
+    return report
+
+
 def test_eval_matches_raw_oracle_on_random_terms(std3):
     tower, bundle = std3
     models = [M.build_strict(KG1(G.cyclic(3)), tower, bundle),
               M.build_strict(KAn(G.cyclic(2), 2), tower, bundle)]
     rng = random.Random(5)
-
-    def eval_raw(model, r, x):
-        if isinstance(r, C.RBase):
-            return model._eval_gmap(r.gmap, tuple(x))
-        if isinstance(r, C.RGen):
-            return (model.interp_for(r.gen)[tuple(x)],)
-        if isinstance(r, C.RTuple):
-            return tuple(eval_raw(model, c, x)[0] for c in r.comps)
-        return eval_raw(model, r.inner, eval_raw(model, r.outer, x))
-
     for model in models:
         for _ in range(250):
             raw = C.random_raw(tower, rng, budget=5)
             nf = C.normalize(raw)
             for x in model.cells(nf.target):
-                assert eval_raw(model, raw, x) == model.eval(nf, x)
+                assert oracle_eval(model, raw, x) == model.eval(nf, x)
+
+
+def test_compiled_boundaries_match_raw_oracle(std4, strict_models):
+    """Every generator's two boundary programs, on every fiber element of
+    the strict models the benchmark builds, a fundamental model and a
+    restricted model."""
+    tower, _ = std4
+    models = list(strict_models)
+    models.append(gpd.fundamental(gpd.connected_groupoid(2, G.cyclic(2)), tower))
+    models.append(M.restrict(strict_models[0], C.tower_functor(tower, {}, tower)))
+    for model in models:
+        for gen in tower.gens():
+            for term in (gen.fsrc, gen.gtgt):
+                raw = C.term_to_raw(term)
+                for x in model.cells(gen.target):
+                    assert model.eval(term, x) == oracle_eval(model, raw, x), \
+                        (model.label, gen.name, x)
+
+
+def test_check_sees_interpretation_overwritten_after_compiling(std3):
+    tower, bundle = std3
+    model = M.build_strict(KG1(G.cyclic(3)), tower, bundle)
+    assert model.check() == []   # compiles every generator's boundary programs
+    model.interp["inv1_0"] = {(g,): 0 for g in range(3)}
+    bad = model.check()
+    assert bad == oracle_check(model)
+    assert {v[0] for v in bad} >= {"rinv1", "linv1"}
 
 
 def test_model_json_round_trip(std3):
