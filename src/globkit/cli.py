@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 check/assertion failure, 2 parse error, 3 file error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import re
@@ -76,13 +77,32 @@ def _group_by_name(name):
         raise CliError(2, str(e))
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _xmod_from_json(data):
+    if not isinstance(data, dict) or not all(
+            isinstance(data.get(k), t) for k, t in
+            (("base", str), ("fiber", str), ("boundary", list), ("action", list))):
+        raise CliError(1, "crossed module: needs 'base' and 'fiber' group names "
+                          "and 'boundary' and 'action' lists")
     base = _group_by_name(data["base"])
     fiber = _group_by_name(data["fiber"])
+    boundary, action = data["boundary"], data["action"]
+
+    def indices(row, length, order):
+        return isinstance(row, list) and len(row) == length and all(
+            mdl._is_index(c, order) for c in row)
+
+    if not (indices(boundary, fiber.order, base.order) and len(action) == base.order
+            and all(indices(r, fiber.order, fiber.order) for r in action)):
+        raise CliError(1, "crossed module: 'boundary' needs %d base elements and "
+                          "'action' %d rows of %d fiber elements"
+                       % (fiber.order, base.order, fiber.order))
     try:
-        return groups.CrossedModule(base, fiber,
-                                    tuple(data["boundary"]),
-                                    tuple(tuple(r) for r in data["action"]))
+        return groups.CrossedModule(base, fiber, tuple(boundary),
+                                    tuple(tuple(r) for r in action))
     except AssertionError:
         raise CliError(1, "crossed module data violates its laws")
 
@@ -91,8 +111,12 @@ def _model_spec_from(args, tower):
     if getattr(args, "kg1", None):
         return mdl.KG1(_group_by_name(args.kg1))
     if getattr(args, "kan", None):
-        name, n = args.kan.rsplit(",", 1)
-        return mdl.KAn(_group_by_name(name), int(n))
+        name, _, n = args.kan.rpartition(",")
+        try:
+            n = int(n)
+        except ValueError:
+            raise CliError(2, "bad --kan %r: expected GROUP,N" % args.kan)
+        return mdl.KAn(_group_by_name(name), n)
     if getattr(args, "discrete", None) is not None:
         return mdl.Discrete(args.discrete)
     if getattr(args, "xmod", None):
@@ -267,31 +291,44 @@ def cmd_pi(args):
         raise CliError(1, str(e))
 
 
+_morphism_field = functools.partial(mdl._json_field, file="morphism file")
+
+
 def cmd_weq(args):
     tower = _load_tower(args.tower)
     bundle = _bundle_for(tower)
     data = _read_json(args.morphism)
 
-    def load_side(spec):
+    def load_side(side):
+        spec = _morphism_field(data, side, dict, "the top level")
         ns = argparse.Namespace(kg1=None, kan=None, discrete=None, xmod=None, model=None)
         if "kg1" in spec:
-            ns.kg1 = spec["kg1"]
+            ns.kg1 = _morphism_field(spec, "kg1", str, side)
         elif "kan" in spec:
-            ns.kan = "%s,%d" % (spec["kan"][0], spec["kan"][1])
+            kan = spec["kan"]
+            if not (isinstance(kan, list) and len(kan) == 2 and isinstance(kan[0], str)
+                    and _is_int(kan[1])):
+                raise CliError(1, "morphism file: %s 'kan' must be [group, n]" % side)
+            ns.kan = "%s,%d" % tuple(kan)
         elif "discrete" in spec:
-            ns.discrete = spec["discrete"]
+            ns.discrete = _morphism_field(spec, "discrete", int, side)
         elif "xmod" in spec:
-            return mdl.build_strict(mdl.XMod(_xmod_from_json(spec["xmod"])), tower, bundle)
+            xmod = _xmod_from_json(_morphism_field(spec, "xmod", dict, side))
+            return mdl.build_strict(mdl.XMod(xmod), tower, bundle)
         elif "file" in spec:
-            ns.model = spec["file"]
+            ns.model = _morphism_field(spec, "file", str, side)
         else:
             raise CliError(2, "morphism file: unknown model spec %s" % spec)
         return _load_model(ns, tower, bundle)
 
-    src = load_side(data["source"])
-    tgt = load_side(data["target"])
+    src = load_side("source")
+    tgt = load_side("target")
+    rows = _morphism_field(data, "map", list, "the top level")
+    if not all(isinstance(r, list) and all(_is_int(c) for c in r) for r in rows):
+        raise CliError(1, "morphism file: 'map' must be a list of integer lists, "
+                          "one per dimension")
     try:
-        morph = mdl.morphism_from_dims(src, tgt, [tuple(r) for r in data["map"]])
+        morph = mdl.morphism_from_dims(src, tgt, [tuple(r) for r in rows])
         report = hmt.weak_equiv(morph, bundle)
     except (mdl.ModelError, hmt.HomotopyError) as e:
         raise CliError(1, str(e))

@@ -18,12 +18,13 @@ concretely and compared against the quotient pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import coherator as coh
 from . import groups
 from .coherator import BaseT, TupleT
 from .globe import Table, realize_sum
-from .model import Model
+from .model import Model, _is_index, _json_field
 
 
 class GroupoidError(Exception):
@@ -128,26 +129,38 @@ class Groupoid:
 
 
 def build_groupoid(n_objects, arrows, compose_fn):
-    """Assemble a groupoid from arrow boundary data and a partial composition."""
+    """Assemble a groupoid from arrow boundary data and a partial composition.
+
+    `compose_fn(g, f)` is called once per composable pair; identities and
+    inverses are searched among each object's incoming and outgoing arrows.
+    """
     src = tuple(a[0] for a in arrows)
     tgt = tuple(a[1] for a in arrows)
     n = len(arrows)
+    for a in range(n):
+        if not (0 <= src[a] < n_objects and 0 <= tgt[a] < n_objects):
+            raise GroupoidError("arrow %d has boundaries out of range" % a)
+    into = [[] for _ in range(n_objects)]
+    outof = [[] for _ in range(n_objects)]
+    for f in range(n):
+        into[tgt[f]].append(f)
+        outof[src[f]].append(f)
     comp = []
     for g in range(n):
-        row = []
-        for f in range(n):
-            row.append(compose_fn(g, f) if src[g] == tgt[f] else None)
+        row = [None] * n
+        for f in into[src[g]]:
+            row[f] = compose_fn(g, f)
         comp.append(tuple(row))
     ident = []
     for x in range(n_objects):
-        e = next((f for f in range(n) if src[f] == x and tgt[f] == x
-                  and all(comp[f][g] == g for g in range(n) if tgt[g] == x)), None)
+        e = next((f for f in outof[x] if tgt[f] == x
+                  and all(comp[f][g] == g for g in into[x])), None)
         if e is None:
             raise GroupoidError("no identity at object %d" % x)
         ident.append(e)
     inv = []
     for f in range(n):
-        g = next((g for g in range(n) if src[g] == tgt[f] and tgt[g] == src[f]
+        g = next((g for g in outof[tgt[f]] if tgt[g] == src[f]
                   and comp[g][f] == ident[src[f]]), None)
         if g is None:
             raise GroupoidError("arrow %d has no inverse" % f)
@@ -335,10 +348,46 @@ class GpdSum:
     leg_objects: tuple   # leg_objects[k] = object images of disk k's objects
     edges: tuple         # (k, o0, o1) for each disk of dimension >= 1
 
-    def arrow(self, x, y):
-        a = self.gpd.arrows_between(x, y)
-        assert len(a) == 1
-        return a[0]
+    def walk(self, o_from, o_to):
+        """The arrow o_from -> o_to of the thin sum as a path of legs.
+
+        Returns `((leg, side), steps)`.  The start names the leg that gives
+        o_from's object image: side 0 when the leg's cell is an object, 1 or
+        2 when it is the source or target of the leg's arrow.  Each step
+        `(leg, invert)` composes the leg's arrow, or its inverse, after the
+        path so far; the steps follow the block tree from o_from to o_to.
+        `walk_arrow` folds the path over an element of the fiber product.
+        """
+        start = next((k, 0 if len(objs) == 1 else 1 + objs.index(o_from))
+                     for k, objs in enumerate(self.leg_objects) if o_from in objs)
+        adj = {}
+        for k, o0, o1 in self.edges:
+            adj.setdefault(o0, []).append((o1, k, False))
+            adj.setdefault(o1, []).append((o0, k, True))
+        paths = {o_from: ()}
+        frontier = [o_from]
+        while frontier:
+            o = frontier.pop()
+            if o == o_to:
+                return start, paths[o]
+            for o2, k, invert in adj.get(o, ()):
+                if o2 not in paths:
+                    paths[o2] = paths[o] + ((k, invert),)
+                    frontier.append(o2)
+        raise GroupoidError("disconnected pasting shape")
+
+
+def walk_arrow(X, walk, cells):
+    """The image in X of a `GpdSum.walk` under the pasting of `cells`, a
+    fiber-product element with objects of X on 0-disks and arrows above."""
+    (k, side), steps = walk
+    c = cells[k]
+    arr = X.ident[c if side == 0 else X.src[c] if side == 1 else X.tgt[c]]
+    comp, inv = X.comp, X.inv
+    for k, invert in steps:
+        a = cells[k]
+        arr = comp[inv[a] if invert else a][arr]
+    return arr
 
 
 def realize_gpd(table):
@@ -418,6 +467,7 @@ class TowerGpdInterp:
         self.diagram = diagram or globe_diagram(tower.trunc)
         self.gen_objs = {}
         self.sums = {}
+        self.walks = {}
 
     def sum(self, table):
         if table not in self.sums:
@@ -440,6 +490,14 @@ class TowerGpdInterp:
             ht = h if g.dim >= 2 else (h[1],)
             assert hs == fobj and ht == gobj
         return self.gen_objs[g.name]
+
+    def walk(self, g):
+        """The pasting walk of a generator's filler, from the first to the
+        second object of its image (`GpdSum.walk`), found once."""
+        if g.name not in self.walks:
+            h = self.gen(g)
+            self.walks[g.name] = self.sum(g.target).walk(h[0], h[1])
+        return self.walks[g.name]
 
     def term_objects(self, t):
         """Object images of a term, as a tuple over its source's objects."""
@@ -481,65 +539,10 @@ def fundamental(X, tower, interp=None, label=""):
     units = [tuple(X.ident)] + [tuple(range(n_arr)) for _ in range(1, trunc)]
 
     def filler(model, gen):
-        sumr = interp.sum(gen.target)
-        h = interp.gen(gen)
-        out = {}
-        for x in model.cells(gen.target):
-            fx = _paste_functor(X, sumr, x)
-            out[x] = _functor_arrow(X, sumr, fx, h[0], h[1])
-        return out
+        walk = interp.walk(gen)
+        return {x: walk_arrow(X, walk, x) for x in model.cells(gen.target)}
 
     return Model(tower, carrier, {}, filler, tuple(units), label or "Pi(%s)" % (X,))
-
-
-def _paste_functor(X, sumr, cells):
-    """Object/edge images of the functor realizing a fiber-product element."""
-    fx = {}
-    for k in range(sumr.table.width):
-        m = sumr.table.upper[k]
-        if m == 0:
-            o = sumr.leg_objects[k][0]
-            val = cells[k]
-            if ("obj", o) in fx:
-                assert fx[("obj", o)] == val
-            fx[("obj", o)] = val
-        else:
-            a = cells[k]
-            lo = sumr.leg_objects[k]
-            for o, v in ((lo[0], X.src[a]), (lo[1], X.tgt[a])):
-                if ("obj", o) in fx:
-                    assert fx[("obj", o)] == v, "pasting tuple is inconsistent"
-                fx[("obj", o)] = v
-            key = ("edge", lo[0], lo[1])
-            if key in fx:
-                assert fx[key] == a, "pasting tuple is inconsistent"
-            fx[key] = a
-    return fx
-
-
-def _functor_arrow(X, sumr, fx, o_from, o_to):
-    """Image of the unique arrow o_from -> o_to of a thin sum under a pasting."""
-    # path search over the edges of the block tree
-    adj = {}
-    for key, a in fx.items():
-        if key[0] != "edge":
-            continue
-        _, o0, o1 = key
-        adj.setdefault(o0, []).append((o1, a, False))
-        adj.setdefault(o1, []).append((o0, a, True))
-    frontier = [(o_from, X.ident[fx[("obj", o_from)]])]
-    seen = {o_from}
-    while frontier:
-        o, arr = frontier.pop()
-        if o == o_to:
-            return arr
-        for (o2, a, invert) in adj.get(o, ()):
-            if o2 in seen:
-                continue
-            seen.add(o2)
-            step = X.inv[a] if invert else a
-            frontier.append((o2, X.comp[step][arr]))
-    raise GroupoidError("disconnected pasting shape")
 
 
 # ---------------------------------------------------------------------------
@@ -558,13 +561,8 @@ class PathObject:
         return self.squares[i][3]
 
 
-_PATH_CACHE = {}
-
-
 def path_object(X):
     """The arrow groupoid of X: objects are arrows, morphisms are squares."""
-    if X in _PATH_CACHE:
-        return _PATH_CACHE[X]
     sqs = []
     for u in range(X.n_arrows):
         for v in range(X.n_arrows):
@@ -584,27 +582,26 @@ def path_object(X):
     r_arr = tuple(index[(X.ident[X.src[a]], X.ident[X.tgt[a]], a, a)]
                   for a in range(X.n_arrows))
     r = GFunctor(X, P, r_obj, r_arr).validate()
-    po = PathObject(P, r, tuple(sqs))
-    _PATH_CACHE[X] = po
-    return po
+    return PathObject(P, r, tuple(sqs))
 
 
 def loop_object(X, x):
-    """The pullback of a path object against the doubled base point.
+    """The pullback of the path object against the doubled base point.
 
-    Returns (Omega, base object index, object labels); the objects are the
-    automorphisms of x and the groupoid is discrete.
+    Built from that definition, without the path object: the objects are
+    the loops u at x in ascending arrow order, and the arrows are the
+    squares (u, v, id_x, id_x), those with v . id_x == id_x . u in X.
+    Returns (Omega, base object index, object labels); the groupoid is
+    discrete.
     """
-    po = path_object(X)
-    loops = [u for u in range(X.n_arrows) if X.src[u] == x and X.tgt[u] == x]
-    arrows = []
-    for i, s in enumerate(po.squares):
-        u, v, h, k = s
-        if u in loops and v in loops and h == X.ident[x] and k == X.ident[x]:
-            arrows.append((loops.index(u), loops.index(v)))
-    omega = build_groupoid(len(loops), arrows, lambda g, f: g)
-    c_x = loops.index(X.ident[x])
-    return omega, c_x, loops
+    e = X.ident[x]
+    loops = X.arrows_between(x, x)
+    arrows = [(i, j) for i, u in enumerate(loops) for j, v in enumerate(loops)
+              if X.comp[v][e] == X.comp[e][u]]
+    index = {a: i for i, a in enumerate(arrows)}
+    omega = build_groupoid(len(loops), arrows,
+                           lambda g, f: index[(arrows[f][0], arrows[g][1])])
+    return omega, loops.index(e), loops
 
 
 def pi0_gpd(X):
@@ -619,19 +616,15 @@ def quillen_pi1(X, x):
     two-cylinder pasting; the loop object's components give the same set.
     Both the group table and the agreement of the two routes are returned.
     """
-    loops = [u for u in range(X.n_arrows) if X.src[u] == x and X.tgt[u] == x]
-    # composition through the filler on D1 +0 D1
+    loops = X.arrows_between(x, x)
+    # composition through the filler of (eps2.s1, eps1.t1) on D1 +0 D1,
+    # from its source end to its target end
     tab = Table((1, 1), (0,))
-    sumr = realize_gpd(tab)
     real = realize_sum(tab)
-    # the filler of (eps2.s1, eps1.t1): objects (source end, target end)
-    e2s = real.legs[1][0][0]
-    e1t = real.legs[0][0][1]
-    h = (e2s, e1t)
+    walk = realize_gpd(tab).walk(real.legs[1][0][0], real.legs[0][0][1])
 
     def comp(l2, l1):
-        fx = _paste_functor(X, sumr, (l2, l1))
-        return _functor_arrow(X, sumr, fx, h[0], h[1])
+        return walk_arrow(X, walk, (l2, l1))
 
     loops.remove(X.ident[x])
     loops.insert(0, X.ident[x])
@@ -645,11 +638,22 @@ def quillen_pi1(X, x):
 
 
 def quillen_pi_n(X, x, n):
-    """Higher homotopy groups by looping; the loop object is discrete."""
-    if n == 1:
-        return quillen_pi1(X, x)[0]
-    omega, c_x, _ = loop_object(X, x)
-    return quillen_pi_n(omega, c_x, n - 1)
+    """Higher homotopy groups by looping.
+
+    The loop object is discrete, so looping soon returns the groupoid it
+    started from; from there every further loop is the same.
+    """
+    if not 0 <= x < X.n_objects:
+        raise GroupoidError("object %d out of range: the groupoid has %d objects"
+                            % (x, X.n_objects))
+    if n < 1:
+        raise GroupoidError("pi_n by looping needs n >= 1, got %d" % n)
+    while n > 1:
+        omega, c_x, _ = loop_object(X, x)
+        if (omega, c_x) == (X, x):
+            break
+        X, x, n = omega, c_x, n - 1
+    return quillen_pi1(X, x)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -719,19 +723,37 @@ def groupoid_to_json(X):
     }
 
 
+_groupoid_field = partial(_json_field, file="groupoid file", error=GroupoidError)
+
+
 def groupoid_from_json(data):
-    n = data["objects"]
-    arrows = [(a["src"], a["tgt"]) for a in data["arrows"]]
-    comp_table = data["compose"]
+    """The groupoid of a file written by `groupoid_to_json`; a file of the
+    wrong shape raises GroupoidError."""
+    n = _groupoid_field(data, "objects", int, "the top level")
+    if n < 0:
+        raise GroupoidError("groupoid file: %d objects" % n)
+    arrows = [(_groupoid_field(a, "src", int, "arrow %d" % i),
+               _groupoid_field(a, "tgt", int, "arrow %d" % i))
+              for i, a in enumerate(_groupoid_field(data, "arrows", list, "the top level"))]
+    m = len(arrows)
+    comp_table = _groupoid_field(data, "compose", list, "the top level")
+    if len(comp_table) != m or not all(isinstance(row, list) and len(row) == m
+                                       for row in comp_table):
+        raise GroupoidError("groupoid file: 'compose' must be a %d x %d table, "
+                            "a row and a column per arrow" % (m, m))
 
     def compose_fn(g, f):
         val = comp_table[g][f]
         if val is None:
             raise GroupoidError("missing composite (%d, %d)" % (g, f))
+        if not _is_index(val, m):
+            raise GroupoidError("groupoid file: composite (%d, %d) is %r, not one of "
+                                "the %d arrows" % (g, f, val, m))
         return val
 
     gpd = build_groupoid(n, arrows, compose_fn)
-    if "inverse" in data and tuple(data["inverse"]) != gpd.inv:
+    inverse = data.get("inverse")
+    if inverse is not None and (not isinstance(inverse, list) or tuple(inverse) != gpd.inv):
         raise GroupoidError("inverse table disagrees with the inverse law")
     return gpd
 

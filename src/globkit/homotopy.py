@@ -27,6 +27,12 @@ class LawViolation(HomotopyError):
     """A groupoid law fails on homotopy classes: the model or tower is broken."""
 
 
+def _check_cell(model, d, c, what):
+    count = model.carrier.count(d)
+    if not 0 <= c < count:
+        raise HomotopyError("%s %d is not one of the %d %d-cells" % (what, c, count, d))
+
+
 def parallel_cells(model, n, a, b):
     if n == 0:
         return True
@@ -201,6 +207,7 @@ def pi_n(model, bundle, n, x=0):
     """Homotopy group at a base object (n >= 1), or components for n = 0."""
     if n == 0:
         return pi0(model)
+    _check_cell(model, 0, x, "base object")
     u = iterated_unit(model, bundle, x, n - 1)
     return pi_n_at(model, bundle, n, u)
 
@@ -294,6 +301,9 @@ def divide(model, bundle, n, i, gamma, u, v, side="left"):
     """
     if not (n >= 2 and 0 <= i < n - 1):
         raise HomotopyError("division needs n >= 2 and 0 <= i < n-1")
+    _check_cell(model, n, gamma, "gamma")
+    _check_cell(model, n - 1, u, "u")
+    _check_cell(model, n - 1, v, "v")
     tower = model.tower
     car = model.carrier
     if not parallel_cells(model, n - 1, u, v):

@@ -159,8 +159,15 @@ class Model:
             src, tgt = self.carrier.src[gen.dim], self.carrier.tgt[gen.dim]
             for x in self.cells(gen.target):
                 v = table[x]
-                (want_s,) = fsrc(x, get)
-                (want_t,) = gtgt(x, get)
+                try:
+                    (want_s,) = fsrc(x, get)
+                    (want_t,) = gtgt(x, get)
+                except KeyError as e:
+                    # an interpretation sent a sub-term outside the fiber
+                    # product of the generator applied to it
+                    report.append((gen.name, x, "boundary",
+                                   "a sub-term inside a fiber product", e.args[0]))
+                    continue
                 got_s, got_t = src[v], tgt[v]
                 if got_s != want_s:
                     report.append((gen.name, x, "src", want_s, got_s))
@@ -202,7 +209,10 @@ class KAn:
     n: int
 
     def __post_init__(self):
-        assert self.n >= 2 and self.group.is_abelian()
+        if self.n < 2:
+            raise ModelError("K(A, n) needs n >= 2, got %d" % self.n)
+        if not self.group.is_abelian():
+            raise ModelError("K(A, n) needs an abelian group, %s is not" % self.group.name)
 
 
 @dataclass(frozen=True)
@@ -409,11 +419,12 @@ def _is_index(value, count):
     return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < count
 
 
-def _json_field(obj, key, kind, where):
-    """obj[key] from a model file, which must be a JSON value of `kind`."""
+def _json_field(obj, key, kind, where, file="model file", error=ModelError):
+    """obj[key] from an input file, which must be a JSON value of `kind`;
+    model, groupoid and morphism files are all read through here."""
     value = obj.get(key) if isinstance(obj, dict) else None
     if not isinstance(value, kind) or isinstance(value, bool):
-        raise ModelError("model file: %s needs a %s field %r" % (where, kind.__name__, key))
+        raise error("%s: %s needs a %s field %r" % (file, where, kind.__name__, key))
     return value
 
 

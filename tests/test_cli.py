@@ -153,6 +153,83 @@ def test_malformed_model_and_morphism_files_exit_1(tmp_path, capsys):
         json.dump(morph, fh)
     code, _, err = run(capsys, "weq", path, wpath)
     assert code == 1 and "1-cell 1 to 9" in err, err
+    for change, words in ((lambda m: m.pop("map"), "field 'map'"),
+                          (lambda m: m.update(map=[[0], 5]), "integer lists"),
+                          (lambda m: m.pop("source"), "field 'source'"),
+                          (lambda m: m.update(source="kg1"), "field 'source'"),
+                          (lambda m: m.update(source={"kg1": 5}), "field 'kg1'"),
+                          (lambda m: m.update(source={"kan": ["Z2"]}), "[group, n]"),
+                          (lambda m: m.update(source={"xmod": {}}), "crossed module")):
+        bad = json.loads(json.dumps(morph))
+        change(bad)
+        with open(wpath, "w") as fh:
+            json.dump(bad, fh)
+        code, _, err = run(capsys, "weq", path, wpath)
+        assert code == 1 and words in err, (bad, err)
+    # composites that return their first input send boundary terms outside
+    # the fiber products of the generators built on them: reported, not raised
+    z3 = M.model_to_json(M.build_strict(M.KG1(G.cyclic(3)), tower, bundle))
+    for row in z3["interp"]["comp1_0"]:
+        row["out"] = row["in"][0]
+    with open(mpath, "w") as fh:
+        json.dump(z3, fh)
+    code, out, _ = run(capsys, "model-check", path, mpath, "--format", "json")
+    assert code == 1
+    assert any(v[2] == "boundary" for v in json.loads(out)["violations"])
+
+
+def test_malformed_groupoid_files_exit_1(tmp_path, capsys):
+    from globkit import gpd as P
+    good = P.groupoid_to_json(P.codiscrete(2))
+    gpath = str(tmp_path / "g.json")
+    for change, words in ((lambda g: g.pop("compose"), "field 'compose'"),
+                          (lambda g: g.pop("objects"), "field 'objects'"),
+                          (lambda g: g["compose"][1].pop(), "4 x 4 table"),
+                          (lambda g: g["arrows"].__setitem__(0, [0, 0]),
+                           "arrow 0 needs a int field 'src'"),
+                          (lambda g: g["arrows"][2].update(src=9),
+                           "arrow 2 has boundaries out of range"),
+                          (lambda g: g["compose"][0].__setitem__(0, 7),
+                           "composite (0, 0) is 7"),
+                          (lambda g: g.update(objects=-1), "-1 objects")):
+        bad = json.loads(json.dumps(good))
+        change(bad)
+        with open(gpath, "w") as fh:
+            json.dump(bad, fh)
+        for verb in (["gpd-pi", gpath, "--n", "1"], ["fundamental", gpath]):
+            code, _, err = run(capsys, *verb)
+            assert code == 1 and words in err, (verb, bad, err)
+
+
+def test_out_of_range_numeric_flags_exit_1(tmp_path, capsys):
+    from globkit import gpd as P
+    from globkit import groups as G
+    path = str(tmp_path / "std.tower")
+    run(capsys, "stdlib", "--dim", "3", "--out", path)
+    gpath = str(tmp_path / "z3.json")
+    with open(gpath, "w") as fh:
+        json.dump(P.groupoid_to_json(P.one_object(G.cyclic(3))), fh)
+    cases = [
+        (["gpd-pi", gpath, "--x", "9", "--n", "1"], "object 9 out of range"),
+        (["gpd-pi", gpath, "--x", "-1", "--n", "1"], "object -1 out of range"),
+        (["gpd-pi", gpath, "--n", "-1"], "needs n >= 1"),
+        (["pi", path, "--kg1", "S3", "--n", "1", "--base", "7"],
+         "base object 7 is not one of the 1 0-cells"),
+        (["pi", path, "--kan", "Z3,1", "--n", "1"], "needs n >= 2"),
+        (["pi", path, "--kan", "S3,2", "--n", "2"], "abelian"),
+        (["divide", path, "--kan", "Z2,2", "--n", "2", "--i", "0",
+          "--gamma", "99", "--u", "0", "--v", "0"], "gamma 99 is not one of the 2 2-cells"),
+        (["divide", path, "--kan", "Z2,2", "--n", "2", "--i", "0",
+          "--gamma", "1", "--u", "0", "--v", "5"], "v 5 is not one of"),
+    ]
+    for argv, words in cases:
+        code, _, err = run(capsys, *argv)
+        assert code == 1 and words in err, (argv, err)
+    code, _, err = run(capsys, "pi", path, "--kan", "Z3", "--n", "2")
+    assert code == 2 and "GROUP,N" in err
+    # looping reaches a fixed point, so a large n neither recurses nor loops long
+    code, out, _ = run(capsys, "gpd-pi", gpath, "--n", "5000")
+    assert code == 0 and "pi_5000 = Z1" in out
 
 
 def test_fundamental_and_gpd_pi_verbs(tmp_path, capsys):

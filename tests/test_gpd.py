@@ -205,17 +205,110 @@ def test_composition_of_homotopies_agrees_with_cylinder_pasting():
     for X in (P.one_object(G.cyclic(3)), P.one_object(G.symmetric(3)),
               P.codiscrete(3)):
         tab = Table((1, 1), (0,))
-        sumr = P.realize_gpd(tab)
         from globkit.globe import realize_sum
         real = realize_sum(tab)
-        h = (real.legs[1][0][0], real.legs[0][0][1])
+        walk = P.realize_gpd(tab).walk(real.legs[1][0][0], real.legs[0][0][1])
         for l1 in range(X.n_arrows):
             for l2 in range(X.n_arrows):
                 if X.tgt[l1] != X.src[l2]:
                     continue
-                fx = P._paste_functor(X, sumr, (l2, l1))
-                composite = P._functor_arrow(X, sumr, fx, h[0], h[1])
+                composite = P.walk_arrow(X, walk, (l2, l1))
                 assert composite == X.comp[l2][l1]
+
+
+def _paste_functor(X, sumr, cells):
+    """Object/edge images of the functor realizing a fiber-product element:
+    the pasting as a dict, the reference for `GpdSum.walk`."""
+    fx = {}
+    for k in range(sumr.table.width):
+        m = sumr.table.upper[k]
+        if m == 0:
+            o = sumr.leg_objects[k][0]
+            val = cells[k]
+            if ("obj", o) in fx:
+                assert fx[("obj", o)] == val
+            fx[("obj", o)] = val
+        else:
+            a = cells[k]
+            lo = sumr.leg_objects[k]
+            for o, v in ((lo[0], X.src[a]), (lo[1], X.tgt[a])):
+                if ("obj", o) in fx:
+                    assert fx[("obj", o)] == v, "pasting tuple is inconsistent"
+                fx[("obj", o)] = v
+            key = ("edge", lo[0], lo[1])
+            if key in fx:
+                assert fx[key] == a, "pasting tuple is inconsistent"
+            fx[key] = a
+    return fx
+
+
+def _functor_arrow(X, sumr, fx, o_from, o_to):
+    """Image of the unique arrow o_from -> o_to of a thin sum under a
+    pasting, by a search over the edges of the block tree."""
+    adj = {}
+    for key, a in fx.items():
+        if key[0] != "edge":
+            continue
+        _, o0, o1 = key
+        adj.setdefault(o0, []).append((o1, a, False))
+        adj.setdefault(o1, []).append((o0, a, True))
+    frontier = [(o_from, X.ident[fx[("obj", o_from)]])]
+    seen = {o_from}
+    while frontier:
+        o, arr = frontier.pop()
+        if o == o_to:
+            return arr
+        for (o2, a, invert) in adj.get(o, ()):
+            if o2 in seen:
+                continue
+            seen.add(o2)
+            step = X.inv[a] if invert else a
+            frontier.append((o2, X.comp[step][arr]))
+    raise P.GroupoidError("disconnected pasting shape")
+
+
+def test_compiled_walk_matches_pasting_oracle(std4, interp4):
+    tower, _ = std4
+    checked = 0
+    for X in (P.connected_groupoid(2, G.cyclic(4)),
+              P.disjoint_union(P.one_object(G.symmetric(3)), P.codiscrete(2)),
+              P.codiscrete(3)):
+        m = P.fundamental(X, tower, interp4)
+        for gen in tower.gens():
+            sumr = interp4.sum(gen.target)
+            h = interp4.gen(gen)
+            walk = interp4.walk(gen)
+            table = m.interp_for(gen)
+            for x in m.cells(gen.target):
+                want = _functor_arrow(X, sumr, _paste_functor(X, sumr, x), h[0], h[1])
+                assert P.walk_arrow(X, walk, x) == table[x] == want, (gen.name, x)
+                checked += 1
+    assert checked > 10000
+
+
+def _loop_object_from_path_object(X, x):
+    """The loop object as the sub-groupoid of the path object over (x, x)."""
+    po = P.path_object(X)
+    loops = [u for u in range(X.n_arrows) if X.src[u] == x and X.tgt[u] == x]
+    arrows = []
+    for u, v, h, k in po.squares:
+        if u in loops and v in loops and h == X.ident[x] and k == X.ident[x]:
+            arrows.append((loops.index(u), loops.index(v)))
+    omega = P.build_groupoid(len(loops), arrows, lambda g, f: g)
+    return omega, loops.index(X.ident[x]), loops
+
+
+def test_loop_object_matches_path_object_restriction():
+    for name, X in P.corpus(3, 8):
+        for x in range(X.n_objects):
+            assert P.loop_object(X, x) == _loop_object_from_path_object(X, x), (name, x)
+
+
+def test_compare_connected_s3_on_three_objects(std4, interp4):
+    tower, bundle = std4
+    rep = P.compare(P.connected_groupoid(3, G.symmetric(3)), tower, bundle, interp4)
+    assert rep.ok()
+    assert {names[0] for names in rep.pi1.values()} == {"S3"}
 
 
 def test_divide_on_fundamental_model(std4, interp4):

@@ -225,6 +225,28 @@ def test_check_sees_interpretation_overwritten_after_compiling(std3):
     assert {v[0] for v in bad} >= {"rinv1", "linv1"}
 
 
+def test_check_reports_terms_that_leave_the_fiber_product(std3):
+    tower, bundle = std3
+    model = M.build_strict(KG1(G.cyclic(3)), tower, bundle)
+    # a composite that returns its first input sends boundary terms of the
+    # generators built on it outside the fiber products they are applied to
+    model.interp["comp1_0"] = {x: x[0] for x in model.cells(tower["comp1_0"].target)}
+
+    def leaves(gen, x):
+        try:
+            for term in (gen.fsrc, gen.gtgt):
+                oracle_eval(model, C.term_to_raw(term), x)
+        except KeyError:
+            return True
+        return False
+
+    bad = model.check()
+    outside = {(v[0], v[1]) for v in bad if v[2] == "boundary"}
+    assert outside
+    assert outside == {(gen.name, x) for gen in tower.gens()
+                       for x in model.cells(gen.target) if leaves(gen, x)}
+
+
 def test_model_json_round_trip(std3):
     tower, bundle = std3
     model = M.build_strict(KG1(G.cyclic(2)), tower, bundle)
