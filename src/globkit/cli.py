@@ -103,8 +103,8 @@ def _xmod_from_json(data):
     try:
         return groups.CrossedModule(base, fiber, tuple(boundary),
                                     tuple(tuple(r) for r in action))
-    except AssertionError:
-        raise CliError(1, "crossed module data violates its laws")
+    except groups.GroupError as e:
+        raise CliError(1, str(e))
 
 
 def _model_spec_from(args, tower):
@@ -140,21 +140,9 @@ def _load_model(args, tower, bundle):
 
 
 def _parse_term_arg(tower, text, target_text=None):
-    if target_text:
-        try:
-            target = _parse_table_arg(target_text)
-        except GlobeError as e:
-            raise CliError(2, str(e))
-        script_target = target
-    else:
-        script_target = _infer_target(tower, text)
+    target = _parse_table_arg(target_text) if target_text else _infer_target(tower, text)
     try:
-        p = dsl._Parser(text)
-        term = dsl._parse_term(p, tower, script_target)
-        if p.peek().kind != "eof":
-            t = p.peek()
-            raise dsl.ParseError(t.line, t.col, "trailing input %r" % t.value)
-        return term
+        return dsl.parse_term(text, tower, target)
     except dsl.ParseError as e:
         raise CliError(2, str(e))
 
@@ -515,7 +503,7 @@ def run(argv):
         print("error: %s" % e, file=sys.stderr)
         return 1
     except (InadmissibleError, TermError, MatchingError, GlobeError,
-            hmt.HomotopyError, mdl.ModelError, gpd.GroupoidError) as e:
+            hmt.HomotopyError, mdl.ModelError, gpd.GroupoidError, groups.GroupError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except OSError as e:

@@ -13,19 +13,20 @@ sums; the smart constructors below orient the relations as rewrites:
   * a tuple whose components are all concrete recombines into one concrete
     map.
 
-`normalize` evaluates an arbitrary syntax tree through these constructors;
-a separate small-step engine (`reduce_steps`) drives the same rules one
-redex at a time under selectable strategies, which is what the confluence
-and termination checks exercise.
+`normalize` evaluates an arbitrary raw syntax tree through these
+constructors.  `comp_pair` and `inv_pair` state the two-case boundary
+formulas of composition and inverse once; `stdlib` declares its generators
+from them and `verify_bundle` checks a bundle against them.  The small-step
+engine that drives the same rules one redex at a time, the independent
+oracle for `normalize`, lives in `globkit.rewrite`.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 from . import theta0
-from .globe import DEFAULT_TRUNC, Table, Word, disk, idword, sword, tword
+from .globe import DEFAULT_TRUNC, Table, Word, disk, idword
 from .theta0 import GMap, MatchingError
 
 
@@ -332,9 +333,6 @@ class Tower:
     def term(self, name):
         return gen_term(self._gens[name])
 
-    def max_level(self):
-        return max((g.level for g in self.gens()), default=0)
-
 
 # ---------------------------------------------------------------------------
 # The standard library of structural generators
@@ -379,6 +377,34 @@ def glue2(i, j):
     return Table((i, i), (j,))
 
 
+def comp_pair(i, j, lower=None):
+    """The boundary pair of the (i, j) composition D_{i-1} -> D_i +_j D_i.
+
+    Codimension 1: the source of the second leg and the target of the first.
+    Codimension >= 2: the (i-1, j) composition `lower`, followed by the
+    sources (resp. targets) of both legs.
+    """
+    t2 = glue2(i, j)
+    if j == i - 1:
+        return (compose(eps(t2, 1), wordt("s", j, i)),
+                compose(eps(t2, 0), wordt("t", j, i)))
+    return tuple(
+        compose(tuple_term([compose(eps(t2, k), wordt(kind, i - 1, i)) for k in (0, 1)],
+                           glue2(i - 1, j)), lower)
+        for kind in "st")
+
+
+def inv_pair(i, j, lower=None):
+    """The boundary pair of the (i, j) inverse D_{i-1} -> D_i.
+
+    Codimension 1: the two faces, swapped.  Codimension >= 2: the (i-1, j)
+    inverse `lower`, followed by the source (resp. target) word.
+    """
+    if j == i - 1:
+        return wordt("t", j, i), wordt("s", j, i)
+    return tuple(compose(wordt(kind, i - 1, i), lower) for kind in "st")
+
+
 def stdlib(trunc=4):
     """Generate the standard tower of structural generators up to `trunc`.
 
@@ -396,36 +422,18 @@ def stdlib(trunc=4):
 
     # codimension 1 compositions, units, inverses
     for i in range(1, trunc + 1):
-        t2 = glue2(i, i - 1)
-        tw.declare(comp_name(i, i - 1),
-                   compose(eps(t2, 1), wordt("s", i - 1, i)),
-                   compose(eps(t2, 0), wordt("t", i - 1, i)))
+        tw.declare(comp_name(i, i - 1), *comp_pair(i, i - 1))
     for i in range(0, trunc):
         tw.declare(unit_name(i), identity(disk(i)), identity(disk(i)))
     for i in range(1, trunc + 1):
-        tw.declare(inv_name(i, i - 1), wordt("t", i - 1, i), wordt("s", i - 1, i))
+        tw.declare(inv_name(i, i - 1), *inv_pair(i, i - 1))
 
     # higher codimension by the case formulas
     for c in range(2, trunc + 1):
         for i in range(c, trunc + 1):
             j = i - c
-            t2 = glue2(i, j)
-            t2lo = glue2(i - 1, j)
-            # (s ∐ s) and (t ∐ t): pairs of eps_k ∘ s_i / eps_k ∘ t_i over the lower sum
-            smap = BaseT(theta0.pair(
-                (theta0.compose(theta0.leg_gmap(t2, 0), theta0.globe_functor(sword(i - 1, i))),
-                 theta0.compose(theta0.leg_gmap(t2, 1), theta0.globe_functor(sword(i - 1, i)))),
-                t2lo))
-            tmap = BaseT(theta0.pair(
-                (theta0.compose(theta0.leg_gmap(t2, 0), theta0.globe_functor(tword(i - 1, i))),
-                 theta0.compose(theta0.leg_gmap(t2, 1), theta0.globe_functor(tword(i - 1, i)))),
-                t2lo))
-            tw.declare(comp_name(i, j),
-                       compose(smap, g(comp_name(i - 1, j))),
-                       compose(tmap, g(comp_name(i - 1, j))))
-            tw.declare(inv_name(i, j),
-                       compose(wordt("s", i - 1, i), g(inv_name(i - 1, j))),
-                       compose(wordt("t", i - 1, i), g(inv_name(i - 1, j))))
+            tw.declare(comp_name(i, j), *comp_pair(i, j, g(comp_name(i - 1, j))))
+            tw.declare(inv_name(i, j), *inv_pair(i, j, g(inv_name(i - 1, j))))
 
     # associativity, unit, and inverse constraints
     for i in range(1, trunc):
@@ -548,41 +556,26 @@ def verify_bundle(tower, bundle, trunc=None):
     """Check the two-case boundary formulas of a pregroupoid bundle."""
     trunc = trunc if trunc is not None else tower.trunc
     g = tower.term
+
+    def sides(name):
+        return glob_source(g(name)), glob_target(g(name))
+
     for (i, j), name in bundle.comp.items():
         if i > trunc:
             continue
-        t2 = glue2(i, j)
-        if j == i - 1:
-            want_s = compose(eps(t2, 1), wordt("s", i - 1, i))
-            want_t = compose(eps(t2, 0), wordt("t", i - 1, i))
-        else:
-            t2lo = glue2(i - 1, j)
-            smap = BaseT(theta0.pair(
-                (theta0.compose(theta0.leg_gmap(t2, 0), theta0.globe_functor(sword(i - 1, i))),
-                 theta0.compose(theta0.leg_gmap(t2, 1), theta0.globe_functor(sword(i - 1, i)))),
-                t2lo))
-            tmap = BaseT(theta0.pair(
-                (theta0.compose(theta0.leg_gmap(t2, 0), theta0.globe_functor(tword(i - 1, i))),
-                 theta0.compose(theta0.leg_gmap(t2, 1), theta0.globe_functor(tword(i - 1, i)))),
-                t2lo))
-            want_s = compose(smap, g(bundle.comp_name(i - 1, j)))
-            want_t = compose(tmap, g(bundle.comp_name(i - 1, j)))
-        if glob_source(g(name)) != want_s or glob_target(g(name)) != want_t:
+        lower = None if j == i - 1 else g(bundle.comp_name(i - 1, j))
+        if sides(name) != comp_pair(i, j, lower):
             raise TermError("bundle composition %s violates its case formula" % name)
     for i, name in bundle.unit.items():
         if i + 1 > trunc:
             continue
-        if glob_source(g(name)) != identity(disk(i)) or glob_target(g(name)) != identity(disk(i)):
+        if sides(name) != (identity(disk(i)), identity(disk(i))):
             raise TermError("bundle unit %s violates its formula" % name)
     for (i, j), name in bundle.inv.items():
         if i > trunc:
             continue
-        if j == i - 1:
-            want_s, want_t = wordt("t", i - 1, i), wordt("s", i - 1, i)
-        else:
-            want_s = compose(wordt("s", i - 1, i), g(bundle.inv_name(i - 1, j)))
-            want_t = compose(wordt("t", i - 1, i), g(bundle.inv_name(i - 1, j)))
-        if glob_source(g(name)) != want_s or glob_target(g(name)) != want_t:
+        lower = None if j == i - 1 else g(bundle.inv_name(i - 1, j))
+        if sides(name) != inv_pair(i, j, lower):
             raise TermError("bundle inverse %s violates its case formula" % name)
     return True
 
@@ -628,7 +621,7 @@ def tower_functor(source, assignment, target):
 
 
 # ---------------------------------------------------------------------------
-# Raw syntax trees and the small-step rewriting engine
+# Raw syntax trees and their evaluation
 
 @dataclass(frozen=True)
 class RBase:
@@ -715,187 +708,3 @@ def _eval_raw(raw):
     if isinstance(raw, RTuple):
         return tuple_term([_eval_raw(c) for c in raw.comps], raw.src_table)
     return compose(_eval_raw(raw.outer), _eval_raw(raw.inner))
-
-
-def raw_size(raw):
-    """Size measure; generators weigh their defining pair so substitution pays."""
-    if isinstance(raw, RBase):
-        return 1
-    if isinstance(raw, RGen):
-        return _gen_weight(raw.gen)
-    if isinstance(raw, RTuple):
-        return 1 + sum(raw_size(c) for c in raw.comps)
-    return raw_size(raw.outer) + raw_size(raw.inner)
-
-
-_GEN_WEIGHTS = {}
-
-
-def _gen_weight(gen):
-    if gen.name not in _GEN_WEIGHTS:
-        _GEN_WEIGHTS[gen.name] = 1
-        _GEN_WEIGHTS[gen.name] = (1 + raw_size(term_to_raw(gen.fsrc))
-                                  + raw_size(term_to_raw(gen.gtgt)))
-    return _GEN_WEIGHTS[gen.name]
-
-
-def _spine(raw):
-    """Flatten nested compositions into [outermost, ..., innermost]."""
-    if isinstance(raw, RComp):
-        return _spine(raw.outer) + _spine(raw.inner)
-    return [raw]
-
-
-def _unspine(factors):
-    out = factors[-1]
-    for f in reversed(factors[:-1]):
-        out = RComp(f, out)
-    return out
-
-
-def _pair_redex(x, y):
-    """Reduct of the adjacent pair x ∘ y, or None."""
-    if isinstance(y, RBase) and y.gmap.is_identity:
-        return [x]
-    if isinstance(x, RBase) and x.gmap.is_identity:
-        return [y]
-    if isinstance(x, RBase) and isinstance(y, RBase):
-        return [RBase(theta0.compose(x.gmap, y.gmap))]
-    if isinstance(y, RTuple):
-        comps = tuple(RComp(x, c) for c in y.comps)
-        return [RTuple(y.src_table, comps)]
-    if isinstance(y, RBase) and y.source.is_disk:
-        if isinstance(x, RTuple):
-            k, w = theta0.decompose(y.gmap)
-            rest = [] if w.is_identity else [RBase(theta0.globe_functor(w))]
-            return _spine(x.comps[k]) + rest
-        if isinstance(x, RGen):
-            gen = x.gen
-            w = _gmap_word(y.gmap)
-            if w.src == gen.dim - 1:
-                side = gen.fsrc if w.kind == "s" else gen.gtgt
-                return _spine(term_to_raw(side))
-            rest = Word(w.src, gen.dim - 1, w.kind)
-            return _spine(term_to_raw(gen.fsrc)) + [RBase(theta0.globe_functor(rest))]
-    if isinstance(y, RBase) and y.source.width > 1 and not isinstance(x, RBase):
-        comps = tuple(
-            RComp(x, RBase(theta0.compose(y.gmap, theta0.leg_gmap(y.source, k))))
-            for k in range(y.source.width))
-        return [RTuple(y.source, comps)]
-    return None
-
-
-def _tuple_collapse(t):
-    """Reduct of a lone tuple factor whose components are all concrete."""
-    if all(isinstance(c, RBase) for c in t.comps):
-        return RBase(theta0.pair(tuple(c.gmap for c in t.comps), t.src_table))
-    return None
-
-
-def _redexes(raw, path=()):
-    """All redex positions in a deterministic depth-first order.
-
-    A position is (path, index, 'pair' | 'collapse'), the path descending
-    through tuple components as (factor index, component index) steps.
-    """
-    out = []
-    factors = _spine(raw)
-    for idx, f in enumerate(factors):
-        if isinstance(f, RTuple):
-            for ci, c in enumerate(f.comps):
-                out.extend(_redexes(c, path + ((idx, ci),)))
-            if _tuple_collapse(f) is not None:
-                out.append((path, idx, "collapse"))
-        if idx + 1 < len(factors):
-            if _pair_redex(factors[idx], factors[idx + 1]) is not None:
-                out.append((path, idx, "pair"))
-    return out
-
-
-def reduce_steps(raw, strategy="inner", max_steps=None):
-    """Drive single-step reduction to normal form; returns (term, steps).
-
-    strategy 'inner' picks the last redex in depth-first order (innermost),
-    'outer' picks the first.  The step count is asserted against ten times
-    the weighted size of the input.
-    """
-    bound = max_steps if max_steps is not None else 10 * raw_size(raw)
-    steps = 0
-    while True:
-        reds = _redexes(raw)
-        if not reds:
-            break
-        pos = reds[-1] if strategy == "inner" else reds[0]
-        raw = _apply_pos(raw, pos)
-        steps += 1
-        if steps > bound:
-            raise TermError("reduction exceeded %d steps" % bound)
-    nf = _eval_raw(raw)
-    return nf, steps
-
-
-def _apply_pos(raw, pos):
-    path, idx, kind = pos
-    factors = _spine(raw)
-    if path:
-        fidx, ci = path[0]
-        t = factors[fidx]
-        comps = list(t.comps)
-        comps[ci] = _apply_pos(comps[ci], (path[1:], idx, kind))
-        factors[fidx] = RTuple(t.src_table, tuple(comps))
-    elif kind == "collapse":
-        factors[idx] = _tuple_collapse(factors[idx])
-    else:
-        factors[idx:idx + 2] = _pair_redex(factors[idx], factors[idx + 1])
-    return _unspine(factors)
-
-
-# ---------------------------------------------------------------------------
-# Seeded random well-typed raw terms (for the confluence/termination suite)
-
-def random_raw(tower, rng, budget=8):
-    """A random well-typed raw term over a tower."""
-    gens = tower.gens()
-    pool_tables = sorted({g.target for g in gens} | {disk(m) for m in range(tower.trunc + 1)},
-                         key=str)
-    target = rng.choice(pool_tables)
-    return _random_into(tower, rng, target, budget)
-
-
-def _random_into(tower, rng, target, budget):
-    gens = tower.gens()
-    opts = ["base"]
-    if budget > 0:
-        opts += ["gen", "gen", "pool", "wrap"]
-    kind = rng.choice(opts)
-    if kind == "gen":
-        cands = [g for g in gens if g.target == target]
-        if cands:
-            g = rng.choice(cands)
-            inner = _random_into(tower, rng, disk(g.dim), budget - 1)
-            return RComp(RGen(g), inner)
-        kind = "base"
-    if kind == "pool":
-        cands = [g for g in gens if g.fsrc.target == target]
-        if cands:
-            g = rng.choice(cands)
-            t = rng.choice([g.fsrc, g.gtgt])
-            inner = _random_into(tower, rng, t.source, budget - 1)
-            return RComp(term_to_raw(t), inner)
-        kind = "base"
-    if kind == "wrap":
-        homs = [h for m in range(target.dimension + 1)
-                for h in theta0.enumerate_homs(disk(m), target)]
-        if homs:
-            h = rng.choice(homs)
-            inner = _random_into(tower, rng, h.source, budget - 1)
-            return RComp(RBase(h), inner)
-        kind = "base"
-    # a random concrete map out of a random small source
-    sources = [disk(m) for m in range(target.dimension + 1)] + [target]
-    rng.shuffle(sources)
-    for s in sources:
-        homs = theta0.enumerate_homs(s, target)
-        if homs:
-            return RBase(rng.choice(homs))
-    return RBase(theta0.identity_gmap(target))

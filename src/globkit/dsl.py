@@ -161,11 +161,11 @@ def _parse_lift(p, tower):
     p.expect("sym", ";")
     p.expect("name", "src")
     p.expect("sym", "=")
-    fsrc = _parse_term(p, tower, table)
+    fsrc = _elab_chain(_read_chain(p), tower, table)
     p.expect("sym", ";")
     p.expect("name", "tgt")
     p.expect("sym", "=")
-    gtgt = _parse_term(p, tower, table)
+    gtgt = _elab_chain(_read_chain(p), tower, table)
     if fsrc.source != disk(gdim - 1):
         raise ParseError(kw.line, kw.col,
                          "src term starts at %s, expected D%d" % (fsrc.source, gdim - 1))
@@ -200,39 +200,44 @@ def _parse_table(p):
         raise ParseError(t.line, t.col, "invalid table: %s" % e)
 
 
-def _parse_term(p, tower, expected_target):
-    """Elaborate a `*`-chain left to right against the expected target."""
+def parse_term(text, tower, target):
+    """Parse a whole text as one term into the table `target`."""
+    p = _Parser(text)
+    term = _elab_chain(_read_chain(p), tower, target)
+    t = p.peek()
+    if t.kind != "eof":
+        raise ParseError(t.line, t.col, "trailing input %r" % t.value)
+    return term
+
+
+def _read_chain(p):
+    """The atoms of a `*`-chain, read but not yet elaborated."""
     atoms = [_parse_atom(p)]
     while p.peek().kind == "sym" and p.peek().value == "*":
         p.next()
         atoms.append(_parse_atom(p))
-    term = None
-    target = expected_target
-    for atom in atoms:
-        t = _elab_atom(atom, tower, target)
-        term = t if term is None else coh.compose(term, t)
-        target = t.source
-    return term
+    return atoms
 
 
 def _parse_atom(p):
     t = p.peek()
     if t.kind == "sym" and t.value == "(":
         p.next()
-        inner = _collect_group(p, ")")
+        inner = _read_chain(p)
+        p.expect("sym", ")")
         return ("group", inner, t)
     if t.kind == "sym" and t.value == "[":
         p.next()
         comps = []
         glues = []
-        comps.append(_collect_tuple_component(p))
+        comps.append(_read_chain(p))
         while p.peek().value == ";":
             p.next()
             if p.peek().kind == "int":
                 glues.append(int(p.next().value))
             else:
                 glues.append(None)
-            comps.append(_collect_tuple_component(p))
+            comps.append(_read_chain(p))
         p.expect("sym", "]")
         return ("tuple", (comps, glues), t)
     if t.kind == "name":
@@ -241,24 +246,9 @@ def _parse_atom(p):
     raise ParseError(t.line, t.col, "expected a term, found %r" % (t.value or t.kind))
 
 
-def _collect_group(p, closer):
-    atoms = [_parse_atom(p)]
-    while p.peek().kind == "sym" and p.peek().value == "*":
-        p.next()
-        atoms.append(_parse_atom(p))
-    p.expect("sym", closer)
-    return atoms
-
-
-def _collect_tuple_component(p):
-    atoms = [_parse_atom(p)]
-    while p.peek().kind == "sym" and p.peek().value == "*":
-        p.next()
-        atoms.append(_parse_atom(p))
-    return atoms
-
-
-def _elab_atoms(atoms, tower, target):
+def _elab_chain(atoms, tower, target):
+    """Elaborate a `*`-chain left to right: each atom maps into the source
+    of the one before it, the first into `target`."""
     term = None
     for atom in atoms:
         t = _elab_atom(atom, tower, target)
@@ -270,10 +260,10 @@ def _elab_atoms(atoms, tower, target):
 def _elab_atom(atom, tower, target):
     kind, val, tok = atom
     if kind == "group":
-        return _elab_atoms(val, tower, target)
+        return _elab_chain(val, tower, target)
     if kind == "tuple":
         comps_atoms, glues = val
-        comps = [_elab_atoms(a, tower, target) for a in comps_atoms]
+        comps = [_elab_chain(a, tower, target) for a in comps_atoms]
         for c in comps:
             if not c.source.is_disk:
                 raise ParseError(tok.line, tok.col, "tuple components must start at disks")
@@ -331,10 +321,6 @@ def _elab_atom(atom, tower, target):
 # ---------------------------------------------------------------------------
 # Printing
 
-def table_str(table):
-    return str(table)
-
-
 def term_str(term):
     """Print a normal form back into the script syntax."""
     parts = _term_parts(term)
@@ -383,6 +369,6 @@ def emit_tower(tower):
     lines = ["dim %d" % tower.trunc]
     for gen in tower.gens():
         lines.append("lift %s : D%d -> %s ; src = %s ; tgt = %s"
-                     % (gen.name, gen.dim, table_str(gen.target),
+                     % (gen.name, gen.dim, gen.target,
                         term_str(gen.fsrc), term_str(gen.gtgt)))
     return "\n".join(lines) + "\n"

@@ -192,6 +192,22 @@ class GlobularSet:
             d -= 1
         return self.src[d][c] if word.kind == "s" else self.tgt[d][c]
 
+    def fiber_product(self, table):
+        """The maps from a table's sum of disks into this set, as the tuples
+        of cells the disks pick whose glued faces agree, in lexicographic
+        order."""
+        def faces(word):
+            return [self.boundary(word, c) for c in range(self.count(word.tgt))]
+
+        combos = [(c,) for c in range(self.count(table.upper[0]))]
+        for k, j in enumerate(table.lower):
+            lo = faces(sword(j, table.upper[k]))
+            over = {}
+            for c, face in enumerate(faces(tword(j, table.upper[k + 1]))):
+                over.setdefault(face, []).append(c)
+            combos = [t + (c,) for t in combos for c in over.get(lo[t[-1]], ())]
+        return tuple(combos)
+
 
 @lru_cache(maxsize=None)
 def disk_gset(m):
@@ -317,12 +333,3 @@ def _presentations(table, d):
         for c in range(disk_gset(m).count(d) - 1, -1, -1):
             out[real.legs[k][d][c]] = (k, disk_cell_word(m, d, c))
     return tuple(out)
-
-
-def dimension(table):
-    return table.dimension
-
-
-def disk_cells_as_words(real, m):
-    """Canonical (leg, word) presentation of every m-cell of a realized sum."""
-    return real.presentations(m)

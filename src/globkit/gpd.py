@@ -488,7 +488,9 @@ class TowerGpdInterp:
             h = self.gen_objs[g.name]
             hs = h if g.dim >= 2 else (h[0],)
             ht = h if g.dim >= 2 else (h[1],)
-            assert hs == fobj and ht == gobj
+            if hs != fobj or ht != gobj:
+                raise GroupoidError("the filler of %r misses its boundary objects: "
+                                    "%s, %s vs %s, %s" % (g.name, hs, ht, fobj, gobj))
         return self.gen_objs[g.name]
 
     def walk(self, g):

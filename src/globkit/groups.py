@@ -11,6 +11,10 @@ import itertools
 from dataclasses import dataclass
 
 
+class GroupError(Exception):
+    pass
+
+
 @dataclass(frozen=True)
 class Group:
     name: str
@@ -242,22 +246,30 @@ class CrossedModule:
 
     def __post_init__(self):
         G, A, d, act = self.grp, self.agrp, self.boundary, self.action
-        assert len(d) == A.order and len(self.action) == G.order
-        assert d[0] == 0
+
+        def law(holds, what):
+            if not holds:
+                raise GroupError("crossed module data violates its laws: %s" % what)
+
+        law(len(d) == A.order and len(act) == G.order
+            and all(len(row) == A.order for row in act), "table sizes")
+        law(d[0] == 0, "the boundary does not fix the identity")
         for a, b in itertools.product(range(A.order), repeat=2):
-            assert d[A.op(a, b)] == G.op(d[a], d[b])
+            law(d[A.op(a, b)] == G.op(d[a], d[b]), "the boundary is not a homomorphism")
         for g in range(G.order):
-            assert act[g][0] == 0
+            law(act[g][0] == 0, "the action does not fix the identity")
             for a, b in itertools.product(range(A.order), repeat=2):
-                assert act[g][A.op(a, b)] == A.op(act[g][a], act[g][b])
+                law(act[g][A.op(a, b)] == A.op(act[g][a], act[g][b]),
+                    "the action is not by homomorphisms")
         for g, h in itertools.product(range(G.order), repeat=2):
             for a in range(A.order):
-                assert act[G.op(g, h)][a] == act[g][act[h][a]]
+                law(act[G.op(g, h)][a] == act[g][act[h][a]], "the action is not a group action")
         for g in range(G.order):
             for a in range(A.order):
-                assert d[act[g][a]] == G.op(G.op(g, d[a]), G.inv(g))
+                law(d[act[g][a]] == G.op(G.op(g, d[a]), G.inv(g)),
+                    "the boundary is not equivariant")
         for a, b in itertools.product(range(A.order), repeat=2):
-            assert act[d[a]][b] == A.op(A.op(a, b), A.inv(a))
+            law(act[d[a]][b] == A.op(A.op(a, b), A.inv(a)), "the Peiffer rule fails")
 
     def act(self, g, a):
         return self.action[g][a]

@@ -174,10 +174,9 @@ def pi0(model):
     return class_of, classes
 
 
-def iterated_unit(model, bundle, x, n):
-    """The degenerate n-cell over an object x, through the bundle's units."""
-    c = x
-    for d in range(0, n):
+def iterated_unit(model, bundle, c, n, start=0):
+    """The degenerate n-cell over a `start`-cell c, through the bundle's units."""
+    for d in range(start, n):
         c = model.interp_for(model.tower[bundle.unit_name(d)])[(c,)]
     return c
 
@@ -185,8 +184,7 @@ def iterated_unit(model, bundle, x, n):
 def pi_n_at(model, bundle, n, u):
     """The group of classes of loops at an (n-1)-cell u, for n >= 1."""
     pg = pi_groupoid(model, bundle, n)
-    elems = [i for i in range(len(pg.classes))
-             if pg.class_src[i] == u and pg.class_tgt[i] == u]
+    elems = list(pg.hom(u, u))
     index = {e: i for i, e in enumerate(elems)}
     mult = tuple(tuple(index[pg.comp[(a, b)]] for b in elems) for a in elems)
     ident = index[pg.unit[u]]
@@ -353,17 +351,12 @@ def divide(model, bundle, n, i, gamma, u, v, side="left"):
         cs[j] = model.interp_for(cg)[pair_uv]
         ds[j] = model.interp_for(dg)[pair_vv]
 
-    def unit_up(c, d_from, d_to):
-        for d in range(d_from, d_to):
-            c = model.interp_for(tower[bundle.unit_name(d)])[(c,)]
-        return c
-
     def backward_of(b):
         alpha = w(om_n[(gamma,)], b)
         for j in range(i + 2, n + 1):
             nab_j = model.interp_for(tower[bundle.comp_name(n, j - 1)])
-            cj = unit_up(cs[j], j, n)
-            dj = unit_up(ds[j], j, n)
+            cj = iterated_unit(model, bundle, cs[j], n, j)
+            dj = iterated_unit(model, bundle, ds[j], n, j)
             alpha = nab_j[(dj, nab_j[(alpha, cj)])]
         return alpha
 
@@ -476,10 +469,7 @@ def weak_equiv(morph, bundle):
     def group_iso(n, u):
         pgu, pgh = pg_G[n], pg_H[n]
         fu = morph.apply(n - 1, u)
-        eu = [i for i in range(len(pgu.classes))
-              if pgu.class_src[i] == u and pgu.class_tgt[i] == u]
-        eh = [i for i in range(len(pgh.classes))
-              if pgh.class_src[i] == fu and pgh.class_tgt[i] == fu]
+        eu, eh = pgu.hom(u, u), pgh.hom(fu, fu)
         c_of_H = cls_H[n][0]
         img = {i: c_of_H[morph.apply(n, pgu.classes[i][0])] for i in eu}
         if len(set(img.values())) != len(img) or sorted(set(img.values())) != sorted(eh):

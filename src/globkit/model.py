@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from . import coherator as coh
 from . import groups
 from .coherator import BaseT, TupleT
-from .globe import GlobeError, GlobularSet, realize_sum, sword, tword
+from .globe import GlobeError, GlobularSet, realize_sum
 
 
 class ModelError(Exception):
@@ -57,18 +57,11 @@ class Model:
         return self.carrier.dim
 
     def cells(self, table):
-        """The fiber product of carrier cells over a table of dimensions."""
-        if table in self._fibers:
-            return self._fibers[table]
-        combos = [(c,) for c in range(self.carrier.count(table.upper[0]))]
-        for k, j in enumerate(table.lower):
-            lo = self._word_table(sword(j, table.upper[k]))
-            over = {}
-            for c, face in enumerate(self._word_table(tword(j, table.upper[k + 1]))):
-                over.setdefault(face, []).append(c)
-            combos = [t + (c,) for t in combos for c in over.get(lo[t[-1]], ())]
-        combos = tuple(combos)
-        self._fibers[table] = combos
+        """The carrier's fiber product over a table of dimensions
+        (`GlobularSet.fiber_product`), computed once per model."""
+        combos = self._fibers.get(table)
+        if combos is None:
+            combos = self._fibers[table] = self.carrier.fiber_product(table)
         return combos
 
     def _word_table(self, word):

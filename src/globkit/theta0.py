@@ -8,7 +8,6 @@ words, all with decidable equality.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -38,11 +37,17 @@ class GMap:
         sreal = realize_sum(self.source)
         treal = realize_sum(self.target)
         sc, tc = sreal.carrier, treal.carrier
-        assert len(self.maps) == sc.dim + 1
+        if len(self.maps) != sc.dim + 1:
+            raise GlobeError("map has rows for %d dimensions, %s has %d"
+                             % (len(self.maps), self.source, sc.dim + 1))
         for d in range(sc.dim + 1):
-            assert len(self.maps[d]) == sc.count(d)
-            for c in range(sc.count(d)):
-                assert 0 <= self.maps[d][c] < tc.count(d)
+            if len(self.maps[d]) != sc.count(d):
+                raise GlobeError("map has %d entries at dim %d for the %d cells of %s"
+                                 % (len(self.maps[d]), d, sc.count(d), self.source))
+            for c, v in enumerate(self.maps[d]):
+                if not 0 <= v < tc.count(d):
+                    raise GlobeError("map sends %d-cell %d to %r, not one of the %d "
+                                     "cells of %s" % (d, c, v, tc.count(d), self.target))
         for d in range(1, sc.dim + 1):
             for c in range(sc.count(d)):
                 if tc.source(d, self.maps[d][c]) != self.maps[d - 1][sc.source(d, c)]:
@@ -107,7 +112,9 @@ def globe_functor(word):
 
 def decompose(gmap):
     """Write a disk-sourced map as (leg k, word) via the canonical presentation."""
-    assert gmap.source.is_disk
+    if not gmap.source.is_disk:
+        raise GlobeError("only a map out of a disk decomposes, not one out of %s"
+                         % gmap.source)
     m = gmap.source.upper[0]
     real = realize_sum(gmap.target)
     k, w = real.presentation(m, gmap.maps[m][0])
@@ -162,20 +169,10 @@ def legs_pair_gmap(target_table, ks, source_table):
 
 @lru_cache(maxsize=None)
 def enumerate_homs(source_table, target_table):
-    """All maps source -> target, as matching tuples of disk maps."""
-    real = realize_sum(target_table)
-    out = []
-    choices = [range(real.carrier.count(m)) for m in source_table.upper]
-    for combo in itertools.product(*choices):
-        ok = True
-        for k, j in enumerate(source_table.lower):
-            left = real.carrier.boundary(sword(j, source_table.upper[k]), combo[k])
-            right = real.carrier.boundary(tword(j, source_table.upper[k + 1]), combo[k + 1])
-            if left != right:
-                ok = False
-                break
-        if ok:
-            comps = tuple(cell_gmap(target_table, source_table.upper[k], combo[k])
-                          for k in range(source_table.width))
-            out.append(pair(comps, source_table))
-    return tuple(out)
+    """All maps source -> target, one per element of the target carrier's
+    fiber product over the source table, in its lexicographic order."""
+    carrier = realize_sum(target_table).carrier
+    return tuple(
+        pair(tuple(cell_gmap(target_table, m, c) for m, c in zip(source_table.upper, x)),
+             source_table)
+        for x in carrier.fiber_product(source_table))

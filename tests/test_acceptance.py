@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import pytest
 
 from globkit import cli, coherator as C, dsl, gpd as P, groups as G
-from globkit import homotopy as H, model as M
+from globkit import homotopy as H, model as M, rewrite as R
 from globkit.coherator import (
     compose, eps, gen_term, glob_source, glob_target, identity, legs_base,
     tuple_term, wordt,
@@ -175,11 +175,11 @@ def test_criterion_02_rewriting(std4):
             tower, _ = C.stdlib(trunc)
             rng = random.Random(trunc)
             for _ in range(1000):
-                raw = C.random_raw(tower, rng, budget=6)
-                bound = 10 * C.raw_size(raw)
+                raw = R.random_raw(tower, rng, budget=6)
+                bound = 10 * R.raw_size(raw)
                 nf0 = C.normalize(raw)
-                nf1, s1 = C.reduce_steps(raw, "inner")
-                nf2, s2 = C.reduce_steps(raw, "outer")
+                nf1, s1 = R.reduce_steps(raw, "inner")
+                nf2, s2 = R.reduce_steps(raw, "outer")
                 assert nf0 == nf1 == nf2
                 assert s1 <= bound and s2 <= bound
             for gen in tower.gens():

@@ -1,8 +1,11 @@
 """The command-line front end: verbs, exit codes, round-trips, fuzzing."""
 
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -128,6 +131,22 @@ def test_weq_verb(tmp_path, capsys):
         json.dump(morph, fh)
     code, out, _ = run(capsys, "weq", path, mpath)
     assert code == 0 and "weak equivalence: True" in out
+
+
+def test_crossed_module_laws_are_checked_also_under_O(tmp_path, capsys):
+    path = str(tmp_path / "std.tower")
+    run(capsys, "stdlib", "--dim", "3", "--out", path)
+    xpath = str(tmp_path / "xm.json")
+    with open(xpath, "w") as fh:
+        json.dump({"base": "Z2", "fiber": "Z2", "boundary": [0, 0],
+                   "action": [[0, 1], [1, 0]]}, fh)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-m", "globkit.cli", "pi", path,
+                               "--xmod", xpath, "--n", "2"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1, (flags, proc.stderr)
+        assert "crossed module data violates its laws" in proc.stderr, (flags, proc.stderr)
 
 
 def test_malformed_model_and_morphism_files_exit_1(tmp_path, capsys):

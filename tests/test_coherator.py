@@ -1,15 +1,17 @@
 """The term kernel: normalization, admissibility, the structural library."""
 
+import dataclasses
 import random
 
 import pytest
 
 from globkit import coherator as C
+from globkit import rewrite as R
 from globkit import theta0
 from globkit.coherator import (
     InadmissibleError, TermError, Tower, admissible, compose, eps, gen_term,
     glob_source, glob_target, identity, legs_base, normalize, parallel,
-    reduce_steps, stdlib, term_to_raw, tuple_term, verify_bundle, wordt,
+    stdlib, term_to_raw, tuple_term, verify_bundle, wordt,
 )
 from globkit.globe import Table, disk
 from globkit.theta0 import MatchingError
@@ -44,7 +46,7 @@ def test_normalize_idempotent_and_raw_round_trip(std3):
     tower, _ = std3
     rng = random.Random(7)
     for _ in range(200):
-        raw = C.random_raw(tower, rng, budget=6)
+        raw = R.random_raw(tower, rng, budget=6)
         nf = normalize(raw)
         assert normalize(nf) == nf
         assert normalize(term_to_raw(nf)) == nf
@@ -54,12 +56,12 @@ def test_two_strategy_confluence_and_termination(std3):
     tower, _ = std3
     rng = random.Random(42)
     for _ in range(300):
-        raw = C.random_raw(tower, rng, budget=6)
+        raw = R.random_raw(tower, rng, budget=6)
         nf0 = normalize(raw)
-        nf1, s1 = reduce_steps(raw, "inner")
-        nf2, s2 = reduce_steps(raw, "outer")
+        nf1, s1 = R.reduce_steps(raw, "inner")
+        nf2, s2 = R.reduce_steps(raw, "outer")
         assert nf0 == nf1 == nf2
-        bound = 10 * C.raw_size(raw)
+        bound = 10 * R.raw_size(raw)
         assert s1 <= bound and s2 <= bound
 
 
@@ -71,10 +73,10 @@ def test_adversarial_composites_normalize(std4):
     for d in (2, 1, 0):
         t = compose(t, wordt("t" if d % 2 else "s", d, d + 1))
         raw = term_to_raw(t)
-        nf1, s1 = reduce_steps(raw, "inner")
-        nf2, s2 = reduce_steps(raw, "outer")
+        nf1, s1 = R.reduce_steps(raw, "inner")
+        nf2, s2 = R.reduce_steps(raw, "outer")
         assert nf1 == nf2 == t
-        assert max(s1, s2) <= 10 * C.raw_size(raw)
+        assert max(s1, s2) <= 10 * R.raw_size(raw)
     # a deep alternating inverse/word chain, reduced from both ends
     om1, om2, om3 = (tower.term(n) for n in ("inv1_0", "inv2_0", "inv3_0"))
     chain = compose(om3, compose(wordt("s", 2, 3),
@@ -85,8 +87,8 @@ def test_adversarial_composites_normalize(std4):
     assert compose(chain, wordt("s", 0, 1)) == wordt("t", 0, 3)
     assert compose(chain, wordt("t", 0, 1)) == wordt("s", 0, 3)
     raw = term_to_raw(chain)
-    nf1, _ = reduce_steps(raw, "inner")
-    nf2, _ = reduce_steps(raw, "outer")
+    nf1, _ = R.reduce_steps(raw, "inner")
+    nf2, _ = R.reduce_steps(raw, "outer")
     assert nf1 == nf2 == chain
 
 
@@ -338,6 +340,13 @@ def test_triangle_derivation(std4):
 def test_bundle_case_formulas(std4):
     tower, bundle = std4
     assert verify_bundle(tower, bundle)
+    # stdlib declares from the same case formulas verify_bundle checks, so
+    # the check must also be seen to fail: a (2, 0) slot naming a
+    # codimension-1 generator breaks the codimension-2 formula
+    for field, wrong in (("comp", "comp2_1"), ("inv", "inv2_1")):
+        bad = dataclasses.replace(bundle, **{field: {**getattr(bundle, field), (2, 0): wrong}})
+        with pytest.raises(TermError, match=wrong):
+            verify_bundle(tower, bad)
 
 
 def test_stdlib_families_present(std3):

@@ -9,6 +9,7 @@ from globkit import coherator as C
 from globkit import gpd
 from globkit import groups as G
 from globkit import model as M
+from globkit import rewrite as R
 from globkit.globe import Table, all_tables, disk, realize_sum
 from globkit.model import Discrete, FillerError, KAn, KG1, XMod
 
@@ -192,7 +193,7 @@ def test_eval_matches_raw_oracle_on_random_terms(std3):
     rng = random.Random(5)
     for model in models:
         for _ in range(250):
-            raw = C.random_raw(tower, rng, budget=5)
+            raw = R.random_raw(tower, rng, budget=5)
             nf = C.normalize(raw)
             for x in model.cells(nf.target):
                 assert oracle_eval(model, raw, x) == model.eval(nf, x)
@@ -274,7 +275,7 @@ def test_restrict_identity_and_naturality(std3):
     restricted = M.restrict(model, fn)
     rng = random.Random(11)
     for _ in range(60):
-        raw = C.random_raw(tower, rng, budget=4)
+        raw = R.random_raw(tower, rng, budget=4)
         nf = C.normalize(raw)
         for x in model.cells(nf.target):
             assert restricted.eval(nf, x) == model.eval(fn.translate(nf), x)

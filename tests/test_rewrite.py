@@ -1,0 +1,45 @@
+"""The small-step rewriting oracle: its size measure and its isolation."""
+
+import ast
+import pathlib
+
+from globkit import coherator as C
+from globkit import rewrite as R
+from globkit.coherator import RGen, Tower, identity
+from globkit.globe import disk
+
+
+def test_generator_weights_are_per_generator_not_per_name():
+    # two towers declare different generators under the same name
+    small = Tower(3)
+    h_small = small.declare("h", identity(disk(0)), identity(disk(0)))
+    tower, _ = C.stdlib(3)
+    assoc = tower["assoc1"]
+    h_std = tower.declare("h", assoc.fsrc, assoc.gtgt)
+    assert R.raw_size(RGen(h_small)) == 3
+    assert R.raw_size(RGen(h_std)) == 19
+    assert R.raw_size(RGen(h_small)) == 3
+
+
+def imports_rewrite(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any("rewrite" in alias.name.split(".") for alias in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom):
+            if "rewrite" in (node.module or "").split(".") or \
+                    any(alias.name == "rewrite" for alias in node.names):
+                return True
+    return False
+
+
+def test_no_production_module_imports_the_oracle():
+    package = pathlib.Path(R.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert len(modules) > 5
+    offenders = [path.name for path in modules if path.stem != "rewrite"
+                 and imports_rewrite(ast.parse(path.read_text(encoding="utf-8")))]
+    assert offenders == []
+    for text in ("from . import rewrite", "from .rewrite import reduce_steps",
+                 "import globkit.rewrite", "from globkit import theta0, rewrite"):
+        assert imports_rewrite(ast.parse(text)), text

@@ -1,11 +1,12 @@
 """Concrete maps of realized sums: composition, pairing, decomposition."""
 
+import itertools
 import random
 
 import pytest
 
 from globkit import theta0
-from globkit.globe import Table, all_tables, disk, realize_sum, sword, tword
+from globkit.globe import GlobeError, Table, all_tables, disk, realize_sum, sword, tword
 from globkit.theta0 import MatchingError
 
 
@@ -102,3 +103,36 @@ def test_enumerate_homs_counts_match_cells():
         real = realize_sum(table)
         for m in range(table.dimension + 1):
             assert len(theta0.enumerate_homs(disk(m), table)) == real.carrier.count(m)
+
+
+def product_enumeration(source_table, target_table):
+    """Maps source -> target by filtering every choice of one cell per disk:
+    the enumeration `enumerate_homs` used before the fiber product."""
+    real = realize_sum(target_table)
+    out = []
+    choices = [range(real.carrier.count(m)) for m in source_table.upper]
+    for combo in itertools.product(*choices):
+        if all(real.carrier.boundary(sword(j, source_table.upper[k]), combo[k])
+               == real.carrier.boundary(tword(j, source_table.upper[k + 1]), combo[k + 1])
+               for k, j in enumerate(source_table.lower)):
+            comps = tuple(theta0.cell_gmap(target_table, m, c)
+                          for m, c in zip(source_table.upper, combo))
+            out.append(theta0.pair(comps, source_table))
+    return tuple(out)
+
+
+def test_enumerate_homs_matches_product_enumeration_in_order():
+    tables = small_tables(3, 3)
+    for a in tables:
+        for b in tables:
+            assert theta0.enumerate_homs(a, b) == product_enumeration(a, b), (a, b)
+
+
+def test_malformed_maps_raise_globe_error():
+    tab = Table((1, 1), (0,))
+    good = theta0.leg_gmap(tab, 0).maps
+    for maps in (good[:1], (good[0], good[1] + (0,)), (good[0], (7,))):
+        with pytest.raises(GlobeError):
+            theta0.GMap(disk(1), tab, maps)
+    with pytest.raises(GlobeError):
+        theta0.decompose(theta0.identity_gmap(tab))
