@@ -19,7 +19,7 @@ from . import groups
 from . import homotopy as hmt
 from . import model as mdl
 from .coherator import InadmissibleError, PregroupoidBundle, TermError
-from .globe import GlobeError, Table, disk
+from .globe import GlobeError, disk
 from .theta0 import MatchingError
 
 
@@ -140,7 +140,13 @@ def _load_model(args, tower, bundle):
 
 
 def _parse_term_arg(tower, text, target_text=None):
-    target = _parse_table_arg(target_text) if target_text else _infer_target(tower, text)
+    if target_text:
+        try:
+            target = dsl.parse_table(target_text)
+        except dsl.ParseError as e:
+            raise CliError(2, "bad table %r: %s" % (target_text, e))
+    else:
+        target = _infer_target(tower, text)
     try:
         return dsl.parse_term(text, tower, target)
     except dsl.ParseError as e:
@@ -161,21 +167,6 @@ def _infer_target(tower, text):
                 return disk(int(m.group(2)))
         break
     raise CliError(2, "cannot infer the term's target; pass --target")
-
-
-def _parse_table_arg(text):
-    try:
-        parts = text.split()
-        upper = [int(parts[0].lstrip("D"))]
-        lower = []
-        i = 1
-        while i < len(parts):
-            lower.append(int(parts[i].lstrip("+")))
-            upper.append(int(parts[i + 1].lstrip("D")))
-            i += 2
-        return Table(tuple(upper), tuple(lower))
-    except (ValueError, IndexError, GlobeError) as e:
-        raise CliError(2, "bad table %r: %s" % (text, e))
 
 
 def _group_report(grp):

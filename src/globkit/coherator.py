@@ -261,19 +261,18 @@ def admissible(f, g):
     return Verdict(True)
 
 
-def mentioned_gens(t, acc=None):
-    if acc is None:
-        acc = {}
+def _top_level(t):
+    """The highest level of a generator the term names, 0 if it names none.
+
+    Only the generators named directly are read: `Tower.declare` gives each
+    generator a level above every generator its boundaries name, so their
+    boundaries cannot raise the maximum.
+    """
     if isinstance(t, Chain):
-        acc[t.gen.name] = t.gen
-        mentioned_gens(t.gen.fsrc, acc)
-        mentioned_gens(t.gen.gtgt, acc)
-        mentioned_gens(t.tail, acc)
-        mentioned_gens(t.arg, acc)
-    elif isinstance(t, TupleT):
-        for c in t.comps:
-            mentioned_gens(c, acc)
-    return acc
+        return max(t.gen.level, _top_level(t.tail), _top_level(t.arg))
+    if isinstance(t, TupleT):
+        return max(_top_level(c) for c in t.comps)
+    return 0
 
 
 class Tower:
@@ -322,9 +321,7 @@ class Tower:
         if dim > self.trunc:
             raise TermError("generator dimension %d exceeds truncation %d"
                             % (dim, self.trunc))
-        deps = mentioned_gens(fsrc)
-        mentioned_gens(gtgt, deps)
-        level = 1 + max((g.level for g in deps.values()), default=0)
+        level = 1 + max(_top_level(fsrc), _top_level(gtgt))
         gen = Gen(name, dim, fsrc.target, fsrc, gtgt, level)
         self._gens[name] = gen
         self._order.append(name)

@@ -200,14 +200,26 @@ def _parse_table(p):
         raise ParseError(t.line, t.col, "invalid table: %s" % e)
 
 
+def parse_table(text):
+    """Parse a whole text as one table of dimensions, e.g. `D1 +0 D1`."""
+    p = _Parser(text)
+    table = _parse_table(p)
+    _expect_end(p)
+    return table
+
+
 def parse_term(text, tower, target):
     """Parse a whole text as one term into the table `target`."""
     p = _Parser(text)
     term = _elab_chain(_read_chain(p), tower, target)
+    _expect_end(p)
+    return term
+
+
+def _expect_end(p):
     t = p.peek()
     if t.kind != "eof":
-        raise ParseError(t.line, t.col, "trailing input %r" % t.value)
-    return term
+        raise ParseError(t.line, t.col, "trailing input %r" % (t.value or t.kind))
 
 
 def _read_chain(p):

@@ -33,11 +33,14 @@ class Word:
     kind: str | None  # 's' or 't' for the lowest letter; None iff identity
 
     def __post_init__(self):
-        assert 0 <= self.src <= self.tgt
+        if not 0 <= self.src <= self.tgt:
+            raise GlobeError("word D%r -> D%r needs 0 <= src <= tgt" % (self.src, self.tgt))
         if self.src == self.tgt:
-            assert self.kind is None
-        else:
-            assert self.kind in ("s", "t")
+            if self.kind is not None:
+                raise GlobeError("identity word on D%d has kind %r, not None"
+                                 % (self.src, self.kind))
+        elif self.kind not in ("s", "t"):
+            raise GlobeError("word kind %r is not 's' or 't'" % (self.kind,))
 
     @property
     def is_identity(self):
@@ -107,10 +110,6 @@ class Table:
     def is_disk(self):
         return self.width == 1
 
-    @staticmethod
-    def disk(m):
-        return Table((m,), ())
-
     def __str__(self):
         parts = ["D%d" % self.upper[0]]
         for k, j in enumerate(self.lower):
@@ -118,8 +117,10 @@ class Table:
         return " ".join(parts)
 
 
+@lru_cache(maxsize=None)
 def disk(m):
-    return Table.disk(m)
+    """The one-disk table D_m, one shared object per m."""
+    return Table((m,), ())
 
 
 def all_tables(max_width, max_dim):

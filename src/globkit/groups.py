@@ -22,13 +22,23 @@ class Group:
 
     def __post_init__(self):
         n = len(self.mult)
-        assert n >= 1
-        assert all(len(row) == n for row in self.mult)
-        assert all(self.mult[0][a] == a and self.mult[a][0] == a for a in range(n))
+
+        def law(holds, what):
+            if not holds:
+                raise GroupError("group %s violates the group laws: %s" % (self.name, what))
+
+        law(n >= 1, "the table is empty")
+        law(all(len(row) == n for row in self.mult), "the table is not %d x %d" % (n, n))
+        law(all(isinstance(x, int) and 0 <= x < n for row in self.mult for x in row),
+            "a product is not one of the %d elements" % n)
+        law(all(self.mult[0][a] == a and self.mult[a][0] == a for a in range(n)),
+            "element 0 is not the identity")
+        m = self.mult
         for a, b, c in itertools.product(range(n), repeat=3):
-            assert self.mult[self.mult[a][b]][c] == self.mult[a][self.mult[b][c]]
+            if m[m[a][b]][c] != m[a][m[b][c]]:
+                law(False, "(%d*%d)*%d != %d*(%d*%d)" % (a, b, c, a, b, c))
         for a in range(n):
-            assert any(self.mult[a][b] == 0 for b in range(n))
+            law(any(self.mult[a][b] == 0 for b in range(n)), "element %d has no inverse" % a)
 
     @property
     def order(self):
@@ -68,7 +78,8 @@ def product(g, h, name=None):
 
 
 def symmetric(n):
-    assert 2 <= n <= 4
+    if not 2 <= n <= 4:
+        raise GroupError("symmetric groups are built for n = 2..4, not %r" % (n,))
     perms = sorted(itertools.permutations(range(n)))
     ident = tuple(range(n))
     perms.remove(ident)
@@ -277,7 +288,8 @@ class CrossedModule:
 
 def trivial_xmod(grp, agrp):
     """Crossed module with zero boundary and trivial action; needs A central-ish data only."""
-    assert agrp.is_abelian()
+    if not agrp.is_abelian():
+        raise GroupError("a trivial crossed module needs an abelian fiber, not %s" % agrp.name)
     boundary = tuple(0 for _ in range(agrp.order))
     action = tuple(tuple(range(agrp.order)) for _ in range(grp.order))
     return CrossedModule(grp, agrp, boundary, action)

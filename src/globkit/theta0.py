@@ -69,8 +69,9 @@ def identity_gmap(table):
     return GMap(table, table, maps)
 
 
+@lru_cache(maxsize=None)
 def compose(g, f):
-    """g after f, cell-wise."""
+    """g after f, cell-wise; each distinct composite is built and checked once."""
     if f.target != g.source:
         raise GlobeError("object mismatch: cannot compose %s after %s"
                          % (g.source, f.target))
@@ -104,6 +105,7 @@ def cell_gmap(table, m, cell):
     return GMap(disk(m), table, tuple(maps))
 
 
+@lru_cache(maxsize=None)
 def globe_functor(word):
     """The map of representables induced by a globe-category word."""
     return cell_gmap(disk(word.tgt), word.src,

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
@@ -79,6 +80,22 @@ def test_normalize_verb(tmp_path, capsys):
     assert code == 0 and out.strip() == "id"
 
 
+def test_target_flag_reads_the_script_table_syntax(tmp_path, capsys):
+    path = str(tmp_path / "std.tower")
+    run(capsys, "stdlib", "--dim", "3", "--out", path)
+    code, out, _ = run(capsys, "normalize", path, "--term", "eps1 * s1",
+                       "--target", "D1 +0 D1")
+    assert code == 0 and out.strip() == "eps1 * s1"
+    for target in ("DD1 +0 1", "D1 +0 1", "1 +0 D1", "D1 +0 D1 D1", "D1 +1 D1", "D1 +0"):
+        code, out, err = run(capsys, "normalize", path, "--term", "eps1 * s1",
+                             "--target", target)
+        assert code == 2, target
+        assert err.startswith("error: bad table %r: line 1, column " % target), err
+    code, _, err = run(capsys, "admissible", path, "--src", "eps2 * s1",
+                       "--tgt", "eps1 * t1", "--target", "D1 +0 1")
+    assert code == 2 and "bad table" in err
+
+
 def test_model_check_verb(tmp_path, capsys):
     path = str(tmp_path / "std.tower")
     run(capsys, "stdlib", "--dim", "3", "--out", path)
@@ -147,6 +164,35 @@ def test_crossed_module_laws_are_checked_also_under_O(tmp_path, capsys):
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 1, (flags, proc.stderr)
         assert "crossed module data violates its laws" in proc.stderr, (flags, proc.stderr)
+
+
+def test_group_laws_are_checked_also_under_O():
+    code = textwrap.dedent("""
+        from globkit import globe, groups
+
+        def fails(fn, exc, words):
+            try:
+                fn()
+            except exc as e:
+                assert words in str(e), str(e)
+            else:
+                raise SystemExit("no %s" % exc.__name__)
+
+        fails(lambda: groups.Group("bad", ((0, 1, 2), (1, 0, 0), (2, 0, 1))),
+              groups.GroupError, "(1*1)*2 != 1*(1*2)")
+        fails(lambda: groups.Group("bad", ((0, 1), (1, 2))), groups.GroupError, "element")
+        fails(lambda: groups.symmetric(5), groups.GroupError, "n = 2..4")
+        fails(lambda: groups.trivial_xmod(groups.cyclic(2), groups.symmetric(3)),
+              groups.GroupError, "abelian")
+        fails(lambda: globe.Word(2, 1, "s"), globe.GlobeError, "src <= tgt")
+        fails(lambda: globe.Word(1, 1, "s"), globe.GlobeError, "identity")
+        fails(lambda: globe.Word(0, 1, "x"), globe.GlobeError, "kind")
+    """)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    for flags in ([], ["-O"]):
+        proc = subprocess.run([sys.executable, *flags, "-c", code],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, (flags, proc.stdout, proc.stderr)
 
 
 def test_malformed_model_and_morphism_files_exit_1(tmp_path, capsys):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from globkit import coherator as C
+from globkit import dsl
 from globkit import rewrite as R
 from globkit import theta0
 from globkit.coherator import (
@@ -152,6 +153,33 @@ def test_declare_levels(std3):
     assert tower["tri1"].level == 3
     assert tower["comp3_0"].level == 3
     assert tower["assoc2"].level == 2
+
+
+def mentioned_gens(t, acc=None):
+    """Every generator a term names, through the boundaries of the
+    generators it names: the walk `Tower.declare` used to take a level from."""
+    if acc is None:
+        acc = {}
+    if isinstance(t, C.Chain):
+        acc[t.gen.name] = t.gen
+        mentioned_gens(t.gen.fsrc, acc)
+        mentioned_gens(t.gen.gtgt, acc)
+        mentioned_gens(t.tail, acc)
+        mentioned_gens(t.arg, acc)
+    elif isinstance(t, C.TupleT):
+        for c in t.comps:
+            mentioned_gens(c, acc)
+    return acc
+
+
+def test_declare_levels_match_transitive_walk():
+    towers = [C.stdlib(d)[0] for d in range(2, 9)]
+    towers.append(dsl.parse_tower(dsl.emit_tower(towers[-1])))
+    for tower in towers:
+        for gen in tower.gens():
+            deps = mentioned_gens(gen.fsrc)
+            mentioned_gens(gen.gtgt, deps)
+            assert gen.level == 1 + max((g.level for g in deps.values()), default=0), gen
 
 
 def test_declare_rejects_duplicates_and_inadmissible():

@@ -127,6 +127,22 @@ def test_table_validation():
     assert str(Table((2, 2, 1), (1, 0))) == "D2 +1 D2 +0 D1"
 
 
+def test_word_validation():
+    assert Word(1, 3, "t").letters() == [("t", 2), ("s", 3)]
+    for src, tgt, kind in ((2, 1, "s"), (-1, 1, "s"), (1, 1, "s"), (0, 1, None), (0, 1, "x")):
+        with pytest.raises(GlobeError):
+            Word(src, tgt, kind)
+
+
+def test_disk_is_one_shared_table():
+    for m in range(8):
+        assert disk(m) == Table((m,), ())
+        assert disk(m) is disk(m)
+        assert disk(m).is_disk and disk(m).dimension == m
+    with pytest.raises(GlobeError):
+        disk(-1)
+
+
 def test_dimension_examples():
     assert Table((1, 2, 2), (0, 1)).dimension == 2
     assert Table((3,), ()).dimension == 3

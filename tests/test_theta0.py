@@ -6,7 +6,9 @@ import random
 import pytest
 
 from globkit import theta0
-from globkit.globe import GlobeError, Table, all_tables, disk, realize_sum, sword, tword
+from globkit.globe import (
+    GlobeError, Table, Word, all_tables, disk, realize_sum, sword, tword,
+)
 from globkit.theta0 import MatchingError
 
 
@@ -35,21 +37,59 @@ def test_no_dimension_collapsing_maps():
 def test_compose_associative_random():
     rng = random.Random(1)
     tables = small_tables(3, 3)
-    triples = 0
-    while triples < 300:
-        a, b, c, d = (rng.choice(tables) for _ in range(4))
-        homs1 = theta0.enumerate_homs(a, b)
-        homs2 = theta0.enumerate_homs(b, c)
-        homs3 = theta0.enumerate_homs(c, d)
-        if not (homs1 and homs2 and homs3):
-            continue
-        f, g, h = rng.choice(homs1), rng.choice(homs2), rng.choice(homs3)
+    # the tables each table maps into; every table maps to itself, so a
+    # chain drawn through them always extends
+    succ = {a: [b for b in tables if realize_sum(b).carrier.fiber_product(a)]
+            for a in tables}
+    for _ in range(300):
+        a = rng.choice(tables)
+        b = rng.choice(succ[a])
+        c = rng.choice(succ[b])
+        d = rng.choice(succ[c])
+        f = rng.choice(theta0.enumerate_homs(a, b))
+        g = rng.choice(theta0.enumerate_homs(b, c))
+        h = rng.choice(theta0.enumerate_homs(c, d))
         lhs = theta0.compose(h, theta0.compose(g, f))
         rhs = theta0.compose(theta0.compose(h, g), f)
         assert lhs == rhs
         assert theta0.compose(f, theta0.identity_gmap(a)) == f
         assert theta0.compose(theta0.identity_gmap(b), f) == f
-        triples += 1
+
+
+def cellwise_compose(g, f):
+    """g after f, built cell by cell through the validating constructor."""
+    maps = tuple(tuple(g.maps[d][c] for c in f.maps[d]) for d in range(len(f.maps)))
+    return theta0.GMap(f.source, g.target, maps)
+
+
+def test_memoized_compose_matches_cellwise_oracle():
+    tables = small_tables(2, 3)
+    pairs = 0
+    for a in tables:
+        for b in tables:
+            for f in theta0.enumerate_homs(a, b):
+                for c in tables:
+                    for g in theta0.enumerate_homs(b, c):
+                        got = theta0.compose(g, f)
+                        assert got == cellwise_compose(g, f), (g, f)
+                        assert theta0.compose(g, f) is got
+                        pairs += 1
+    assert pairs == 1582
+    f = theta0.leg_gmap(Table((1, 1), (0,)), 0)
+    with pytest.raises(GlobeError):
+        theta0.compose(f, f)
+    with pytest.raises(GlobeError):
+        theta0.compose(theta0.identity_gmap(disk(2)), f)
+
+
+def test_globe_functor_is_one_map_per_word():
+    for j in range(4):
+        for i in range(j, 4):
+            for w in {sword(j, i), tword(j, i)}:
+                gm = theta0.globe_functor(w)
+                assert theta0.globe_functor(Word(w.src, w.tgt, w.kind)) is gm
+                assert gm.source == disk(w.src) and gm.target == disk(w.tgt)
+                assert theta0.decompose(gm) == (0, w)
 
 
 def test_pair_of_legs_is_identity_width_up_to_4():
