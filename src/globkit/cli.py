@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import re
 import sys
 
@@ -393,13 +392,13 @@ def cmd_divide(args):
 
 
 def build_parser():
+    # the global flags belong to each verb and follow it
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0)
     common.add_argument("--format", choices=("text", "json"), default="text")
     common.add_argument("--dim", type=int, default=None,
                         help="truncation override (defaults to the script's "
                              "dim statement, or 4 for generated towers)")
-    ap = argparse.ArgumentParser(prog="globkit", parents=[common],
+    ap = argparse.ArgumentParser(prog="globkit",
                                  description="coherence towers, finite models, "
                                              "homotopy groups, groupoid comparison")
     sub = ap.add_subparsers(dest="verb", required=True, parser_class=lambda **kw:
@@ -481,7 +480,6 @@ def run(argv):
         args = ap.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    random.seed(args.seed)
     try:
         return args.fn(args)
     except CliError as e:

@@ -18,7 +18,7 @@ concretely and compared against the quotient pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 
 from . import coherator as coh
 from . import groups
@@ -52,66 +52,70 @@ class Groupoid:
             raise GroupoidError("arrows %d after %d are not composable" % (g, f))
         return out
 
+    @cached_property
+    def _in_out(self):
+        return _in_out_lists(self.n_objects, self.src, self.tgt)
+
+    @cached_property
+    def _homs(self):
+        out = {}
+        for a, key in enumerate(zip(self.src, self.tgt)):
+            out.setdefault(key, []).append(a)
+        return {key: tuple(arrs) for key, arrs in out.items()}
+
+    def hom(self, x, y):
+        """The arrows x -> y, ascending."""
+        return self._homs.get((x, y), ())
+
     def validate(self):
         n, arrows = self.n_objects, self.n_arrows
+        src, tgt, comp = self.src, self.tgt, self.comp
         for a in range(arrows):
-            if not (0 <= self.src[a] < n and 0 <= self.tgt[a] < n):
+            if not (0 <= src[a] < n and 0 <= tgt[a] < n):
                 raise GroupoidError("arrow %d has boundaries out of range" % a)
         for x in range(n):
             e = self.ident[x]
-            if self.src[e] != x or self.tgt[e] != x:
+            if src[e] != x or tgt[e] != x:
                 raise GroupoidError("no identity at object %d" % x)
+        into, outof = self._in_out
         for g in range(arrows):
-            for f in range(arrows):
-                val = self.comp[g][f]
-                if (val is not None) != (self.src[g] == self.tgt[f]):
+            row = comp[g]
+            # None exactly at the non-composable pairs: none among the
+            # composable ones, and as many as there are non-composable ones
+            composable = into[src[g]]
+            if row.count(None) != arrows - len(composable):
+                raise GroupoidError("composability table wrong in row %d" % g)
+            for f in composable:
+                val = row[f]
+                if val is None:
                     raise GroupoidError("composability table wrong at (%d, %d)" % (g, f))
-                if val is not None:
-                    if self.src[val] != self.src[f] or self.tgt[val] != self.tgt[g]:
-                        raise GroupoidError("composite (%d, %d) has wrong boundaries" % (g, f))
+                if src[val] != src[f] or tgt[val] != tgt[g]:
+                    raise GroupoidError("composite (%d, %d) has wrong boundaries" % (g, f))
         for f in range(arrows):
-            if self.comp[f][self.ident[self.src[f]]] != f:
+            if comp[f][self.ident[src[f]]] != f:
                 raise GroupoidError("right identity law fails at arrow %d" % f)
-            if self.comp[self.ident[self.tgt[f]]][f] != f:
+            if comp[self.ident[tgt[f]]][f] != f:
                 raise GroupoidError("left identity law fails at arrow %d" % f)
-        into = [[] for _ in range(n)]
-        outof = [[] for _ in range(n)]
-        for f in range(arrows):
-            into[self.tgt[f]].append(f)
-            outof[self.src[f]].append(f)
         for g in range(arrows):
-            for f in into[self.src[g]]:
-                for h in outof[self.tgt[g]]:
-                    if self.comp[h][self.comp[g][f]] != self.comp[self.comp[h][g]][f]:
+            for f in into[src[g]]:
+                for h in outof[tgt[g]]:
+                    if comp[h][comp[g][f]] != comp[comp[h][g]][f]:
                         raise GroupoidError(
                             "composition not associative at (%d, %d, %d)" % (h, g, f))
         for f in range(arrows):
             i = self.inv[f]
-            if self.src[i] != self.tgt[f] or self.tgt[i] != self.src[f]:
+            if src[i] != tgt[f] or tgt[i] != src[f]:
                 raise GroupoidError("arrow %d has no inverse" % f)
-            if self.comp[i][f] != self.ident[self.src[f]] or \
-                    self.comp[f][i] != self.ident[self.tgt[f]]:
+            if comp[i][f] != self.ident[src[f]] or comp[f][i] != self.ident[tgt[f]]:
                 raise GroupoidError("inverse law fails at arrow %d" % f)
         return self
-
-    def arrows_between(self, x, y):
-        return [a for a in range(self.n_arrows) if self.src[a] == x and self.tgt[a] == y]
-
-    def is_thin(self):
-        seen = set()
-        for a in range(self.n_arrows):
-            key = (self.src[a], self.tgt[a])
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
 
     def iso_classes(self):
         """Partition of objects by isomorphism."""
         classes = []
         for x in range(self.n_objects):
             for cl in classes:
-                if self.arrows_between(cl[0], x):
+                if self.hom(cl[0], x):
                     cl.append(x)
                     break
             else:
@@ -120,12 +124,22 @@ class Groupoid:
 
     def aut_group(self, x):
         """The automorphism group at an object, identity first."""
-        loops = self.arrows_between(x, x)
+        loops = list(self.hom(x, x))
         loops.remove(self.ident[x])
         loops.insert(0, self.ident[x])
         index = {a: i for i, a in enumerate(loops)}
         mult = tuple(tuple(index[self.comp[a][b]] for b in loops) for a in loops)
         return groups.Group("Aut(%d)" % x, mult), loops
+
+
+def _in_out_lists(n_objects, src, tgt):
+    """The arrows into and out of each object, ascending."""
+    into = [[] for _ in range(n_objects)]
+    outof = [[] for _ in range(n_objects)]
+    for f, (x, y) in enumerate(zip(src, tgt)):
+        into[y].append(f)
+        outof[x].append(f)
+    return into, outof
 
 
 def build_groupoid(n_objects, arrows, compose_fn):
@@ -140,11 +154,7 @@ def build_groupoid(n_objects, arrows, compose_fn):
     for a in range(n):
         if not (0 <= src[a] < n_objects and 0 <= tgt[a] < n_objects):
             raise GroupoidError("arrow %d has boundaries out of range" % a)
-    into = [[] for _ in range(n_objects)]
-    outof = [[] for _ in range(n_objects)]
-    for f in range(n):
-        into[tgt[f]].append(f)
-        outof[src[f]].append(f)
+    into, outof = _in_out_lists(n_objects, src, tgt)
     comp = []
     for g in range(n):
         row = [None] * n
@@ -233,11 +243,11 @@ class GFunctor:
         for x in range(s.n_objects):
             if self.arr_map[s.ident[x]] != t.ident[self.obj_map[x]]:
                 raise GroupoidError("functor does not respect identities at %d" % x)
+        into = s._in_out[0]
         for g in range(s.n_arrows):
-            for f in range(s.n_arrows):
-                if s.src[g] == s.tgt[f]:
-                    if self.arr_map[s.comp[g][f]] != t.comp[self.arr_map[g]][self.arr_map[f]]:
-                        raise GroupoidError("functor does not respect composition")
+            for f in into[s.src[g]]:
+                if self.arr_map[s.comp[g][f]] != t.comp[self.arr_map[g]][self.arr_map[f]]:
+                    raise GroupoidError("functor does not respect composition")
         return self
 
     def injective_on_objects(self):
@@ -246,12 +256,12 @@ class GFunctor:
     def is_equivalence(self):
         s, t = self.source, self.target
         for y in range(t.n_objects):
-            if not any(t.arrows_between(self.obj_map[x], y) for x in range(s.n_objects)):
+            if not any(t.hom(self.obj_map[x], y) for x in range(s.n_objects)):
                 return False
         for x in range(s.n_objects):
             for y in range(s.n_objects):
-                dom = s.arrows_between(x, y)
-                cod = t.arrows_between(self.obj_map[x], self.obj_map[y])
+                dom = s.hom(x, y)
+                cod = t.hom(self.obj_map[x], self.obj_map[y])
                 img = {self.arr_map[a] for a in dom}
                 if len(img) != len(dom) or img != set(cod):
                     return False
@@ -267,7 +277,7 @@ def compose_functors(g, f):
 def is_contractible(gpd):
     """Equivalent to the point: connected with trivial automorphisms."""
     return len(gpd.iso_classes()) == 1 and all(
-        len(gpd.arrows_between(x, x)) == 1 for x in range(gpd.n_objects))
+        len(gpd.hom(x, x)) == 1 for x in range(gpd.n_objects))
 
 
 # ---------------------------------------------------------------------------
@@ -341,10 +351,13 @@ def validate_globe_diagram(dg):
 
 @dataclass
 class GpdSum:
-    """A realized sum: a thin connected groupoid plus cocone data."""
+    """A realized sum in groupoids: its cocone data and its block tree.
+
+    The sum is the thin groupoid on the objects of the realized sum; it is
+    never built, since `walk` names each arrow by the legs it passes.
+    """
 
     table: Table
-    gpd: Groupoid
     leg_objects: tuple   # leg_objects[k] = object images of disk k's objects
     edges: tuple         # (k, o0, o1) for each disk of dimension >= 1
 
@@ -391,11 +404,13 @@ def walk_arrow(X, walk, cells):
 
 
 def realize_gpd(table):
-    """Objects are the 0-cells of the realized sum; the groupoid is thin.
+    """The realized sum in groupoids: the 0-cells of the realized sum as
+    objects, with exactly one arrow between any two.
 
     Thinness and contractibility are honest checks: the block graph of the
     gluing (disks merged along positive-dimensional faces) must be a
-    connected tree, so each hom-set of the amalgam has exactly one arrow.
+    connected tree, so each hom-set of the amalgam has exactly one arrow,
+    the path that `GpdSum.walk` follows.
     """
     real = realize_sum(table)
     n_obj = real.carrier.count(0)
@@ -418,7 +433,6 @@ def realize_gpd(table):
             blocks.setdefault(find(k), []).append(k)
     # block graph must be a tree on the objects
     edges = []
-    seen_edges = set()
     for b, ks in blocks.items():
         k0 = ks[0]
         o0 = real.legs[k0][0][0]
@@ -427,17 +441,15 @@ def realize_gpd(table):
             if (real.legs[k][0][0], real.legs[k][0][1]) != (o0, o1):
                 raise GroupoidError("merged disks disagree on objects")
         edges.append((b, o0, o1))
-        seen_edges.add((o0, o1))
     if len(edges) != n_obj - 1:
         raise GroupoidError("realized sum is not simply connected: %s" % (table,))
-    gpd = codiscrete(n_obj)
     leg_objects = tuple(
         tuple(real.legs[k][0][c] for c in range(1 if table.upper[k] == 0 else 2))
         for k in range(width))
     disk_edges = tuple(
         (k, real.legs[k][0][0], real.legs[k][0][1])
         for k in range(width) if table.upper[k] >= 1)
-    return GpdSum(table, gpd, leg_objects, disk_edges)
+    return GpdSum(table, leg_objects, disk_edges)
 
 
 def lifting_oracle(sumr, fpair, gpair, n):
@@ -462,9 +474,8 @@ class TowerGpdInterp:
     filler oracle, so later auto-declared liftings are covered too.
     """
 
-    def __init__(self, tower, diagram=None):
+    def __init__(self, tower):
         self.tower = tower
-        self.diagram = diagram or globe_diagram(tower.trunc)
         self.gen_objs = {}
         self.sums = {}
         self.walks = {}
@@ -556,19 +567,13 @@ class PathObject:
     r: GFunctor
     squares: tuple   # squares[i] = (u, v, h, k): a square from arrow u to arrow v
 
-    def p0(self, i):
-        return self.squares[i][2]  # the source-side component h
-
-    def p1(self, i):
-        return self.squares[i][3]
-
 
 def path_object(X):
     """The arrow groupoid of X: objects are arrows, morphisms are squares."""
     sqs = []
     for u in range(X.n_arrows):
         for v in range(X.n_arrows):
-            for h in X.arrows_between(X.src[u], X.src[v]):
+            for h in X.hom(X.src[u], X.src[v]):
                 k_arr = X.comp[v][h]
                 k = X.comp[k_arr][X.inv[u]]
                 if X.comp[k][u] == X.comp[v][h]:
@@ -597,7 +602,7 @@ def loop_object(X, x):
     discrete.
     """
     e = X.ident[x]
-    loops = X.arrows_between(x, x)
+    loops = list(X.hom(x, x))
     arrows = [(i, j) for i, u in enumerate(loops) for j, v in enumerate(loops)
               if X.comp[v][e] == X.comp[e][u]]
     index = {a: i for i, a in enumerate(arrows)}
@@ -618,7 +623,7 @@ def quillen_pi1(X, x):
     two-cylinder pasting; the loop object's components give the same set.
     Both the group table and the agreement of the two routes are returned.
     """
-    loops = X.arrows_between(x, x)
+    loops = list(X.hom(x, x))
     # composition through the filler of (eps2.s1, eps1.t1) on D1 +0 D1,
     # from its source end to its target end
     tab = Table((1, 1), (0,))
@@ -754,6 +759,12 @@ def groupoid_from_json(data):
         return val
 
     gpd = build_groupoid(n, arrows, compose_fn)
+    for g, row in enumerate(comp_table):
+        for f, val in enumerate(row):
+            if val is not None and gpd.comp[g][f] is None:
+                raise GroupoidError("groupoid file: composite (%d, %d) is %r, but arrow %d "
+                                    "does not start where arrow %d ends, so it must be null"
+                                    % (g, f, val, g, f))
     inverse = data.get("inverse")
     if inverse is not None and (not isinstance(inverse, list) or tuple(inverse) != gpd.inv):
         raise GroupoidError("inverse table disagrees with the inverse law")

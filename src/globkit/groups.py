@@ -114,9 +114,6 @@ def quaternion8():
     names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
 
     def op(a, b):
-        table = {
-            ("1", x): x for x in "1ijk"
-        }
         # quaternion unit products with signs
         prod = {
             ("i", "i"): ("1", -1), ("j", "j"): ("1", -1), ("k", "k"): ("1", -1),

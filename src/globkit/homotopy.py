@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import coherator as coh
+from . import gpd
 from . import groups
 from .coherator import compose, eps, gen_term, identity, tuple_term, wordt
 from .globe import Table, disk, sword, tword
@@ -87,85 +88,46 @@ def hom_classes(model, n):
     return dict(sorted(class_of.items())), classes
 
 
-@dataclass
-class PiGroupoid:
-    """The groupoid of (n-1)-cells and homotopy classes of n-cells."""
-
-    n: int
-    objects: tuple
-    classes: tuple          # classes[i] = tuple of member n-cells
-    class_src: tuple
-    class_tgt: tuple
-    comp: dict              # (class of v, class of u) -> class of v*u
-    unit: dict              # object -> class
-    inv: dict               # class -> class
-
-    def table(self):
-        """Canonical nested-tuple form, for byte-identical comparison."""
-        return (self.n, self.objects, self.classes, self.class_src, self.class_tgt,
-                tuple(sorted(self.comp.items())),
-                tuple(sorted(self.unit.items())),
-                tuple(sorted(self.inv.items())))
-
-    def hom(self, u, v):
-        return tuple(i for i in range(len(self.classes))
-                     if self.class_src[i] == u and self.class_tgt[i] == v)
-
-
 def pi_groupoid(model, bundle, n):
-    """Build the quotient groupoid at dimension n and verify its laws exactly."""
+    """The groupoid of (n-1)-cells and homotopy classes of n-cells.
+
+    Arrow i is class i of `hom_classes(model, n)`.  Composition is the
+    bundle's, read on class members; `Groupoid.validate` checks the groupoid
+    laws, and the bundle's unit and inverse must land on the groupoid's.
+    Any failure is a LawViolation.
+    """
     if n < 1:
         raise HomotopyError("pi groupoid needs n >= 1")
-    tower = model.tower
+    tower, car = model.tower, model.carrier
     class_of, classes = hom_classes(model, n)
-    objects = tuple(range(model.carrier.count(n - 1)))
-    class_src = tuple(model.carrier.source(n, cl[0]) for cl in classes)
-    class_tgt = tuple(model.carrier.target(n, cl[0]) for cl in classes)
+    arrows = [(car.source(n, cl[0]), car.target(n, cl[0])) for cl in classes]
     for i, cl in enumerate(classes):
         for c in cl[1:]:
-            if model.carrier.source(n, c) != class_src[i] or \
-                    model.carrier.target(n, c) != class_tgt[i]:
+            if (car.source(n, c), car.target(n, c)) != arrows[i]:
                 raise LawViolation("homotopy class %d has unstable boundaries" % i)
 
     nab = model.interp_for(tower[bundle.comp_name(n, n - 1)])
     ka = model.interp_for(tower[bundle.unit_name(n - 1)])
     om = model.interp_for(tower[bundle.inv_name(n, n - 1)])
 
-    comp = {}
-    for i, ci in enumerate(classes):
-        for j, cj in enumerate(classes):
-            if class_src[i] != class_tgt[j]:
-                continue
-            vals = {class_of[nab[(v, u)]] for v in ci for u in cj}
-            if len(vals) != 1:
-                raise LawViolation(
-                    "composition not constant on classes (%d, %d): %s" % (i, j, vals))
-            comp[(i, j)] = vals.pop()
-    unit = {o: class_of[ka[(o,)]] for o in objects}
-    inv = {i: class_of[om[(classes[i][0],)]] for i in range(len(classes))}
-    for i in range(len(classes)):
-        vals = {class_of[om[(c,)]] for c in classes[i]}
-        if vals != {inv[i]}:
-            raise LawViolation("inversion not constant on class %d" % i)
+    def compose_fn(i, j):
+        vals = {class_of[nab[(v, u)]] for v in classes[i] for u in classes[j]}
+        if len(vals) != 1:
+            raise LawViolation(
+                "composition not constant on classes (%d, %d): %s" % (i, j, vals))
+        return vals.pop()
 
-    # groupoid laws, exactly on classes
-    for i in range(len(classes)):
-        u = unit[class_tgt[i]]
-        if comp[(u, i)] != i:
-            raise LawViolation("left unit law fails at class %d" % i)
-        u = unit[class_src[i]]
-        if comp[(i, u)] != i:
-            raise LawViolation("right unit law fails at class %d" % i)
-        if comp[(inv[i], i)] != unit[class_src[i]]:
-            raise LawViolation("left inverse law fails at class %d" % i)
-        if comp[(i, inv[i])] != unit[class_tgt[i]]:
-            raise LawViolation("right inverse law fails at class %d" % i)
-    for (i, j) in comp:
-        for k in range(len(classes)):
-            if class_src[j] == class_tgt[k]:
-                if comp[(comp[(i, j)], k)] != comp[(i, comp[(j, k)])]:
-                    raise LawViolation("associativity fails at (%d, %d, %d)" % (i, j, k))
-    return PiGroupoid(n, objects, tuple(classes), class_src, class_tgt, comp, unit, inv)
+    try:
+        pg = gpd.build_groupoid(car.count(n - 1), arrows, compose_fn)
+    except gpd.GroupoidError as e:
+        raise LawViolation("the classes of %d-cells do not form a groupoid: %s" % (n, e))
+    for o in range(pg.n_objects):
+        if class_of[ka[(o,)]] != pg.ident[o]:
+            raise LawViolation("the unit at %d-cell %d is not an identity class" % (n - 1, o))
+    for i, cl in enumerate(classes):
+        if {class_of[om[(c,)]] for c in cl} != {pg.inv[i]}:
+            raise LawViolation("inversion on class %d is not constant or not the inverse" % i)
+    return pg
 
 
 def pi0(model):
@@ -185,16 +147,11 @@ def pi_n_at(model, bundle, n, u):
     """The group of classes of loops at an (n-1)-cell u, for n >= 1."""
     pg = pi_groupoid(model, bundle, n)
     elems = list(pg.hom(u, u))
+    # the identity swaps places with the first class, so it is element 0
+    k = elems.index(pg.ident[u])
+    elems[0], elems[k] = elems[k], elems[0]
     index = {e: i for i, e in enumerate(elems)}
-    mult = tuple(tuple(index[pg.comp[(a, b)]] for b in elems) for a in elems)
-    ident = index[pg.unit[u]]
-    if ident != 0:
-        # normalize so the identity is element 0
-        swap = {0: ident, ident: 0}
-        order = [elems[swap.get(i, i)] for i in range(len(elems))]
-        index = {e: i for i, e in enumerate(order)}
-        mult = tuple(tuple(index[pg.comp[(a, b)]] for b in order) for a in order)
-        elems = order
+    mult = tuple(tuple(index[pg.comp[a][b]] for b in elems) for a in elems)
     grp = groups.Group("pi_%d" % n, mult)
     if n >= 2 and not grp.is_abelian():
         raise LawViolation("homotopy group at dimension %d is not abelian" % n)
@@ -466,26 +423,24 @@ def weak_equiv(morph, bundle):
         img = {i: b_of[morph.apply(0, cl[0])] for i, cl in enumerate(a_cls)}
         return len(set(img.values())) == len(b_cls) and len(img) == len(b_cls)
 
+    def class_image(n, i):
+        """The class in H of the image of a member of class i of G."""
+        return cls_H[n][0][morph.apply(n, cls_G[n][1][i][0])]
+
     def group_iso(n, u):
         pgu, pgh = pg_G[n], pg_H[n]
         fu = morph.apply(n - 1, u)
         eu, eh = pgu.hom(u, u), pgh.hom(fu, fu)
-        c_of_H = cls_H[n][0]
-        img = {i: c_of_H[morph.apply(n, pgu.classes[i][0])] for i in eu}
+        img = {i: class_image(n, i) for i in eu}
         if len(set(img.values())) != len(img) or sorted(set(img.values())) != sorted(eh):
             return False
-        return all(img[pgu.comp[(a, b)]] == pgh.comp[(img[a], img[b])]
+        return all(img[pgu.comp[a][b]] == pgh.comp[img[a]][img[b]]
                    for a in eu for b in eu)
 
     def class_bijection(n, u, v):
-        c_of_G, _ = cls_G[n]
-        c_of_H, _ = cls_H[n]
-        dom = {c_of_G[a] for a in range(G.carrier.count(n))
-               if G.carrier.source(n, a) == u and G.carrier.target(n, a) == v}
-        cod = {c_of_H[b] for b in range(H.carrier.count(n))
-               if H.carrier.source(n, b) == morph.apply(n - 1, u)
-               and H.carrier.target(n, b) == morph.apply(n - 1, v)}
-        img = {c_of_H[morph.apply(n, cls_G[n][1][cl][0])] for cl in dom}
+        dom = pg_G[n].hom(u, v)
+        cod = set(pg_H[n].hom(morph.apply(n - 1, u), morph.apply(n - 1, v)))
+        img = {class_image(n, i) for i in dom}
         return img == cod and len(img) == len(dom), img == cod
 
     def parallel_pairs(n):

@@ -193,7 +193,10 @@ class Discrete:
 
 @dataclass(frozen=True)
 class KG1:
+    """K(G, 1): the strict model has `KAn`'s formulas at n = 1, for any G."""
+
     group: groups.Group
+    n = 1
 
 
 @dataclass(frozen=True)
@@ -220,16 +223,7 @@ def _strict_carrier(spec, trunc):
         src = ((),) + tuple(ident(d) for d in range(1, trunc + 1))
         units = tuple(tuple(range(spec.points)) for _ in range(trunc))
         return GlobularSet(tuple(counts), src, src), units
-    if isinstance(spec, KG1):
-        n = spec.group.order
-        counts = [1] + [n] * trunc
-        src = [()] + [tuple(0 for _ in range(n))]
-        for d in range(2, trunc + 1):
-            src.append(tuple(range(n)))
-        units = tuple([tuple([0])] + [tuple(range(n)) for _ in range(1, trunc)])
-        gs = GlobularSet(tuple(counts), tuple(src), tuple(src))
-        return gs, units
-    if isinstance(spec, KAn):
+    if isinstance(spec, (KG1, KAn)):
         n, a = spec.n, spec.group.order
         counts = [1] * n + [a] * (trunc - n + 1)
         src = [()]
@@ -238,16 +232,9 @@ def _strict_carrier(spec, trunc):
         src.append(tuple(0 for _ in range(a)))
         for d in range(n + 1, trunc + 1):
             src.append(tuple(range(a)))
-        units = []
-        for d in range(trunc):
-            if d < n - 1:
-                units.append((0,))
-            elif d == n - 1:
-                units.append((0,))
-            else:
-                units.append(tuple(range(a)))
+        units = tuple((0,) if d < n else tuple(range(a)) for d in range(trunc))
         gs = GlobularSet(tuple(counts), tuple(src), tuple(src))
-        return gs, tuple(units)
+        return gs, units
     if isinstance(spec, XMod):
         xm = spec.xm
         G, A = xm.grp, xm.agrp
@@ -279,9 +266,7 @@ class _StrictOps:
         s = self.spec
         if isinstance(s, Discrete):
             return v
-        if isinstance(s, KG1):
-            return s.group.op(v, u) if j == 0 else v
-        if isinstance(s, KAn):
+        if isinstance(s, (KG1, KAn)):
             if i < s.n:
                 return 0
             return s.group.op(v, u) if j < s.n else v
@@ -301,9 +286,7 @@ class _StrictOps:
         s = self.spec
         if isinstance(s, (Discrete,)):
             return c
-        if isinstance(s, KG1):
-            return 0 if i == 0 else c
-        if isinstance(s, KAn):
+        if isinstance(s, (KG1, KAn)):
             return 0 if i < s.n else c
         na = s.xm.agrp.order
         if i == 0:
@@ -316,9 +299,7 @@ class _StrictOps:
         s = self.spec
         if isinstance(s, Discrete):
             return c
-        if isinstance(s, KG1):
-            return s.group.inv(c) if j == 0 else c
-        if isinstance(s, KAn):
+        if isinstance(s, (KG1, KAn)):
             if i < s.n:
                 return 0
             return s.group.inv(c) if j < s.n else c

@@ -57,6 +57,20 @@ def test_pi_json_format(tmp_path, capsys):
     assert data["group"]["order"] == 2
 
 
+def test_global_flags_after_the_verb_take_effect_and_before_it_exit_2(tmp_path, capsys):
+    path = str(tmp_path / "std.tower")
+    code, out, _ = run(capsys, "stdlib", "--dim", "2")
+    assert code == 0 and out.startswith("dim 2\n")
+    run(capsys, "stdlib", "--dim", "3", "--out", path)
+    code, out, _ = run(capsys, "check", path, "--format", "json")
+    assert code == 0 and json.loads(out)["levels"] == [1, 3]
+    # before the verb a flag is not silently dropped; `--seed` is gone
+    for argv in (["--dim", "2", "stdlib"], ["--format", "json", "check", path],
+                 ["--seed", "1", "check", path], ["check", path, "--seed", "1"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "error:" in err, argv
+
+
 def test_admissible_verdicts(tmp_path, capsys):
     path = str(tmp_path / "std.tower")
     run(capsys, "stdlib", "--dim", "3", "--out", path)
@@ -256,6 +270,9 @@ def test_malformed_groupoid_files_exit_1(tmp_path, capsys):
                            "arrow 2 has boundaries out of range"),
                           (lambda g: g["compose"][0].__setitem__(0, 7),
                            "composite (0, 0) is 7"),
+                          (lambda g: g["compose"][0].__setitem__(1, 3),
+                           "composite (0, 1) is 3, but arrow 0 does not start where "
+                           "arrow 1 ends, so it must be null"),
                           (lambda g: g.update(objects=-1), "-1 objects")):
         bad = json.loads(json.dumps(good))
         change(bad)

@@ -1,5 +1,6 @@
 """Folk-structure validators, sums, fillers, fundamental models, comparison."""
 
+import dataclasses
 import itertools
 import random
 
@@ -10,7 +11,7 @@ from globkit import gpd as P
 from globkit import groups as G
 from globkit import homotopy as H
 from globkit import model as M
-from globkit.globe import Table, all_tables
+from globkit.globe import Table, all_tables, realize_sum
 
 
 @pytest.fixture(scope="module")
@@ -23,6 +24,15 @@ def test_groupoid_validation_rejects_non_groupoids():
     with pytest.raises(P.GroupoidError):
         # a composition table that breaks associativity / identity laws
         P.build_groupoid(1, [(0, 0), (0, 0)], lambda g, f: 0)
+    # a composite at a non-composable pair, none at a composable one, or both
+    X = P.disjoint_union(P.one_object(G.cyclic(2)), P.one_object(G.cyclic(2)))
+    for changes in ([(0, 2, 0)], [(0, 1, None)], [(0, 1, None), (0, 2, 0)]):
+        comp = [list(row) for row in X.comp]
+        for g, f, val in changes:
+            comp[g][f] = val
+        bad = dataclasses.replace(X, comp=tuple(tuple(row) for row in comp))
+        with pytest.raises(P.GroupoidError, match="composability table wrong"):
+            bad.validate()
 
 
 def test_globe_diagram_folk_validators():
@@ -61,11 +71,29 @@ def test_sphere_one_is_the_circle():
     assert len(powers) == 4  # (gf)^k distinct for k = 0..3: infinite order
 
 
+def thin_sum_objects(table, s):
+    """Check that a realized sum `s = realize_gpd(table)` stands for a thin,
+    contractible groupoid, and return its objects.
+
+    Its blocks (disks glued along a positive dimension) form a spanning tree
+    on the objects of the realized sum, and `walk` reaches every object: the
+    free groupoid on a tree has exactly one arrow between any two objects.
+    """
+    objs = range(realize_sum(table).carrier.count(0))
+    assert {o for leg in s.leg_objects for o in leg} == set(objs)
+    block_of = [0]
+    for j in table.lower:
+        block_of.append(block_of[-1] + (j < 1))
+    blocks = {block_of[k]: frozenset((o0, o1)) for k, o0, o1 in s.edges}
+    assert len(blocks) == len(objs) - 1
+    for o in objs:
+        s.walk(objs[0], o)  # raises on a disconnected shape
+    return objs
+
+
 def test_realized_sums_thin_and_contractible():
     for table in all_tables(4, 4):
-        s = P.realize_gpd(table)
-        assert s.gpd.is_thin()
-        assert P.is_contractible(s.gpd)
+        thin_sum_objects(table, P.realize_gpd(table))
 
 
 def test_lifting_oracle_total_and_unique_on_seeded_pairs():
@@ -78,7 +106,7 @@ def test_lifting_oracle_total_and_unique_on_seeded_pairs():
         if table.dimension > n + 1:
             continue
         s = P.realize_gpd(table)
-        objs = range(s.gpd.n_objects)
+        objs = thin_sum_objects(table, s)
         if n == 0:
             f = (rng.choice(objs),)
             g = (rng.choice(objs),)
@@ -134,19 +162,25 @@ def test_fundamental_model_checks_clean(std4, interp4):
 
 
 def test_pi1_of_fundamental_is_the_groupoid_itself(std4, interp4):
+    """The comparison theorem: the pi_1-groupoid of Pi(X) is X itself."""
     tower, bundle = std4
-    X = P.disjoint_union(P.one_object(G.cyclic(2)), P.codiscrete(2))
-    m = P.fundamental(X, tower, interp4)
-    pg = H.pi_groupoid(m, bundle, 1)
-    # objects match and hom-classes biject with the groupoid's arrows
-    assert len(pg.objects) == X.n_objects
-    assert len(pg.classes) == X.n_arrows
-    for i, cl in enumerate(pg.classes):
-        assert len(cl) == 1
-        a = cl[0]
-        assert pg.class_src[i] == X.src[a] and pg.class_tgt[i] == X.tgt[a]
-    for (i, j), k in pg.comp.items():
-        assert X.comp[pg.classes[i][0]][pg.classes[j][0]] == pg.classes[k][0]
+    named = P.corpus() + [("Z2+codiscrete2", P.disjoint_union(P.one_object(G.cyclic(2)),
+                                                              P.codiscrete(2)))]
+    for name, X in named:
+        m = P.fundamental(X, tower, interp4)
+        # each homotopy class of arrows is one arrow, and the groupoid is X
+        assert H.hom_classes(m, 1)[1] == [(a,) for a in range(X.n_arrows)], name
+        assert H.pi_groupoid(m, bundle, 1) == X, name
+
+
+def test_hom_matches_linear_scan():
+    for name, X in P.corpus(3, 8):
+        for Y in (X, P.path_object(X).P):
+            for x in range(Y.n_objects):
+                for y in range(Y.n_objects):
+                    scan = [a for a in range(Y.n_arrows)
+                            if Y.src[a] == x and Y.tgt[a] == y]
+                    assert list(Y.hom(x, y)) == scan, (name, x, y)
 
 
 def test_path_object_and_loops():
@@ -360,14 +394,14 @@ def test_functoriality_of_comparison(std4, interp4):
     # the identification sends a loop class to its unique member arrow; the
     # naturality square asks that mapping classes and then identifying agrees
     # with identifying and then applying the functor on arrows
+    _, classes_x = H.hom_classes(mX, 1)
+    class_of_y, classes_y = H.hom_classes(mY, 1)
     for x in range(X.n_objects):
-        _, ex, pgx = H.pi_n(mX, bundle, 1, x)
-        _, ey, pgy = H.pi_n(mY, bundle, 1, f.obj_map[x])
-        class_of_y, _ = H.hom_classes(mY, 1)
+        _, ex, _ = H.pi_n(mX, bundle, 1, x)
         for cls in ex:
-            a = pgx.classes[cls][0]
+            a = classes_x[cls][0]
             image_class = class_of_y[morph.apply(1, a)]
-            assert pgy.classes[image_class] == (f.arr_map[a],)
+            assert classes_y[image_class] == (f.arr_map[a],)
 
 
 def test_corpus_shape():

@@ -108,13 +108,88 @@ def test_pi_groupoid_shapes(std4):
     tower, bundle = std4
     m = M.build_strict(KG1(G.symmetric(3)), tower, bundle)
     pg = H.pi_groupoid(m, bundle, 1)
-    assert len(pg.objects) == 1 and len(pg.classes) == 6
+    assert (pg.n_objects, pg.n_arrows, len(H.hom_classes(m, 1)[1])) == (1, 6, 6)
     m = M.build_strict(KAn(G.cyclic(4), 2), tower, bundle)
     pg = H.pi_groupoid(m, bundle, 2)
-    assert len(pg.objects) == 1 and len(pg.classes) == 4
+    assert (pg.n_objects, pg.n_arrows, len(H.hom_classes(m, 2)[1])) == (1, 4, 4)
     m = M.build_strict(Discrete(3), tower, bundle)
     pg = H.pi_groupoid(m, bundle, 1)
-    assert len(pg.objects) == 3 and len(pg.classes) == 3
+    assert (pg.n_objects, pg.n_arrows, len(H.hom_classes(m, 1)[1])) == (3, 3, 3)
+
+
+def old_pi_groupoid(model, bundle, n):
+    """The quotient groupoid as dictionaries, with its laws checked by hand:
+    the construction `pi_groupoid` replaced, kept as its oracle."""
+    tower = model.tower
+    class_of, classes = H.hom_classes(model, n)
+    objects = tuple(range(model.carrier.count(n - 1)))
+    class_src = tuple(model.carrier.source(n, cl[0]) for cl in classes)
+    class_tgt = tuple(model.carrier.target(n, cl[0]) for cl in classes)
+    for i, cl in enumerate(classes):
+        for c in cl[1:]:
+            assert model.carrier.source(n, c) == class_src[i]
+            assert model.carrier.target(n, c) == class_tgt[i]
+    nab = model.interp_for(tower[bundle.comp_name(n, n - 1)])
+    ka = model.interp_for(tower[bundle.unit_name(n - 1)])
+    om = model.interp_for(tower[bundle.inv_name(n, n - 1)])
+    comp = {}
+    for i, ci in enumerate(classes):
+        for j, cj in enumerate(classes):
+            if class_src[i] == class_tgt[j]:
+                vals = {class_of[nab[(v, u)]] for v in ci for u in cj}
+                assert len(vals) == 1
+                comp[(i, j)] = vals.pop()
+    unit = {o: class_of[ka[(o,)]] for o in objects}
+    inv = {i: class_of[om[(classes[i][0],)]] for i in range(len(classes))}
+    for i in range(len(classes)):
+        assert {class_of[om[(c,)]] for c in classes[i]} == {inv[i]}
+        assert comp[(unit[class_tgt[i]], i)] == i
+        assert comp[(i, unit[class_src[i]])] == i
+        assert comp[(inv[i], i)] == unit[class_src[i]]
+        assert comp[(i, inv[i])] == unit[class_tgt[i]]
+    for (i, j) in comp:
+        for k in range(len(classes)):
+            if class_src[j] == class_tgt[k]:
+                assert comp[(comp[(i, j)], k)] == comp[(i, comp[(j, k)])]
+    return objects, class_src, class_tgt, comp, unit, inv
+
+
+def test_pi_groupoid_matches_the_dictionary_oracle(std4, strict_models):
+    from globkit import gpd as P
+    tower, bundle = std4
+    interp = P.TowerGpdInterp(tower)
+    models = list(strict_models) + [P.fundamental(X, tower, interp)
+                                    for _, X in P.corpus(3, 8)]
+    for m in models:
+        for n in (1, 2, 3):
+            pg = H.pi_groupoid(m, bundle, n)
+            objects, class_src, class_tgt, comp, unit, inv = old_pi_groupoid(m, bundle, n)
+            assert tuple(range(pg.n_objects)) == objects, (m.label, n)
+            assert (pg.src, pg.tgt) == (class_src, class_tgt), (m.label, n)
+            assert {(i, j): pg.comp[i][j] for (i, j) in comp} == comp, (m.label, n)
+            assert sum(c is not None for row in pg.comp for c in row) == len(comp)
+            assert dict(enumerate(pg.ident)) == unit, (m.label, n)
+            assert dict(enumerate(pg.inv)) == inv, (m.label, n)
+
+
+def test_broken_composition_unit_or_inverse_is_a_law_violation():
+    tower, bundle = C.stdlib(3)
+    z3 = G.cyclic(3)
+    pairs = [(v, u) for v in range(3) for u in range(3)]
+    broken = [
+        # boundaries hold (one object), associativity and the left unit fail
+        ("comp1_0", {(v, u): z3.op(v, z3.inv(u)) for v, u in pairs}),
+        # associative with identity 2, so the bundle's unit 0 is not the identity
+        ("comp1_0", {(v, u): (v + u + 1) % 3 for v, u in pairs}),
+        ("unit0", {(0,): 1}),
+        ("inv1_0", {(g,): 0 for g in range(3)}),
+    ]
+    for name, table in broken:
+        m = M.build_strict(KG1(z3), tower, bundle)
+        H.pi_groupoid(m, bundle, 1)
+        m.interp[name] = table
+        with pytest.raises(H.LawViolation):
+            H.pi_groupoid(m, bundle, 1)
 
 
 def test_pi_n_values(std4):
@@ -185,9 +260,7 @@ def test_pi_indep_byte_identical():
         for x, v in mu.items():
             assert m.carrier.source(2, v) == m.eval1(tower["mu"].fsrc, x)
         for n in (1, 2):
-            a = H.pi_groupoid(m, bundle, n).table()
-            b = H.pi_groupoid(m, alt, n).table()
-            assert a == b, (label, n)
+            assert H.pi_groupoid(m, bundle, n) == H.pi_groupoid(m, alt, n), (label, n)
 
 
 def test_divide_ka22(std4):
@@ -334,6 +407,6 @@ def test_pi_commutes_with_restriction(std4):
         model = M.build_strict(spec, big, big_bundle, extra_bundles=(dup_bundle,))
         restricted = M.restrict(model, fn)
         for n in (1, 2):
-            a = H.pi_groupoid(restricted, small_bundle, n).table()
-            b = H.pi_groupoid(model, big_bundle, n).table()
-            assert a == b
+            assert H.pi_groupoid(restricted, small_bundle, n) == \
+                H.pi_groupoid(model, big_bundle, n)
+            assert H.hom_classes(restricted, n) == H.hom_classes(model, n)

@@ -10,7 +10,7 @@ from globkit import gpd
 from globkit import groups as G
 from globkit import model as M
 from globkit import rewrite as R
-from globkit.globe import Table, all_tables, disk, realize_sum
+from globkit.globe import GlobularSet, Table, all_tables, disk, realize_sum
 from globkit.model import Discrete, FillerError, KAn, KG1, XMod
 
 
@@ -58,6 +58,47 @@ def test_check_model_clean_builtins(std3):
                  XMod(G.trivial_xmod(G.cyclic(2), G.cyclic(2)))):
         model = M.build_strict(spec, tower, bundle)
         assert model.check() == []
+
+
+def old_kg1_model(group, tower, bundle):
+    """KG1(G) by the formulas it had before it became `KAn`'s at n = 1: the
+    differential oracle of `build_strict(KG1(G))`."""
+    n, trunc = group.order, tower.trunc
+    src = ((), (0,) * n) + (tuple(range(n)),) * (trunc - 1)
+    carrier = GlobularSet((1,) + (n,) * trunc, src, src)
+    units = ((0,),) + (tuple(range(n)),) * (trunc - 1)
+    comp = {name: ij for ij, name in bundle.comp.items()}
+    unit = {name: i for i, name in bundle.unit.items()}
+    inv = {name: ij for ij, name in bundle.inv.items()}
+
+    def filler(model, gen):
+        cells = model.cells(gen.target)
+        if gen.name in comp:
+            j = comp[gen.name][1]
+            return {x: group.op(x[0], x[1]) if j == 0 else x[0] for x in cells}
+        if gen.name in unit:
+            return {x: 0 if unit[gen.name] == 0 else x[0] for x in cells}
+        if gen.name in inv:
+            j = inv[gen.name][1]
+            return {x: group.inv(x[0]) if j == 0 else x[0] for x in cells}
+        return M.unit_filler(model, gen)
+
+    tower.seal()
+    return M.Model(tower, carrier, {}, filler, units, "old KG1")
+
+
+def test_kg1_is_kan_at_one_against_the_old_formulas():
+    groups = [G.symmetric(3), G.cyclic(8), G.quaternion8(), G.dihedral(4), G.cyclic(1)]
+    for trunc in (3, 4, 5):
+        tower, bundle = C.stdlib(trunc)
+        for group in groups:
+            new = M.build_strict(KG1(group), tower, bundle)
+            old = old_kg1_model(group, tower, bundle)
+            assert (new.carrier, new.units) == (old.carrier, old.units), group.name
+            for gen in tower.gens():
+                assert new.interp_for(gen) == old.interp_for(gen), (group.name, gen.name)
+    with pytest.raises(M.ModelError, match="n >= 2"):
+        KAn(G.cyclic(3), 1)
 
 
 def test_check_model_detects_bad_inverse(std3):
