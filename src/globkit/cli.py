@@ -1,6 +1,8 @@
 """Command-line front end: tower scripts, models, groupoids, reports.
 
-Exit codes: 0 success, 1 check/assertion failure, 2 parse error, 3 file error.
+Exit codes: 0 success, 1 check/assertion failure, 2 parse or usage error,
+3 file error or no model given.  `run` is the one table from library errors
+to exit codes.
 """
 
 from __future__ import annotations
@@ -73,22 +75,22 @@ def _group_by_name(name):
     try:
         return groups.by_name(name)
     except KeyError as e:
-        raise CliError(2, str(e))
+        raise CliError(2, e.args[0])
 
 
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_xmod_field = functools.partial(mdl._json_field, where="the top level",
+                                file="crossed module")
+
+
 def _xmod_from_json(data):
-    if not isinstance(data, dict) or not all(
-            isinstance(data.get(k), t) for k, t in
-            (("base", str), ("fiber", str), ("boundary", list), ("action", list))):
-        raise CliError(1, "crossed module: needs 'base' and 'fiber' group names "
-                          "and 'boundary' and 'action' lists")
-    base = _group_by_name(data["base"])
-    fiber = _group_by_name(data["fiber"])
-    boundary, action = data["boundary"], data["action"]
+    base, fiber, boundary, action = (
+        _xmod_field(data, key, kind) for key, kind in
+        (("base", str), ("fiber", str), ("boundary", list), ("action", list)))
+    base, fiber = _group_by_name(base), _group_by_name(fiber)
 
     def indices(row, length, order):
         return isinstance(row, list) and len(row) == length and all(
@@ -99,43 +101,46 @@ def _xmod_from_json(data):
         raise CliError(1, "crossed module: 'boundary' needs %d base elements and "
                           "'action' %d rows of %d fiber elements"
                        % (fiber.order, base.order, fiber.order))
-    try:
-        return groups.CrossedModule(base, fiber, tuple(boundary),
-                                    tuple(tuple(r) for r in action))
-    except groups.GroupError as e:
-        raise CliError(1, str(e))
+    return groups.CrossedModule(base, fiber, tuple(boundary),
+                                tuple(tuple(r) for r in action))
 
 
-def _model_spec_from(args, tower):
-    if getattr(args, "kg1", None):
-        return mdl.KG1(_group_by_name(args.kg1))
-    if getattr(args, "kan", None):
-        name, _, n = args.kan.rpartition(",")
+def _build_model(kind, value, tower, bundle):
+    """The model a spec names, whether it comes from the model flags or from
+    a side of a morphism file: `kg1` a group name, `kan` a (group name, n)
+    pair, `discrete` a point count, `xmod` crossed-module JSON data, `file`
+    the path of a model file."""
+    if kind == "file":
+        return mdl.model_from_json(_read_json(value), tower)
+    if kind == "kg1":
+        spec = mdl.KG1(_group_by_name(value))
+    elif kind == "kan":
+        spec = mdl.KAn(_group_by_name(value[0]), value[1])
+    elif kind == "discrete":
+        spec = mdl.Discrete(value)
+    else:
+        spec = mdl.XMod(_xmod_from_json(value))
+    return mdl.build_strict(spec, tower, bundle)
+
+
+def _model_from_flags(args, tower, bundle):
+    """The model of the verb's model flags or model file; argparse lets at
+    most one of them through."""
+    given = [(kind, value) for kind, value in
+             (("kg1", args.kg1), ("kan", args.kan), ("discrete", args.discrete),
+              ("xmod", args.xmod), ("file", args.model)) if value is not None]
+    if not given:
+        raise CliError(3, "no model given: pass a model file or a builtin flag")
+    kind, value = given[0]
+    if kind == "kan":
+        name, _, n = value.rpartition(",")
         try:
-            n = int(n)
+            value = name, int(n)
         except ValueError:
             raise CliError(2, "bad --kan %r: expected GROUP,N" % args.kan)
-        return mdl.KAn(_group_by_name(name), n)
-    if getattr(args, "discrete", None) is not None:
-        return mdl.Discrete(args.discrete)
-    if getattr(args, "xmod", None):
-        return mdl.XMod(_xmod_from_json(_read_json(args.xmod)))
-    return None
-
-
-def _load_model(args, tower, bundle):
-    spec = _model_spec_from(args, tower)
-    if spec is not None:
-        try:
-            return mdl.build_strict(spec, tower, bundle)
-        except mdl.FillerError as e:
-            raise CliError(1, str(e))
-    if getattr(args, "model", None):
-        try:
-            return mdl.model_from_json(_read_json(args.model), tower)
-        except mdl.ModelError as e:
-            raise CliError(1, str(e))
-    raise CliError(3, "no model given: pass a model file or a builtin flag")
+    elif kind == "xmod":
+        value = _read_json(value)
+    return _build_model(kind, value, tower, bundle)
 
 
 def _parse_term_arg(tower, text, target_text=None):
@@ -146,18 +151,11 @@ def _parse_term_arg(tower, text, target_text=None):
             raise CliError(2, "bad table %r: %s" % (target_text, e))
     else:
         target = _infer_target(tower, text)
-    try:
-        return dsl.parse_term(text, tower, target)
-    except dsl.ParseError as e:
-        raise CliError(2, str(e))
+    return dsl.parse_term(text, tower, target)
 
 
 def _infer_target(tower, text):
-    try:
-        toks = dsl.tokenize(text)
-    except dsl.ParseError as e:
-        raise CliError(2, str(e))
-    for t in toks:
+    for t in dsl.tokenize(text):
         if t.kind == "name":
             if t.value in tower:
                 return tower[t.value].target
@@ -168,20 +166,20 @@ def _infer_target(tower, text):
     raise CliError(2, "cannot infer the term's target; pass --target")
 
 
-def _group_report(grp):
-    return {
-        "name": groups.recognize(grp),
-        "order": grp.order,
-        "abelian": grp.is_abelian(),
-        "table": [list(r) for r in grp.mult],
-    }
-
-
 def _emit(args, report, text):
     if args.format == "json":
         print(json.dumps(report, indent=2, default=str))
     else:
         print(text)
+
+
+def _emit_group(args, grp):
+    """Report pi_n (n = args.n) as the group grp."""
+    name, abelian = groups.recognize(grp), grp.is_abelian()
+    rep = {"n": args.n, "group": {"name": name, "order": grp.order, "abelian": abelian,
+                                  "table": [list(r) for r in grp.mult]}}
+    _emit(args, rep, "pi_%d = %s (order %d, %s)" % (
+        args.n, name, grp.order, "abelian" if abelian else "nonabelian"))
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +199,8 @@ def cmd_stdlib(args):
     tower, _ = coh.stdlib(args.dim if args.dim is not None else 4)
     text = dsl.emit_tower(tower)
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as e:
-            raise CliError(3, str(e))
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
         _emit(args, {"generators": len(tower), "out": args.out},
               "wrote %d generators to %s" % (len(tower), args.out))
     else:
@@ -236,8 +231,7 @@ def cmd_admissible(args):
 
 def cmd_model_check(args):
     tower = _load_tower(args.tower)
-    bundle = _bundle_for(tower)
-    model = _load_model(args, tower, bundle)
+    model = _model_from_flags(args, tower, _bundle_for(tower))
     bad = model.check()
     if bad:
         lines = ["violation at %s on input %s (%s: expected %s, got %s)" % v
@@ -251,65 +245,55 @@ def cmd_model_check(args):
 def cmd_pi(args):
     tower = _load_tower(args.tower)
     bundle = _bundle_for(tower)
-    model = _load_model(args, tower, bundle)
-    try:
-        if args.n == 0:
-            _, classes = hmt.pi0(model)
-            rep = {"pi0": len(classes), "classes": [list(c) for c in classes]}
-            _emit(args, rep, "pi_0 = %d classes" % len(classes))
-            return 0
-        grp, _, _ = hmt.pi_n(model, bundle, args.n, args.base)
-        rep = {"n": args.n, "group": _group_report(grp)}
-        text = "pi_%d = %s (order %d, %s)" % (
-            args.n, groups.recognize(grp), grp.order,
-            "abelian" if grp.is_abelian() else "nonabelian")
-        _emit(args, rep, text)
+    model = _model_from_flags(args, tower, bundle)
+    pi = hmt.pi_n(model, bundle, args.n, args.base)
+    if args.n == 0:
+        classes = pi[1]
+        rep = {"pi0": len(classes), "classes": [list(c) for c in classes]}
+        _emit(args, rep, "pi_0 = %d classes" % len(classes))
         return 0
-    except (hmt.HomotopyError, mdl.ModelError) as e:
-        raise CliError(1, str(e))
+    _emit_group(args, pi[0])
+    return 0
 
 
 _morphism_field = functools.partial(mdl._json_field, file="morphism file")
+
+# the model specs a side of a morphism file may give, with their JSON types;
+# a `kan` spec is a [group, n] list
+_SIDE_SPECS = {"kg1": str, "kan": list, "discrete": int, "xmod": dict, "file": str}
+
+
+def _morphism_side(data, side):
+    """The (kind, value) model spec of one side of a morphism file."""
+    spec = _morphism_field(data, side, dict, "the top level")
+    kinds = [kind for kind in _SIDE_SPECS if kind in spec]
+    if not kinds:
+        raise CliError(2, "morphism file: unknown model spec %s" % spec)
+    if len(kinds) > 1:
+        raise CliError(2, "morphism file: %s gives %d model specs (%s); give one"
+                       % (side, len(kinds), ", ".join(kinds)))
+    kind = kinds[0]
+    if kind == "kan":
+        kan = spec["kan"]
+        if not (isinstance(kan, list) and len(kan) == 2 and isinstance(kan[0], str)
+                and _is_int(kan[1])):
+            raise CliError(1, "morphism file: %s 'kan' must be [group, n]" % side)
+        return kind, tuple(kan)
+    return kind, _morphism_field(spec, kind, _SIDE_SPECS[kind], side)
 
 
 def cmd_weq(args):
     tower = _load_tower(args.tower)
     bundle = _bundle_for(tower)
     data = _read_json(args.morphism)
-
-    def load_side(side):
-        spec = _morphism_field(data, side, dict, "the top level")
-        ns = argparse.Namespace(kg1=None, kan=None, discrete=None, xmod=None, model=None)
-        if "kg1" in spec:
-            ns.kg1 = _morphism_field(spec, "kg1", str, side)
-        elif "kan" in spec:
-            kan = spec["kan"]
-            if not (isinstance(kan, list) and len(kan) == 2 and isinstance(kan[0], str)
-                    and _is_int(kan[1])):
-                raise CliError(1, "morphism file: %s 'kan' must be [group, n]" % side)
-            ns.kan = "%s,%d" % tuple(kan)
-        elif "discrete" in spec:
-            ns.discrete = _morphism_field(spec, "discrete", int, side)
-        elif "xmod" in spec:
-            xmod = _xmod_from_json(_morphism_field(spec, "xmod", dict, side))
-            return mdl.build_strict(mdl.XMod(xmod), tower, bundle)
-        elif "file" in spec:
-            ns.model = _morphism_field(spec, "file", str, side)
-        else:
-            raise CliError(2, "morphism file: unknown model spec %s" % spec)
-        return _load_model(ns, tower, bundle)
-
-    src = load_side("source")
-    tgt = load_side("target")
+    src = _build_model(*_morphism_side(data, "source"), tower, bundle)
+    tgt = _build_model(*_morphism_side(data, "target"), tower, bundle)
     rows = _morphism_field(data, "map", list, "the top level")
     if not all(isinstance(r, list) and all(_is_int(c) for c in r) for r in rows):
         raise CliError(1, "morphism file: 'map' must be a list of integer lists, "
                           "one per dimension")
-    try:
-        morph = mdl.morphism_from_dims(src, tgt, [tuple(r) for r in rows])
-        report = hmt.weak_equiv(morph, bundle)
-    except (mdl.ModelError, hmt.HomotopyError) as e:
-        raise CliError(1, str(e))
+    morph = mdl.morphism_from_dims(src, tgt, [tuple(r) for r in rows])
+    report = hmt.weak_equiv(morph, bundle)
     rep = {"conditions": [report.cond1, report.cond2, report.cond3, report.cond4],
            "weak_equivalence": report.is_weak_equivalence}
     text = "\n".join([
@@ -324,16 +308,9 @@ def cmd_weq(args):
 
 
 def cmd_fundamental(args):
-    data = _read_json(args.groupoid)
-    try:
-        X = gpd.groupoid_from_json(data)
-    except gpd.GroupoidError as e:
-        raise CliError(1, str(e))
+    X = gpd.groupoid_from_json(_read_json(args.groupoid))
     tower, bundle = coh.stdlib(args.dim if args.dim is not None else 4)
-    try:
-        report = gpd.compare(X, tower, bundle, check=args.check)
-    except gpd.GroupoidError as e:
-        raise CliError(1, str(e))
+    report = gpd.compare(X, tower, bundle, check=args.check)
     rep = {
         "pi0": report.pi0_model,
         "pi1": {str(x): names[0] for x, names in report.pi1.items()},
@@ -349,35 +326,22 @@ def cmd_fundamental(args):
 
 
 def cmd_gpd_pi(args):
-    data = _read_json(args.groupoid)
-    try:
-        X = gpd.groupoid_from_json(data)
-    except gpd.GroupoidError as e:
-        raise CliError(1, str(e))
+    X = gpd.groupoid_from_json(_read_json(args.groupoid))
+    gpd.check_object(X, args.x)
     if args.n == 0:
         n = gpd.pi0_gpd(X)
         _emit(args, {"pi0": n}, "pi_0 = %d" % n)
         return 0
-    try:
-        grp = gpd.quillen_pi_n(X, args.x, args.n)
-    except gpd.GroupoidError as e:
-        raise CliError(1, str(e))
-    text = "pi_%d = %s (order %d, %s)" % (
-        args.n, groups.recognize(grp), grp.order,
-        "abelian" if grp.is_abelian() else "nonabelian")
-    _emit(args, {"n": args.n, "group": _group_report(grp)}, text)
+    _emit_group(args, gpd.quillen_pi_n(X, args.x, args.n))
     return 0
 
 
 def cmd_divide(args):
     tower = _load_tower(args.tower)
     bundle = _bundle_for(tower)
-    model = _load_model(args, tower, bundle)
-    try:
-        res = hmt.divide(model, bundle, args.n, args.i, args.gamma, args.u, args.v,
-                         side=args.side)
-    except (hmt.HomotopyError, mdl.ModelError, InadmissibleError) as e:
-        raise CliError(1, str(e))
+    model = _model_from_flags(args, tower, bundle)
+    res = hmt.divide(model, bundle, args.n, args.i, args.gamma, args.u, args.v,
+                     side=args.side)
     rep = {
         "forward": {str(k): v for k, v in res.forward.items()},
         "backward": {str(k): v for k, v in res.backward.items()},
@@ -395,20 +359,24 @@ def build_parser():
     # the global flags belong to each verb and follow it
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--dim", type=int, default=None,
-                        help="truncation override (defaults to the script's "
-                             "dim statement, or 4 for generated towers)")
     ap = argparse.ArgumentParser(prog="globkit",
                                  description="coherence towers, finite models, "
                                              "homotopy groups, groupoid comparison")
     sub = ap.add_subparsers(dest="verb", required=True, parser_class=lambda **kw:
                             argparse.ArgumentParser(parents=[common], **kw))
 
+    def dim_flag(p):
+        p.add_argument("--dim", type=int, default=None,
+                       help="truncation override (defaults to the script's "
+                            "dim statement, or 4 for generated towers)")
+
     p = sub.add_parser("check", help="replay and validate a tower script")
     p.add_argument("tower")
+    dim_flag(p)
     p.set_defaults(fn=cmd_check)
 
     p = sub.add_parser("stdlib", help="emit the standard tower")
+    dim_flag(p)
     p.add_argument("--out")
     p.set_defaults(fn=cmd_stdlib)
 
@@ -426,11 +394,13 @@ def build_parser():
     p.set_defaults(fn=cmd_admissible)
 
     def model_flags(p):
-        p.add_argument("model", nargs="?")
-        p.add_argument("--kg1")
-        p.add_argument("--kan")
-        p.add_argument("--discrete", type=int)
-        p.add_argument("--xmod")
+        # one model: a model file or one builtin flag
+        one = p.add_mutually_exclusive_group()
+        one.add_argument("model", nargs="?")
+        one.add_argument("--kg1")
+        one.add_argument("--kan")
+        one.add_argument("--discrete", type=int)
+        one.add_argument("--xmod")
 
     p = sub.add_parser("model-check", help="check a model of a tower")
     p.add_argument("tower")
@@ -451,6 +421,7 @@ def build_parser():
 
     p = sub.add_parser("fundamental", help="fundamental model of a groupoid + comparison")
     p.add_argument("groupoid")
+    dim_flag(p)
     p.add_argument("--check", action="store_true")
     p.set_defaults(fn=cmd_fundamental)
 

@@ -23,7 +23,7 @@ from functools import cached_property, partial
 from . import coherator as coh
 from . import groups
 from .coherator import BaseT, TupleT
-from .globe import Table, realize_sum
+from .globe import GlobularSet, Table, realize_sum
 from .model import Model, _is_index, _json_field
 
 
@@ -151,6 +151,9 @@ def build_groupoid(n_objects, arrows, compose_fn):
     src = tuple(a[0] for a in arrows)
     tgt = tuple(a[1] for a in arrows)
     n = len(arrows)
+    if n_objects > n:
+        raise GroupoidError("%d objects need as many identity arrows, but there are "
+                            "%d arrows" % (n_objects, n))
     for a in range(n):
         if not (0 <= src[a] < n_objects and 0 <= tgt[a] < n_objects):
             raise GroupoidError("arrow %d has boundaries out of range" % a)
@@ -536,8 +539,6 @@ class TowerGpdInterp:
 
 def fundamental(X, tower, interp=None, label=""):
     """The fundamental model of a finite groupoid over an interpreted tower."""
-    from .globe import GlobularSet
-
     interp = interp or TowerGpdInterp(tower)
     tower.seal()
     trunc = tower.trunc
@@ -644,15 +645,20 @@ def quillen_pi1(X, x):
     return grp, loops, omega
 
 
+def check_object(X, x):
+    """Refuse a base object x that is not one of X's objects."""
+    if not 0 <= x < X.n_objects:
+        raise GroupoidError("object %d out of range: the groupoid has %d objects"
+                            % (x, X.n_objects))
+
+
 def quillen_pi_n(X, x, n):
     """Higher homotopy groups by looping.
 
     The loop object is discrete, so looping soon returns the groupoid it
     started from; from there every further loop is the same.
     """
-    if not 0 <= x < X.n_objects:
-        raise GroupoidError("object %d out of range: the groupoid has %d objects"
-                            % (x, X.n_objects))
+    check_object(X, x)
     if n < 1:
         raise GroupoidError("pi_n by looping needs n >= 1, got %d" % n)
     while n > 1:
@@ -693,9 +699,15 @@ def compare(X, tower, bundle, interp=None, check=False):
     n_iso = len(X.iso_classes())
     if len(classes) != n_iso:
         raise GroupoidError("pi0 disagreement: %d vs %d" % (len(classes), n_iso))
+    # one pi-groupoid per n, read at the iterated unit of each object
+    pgs = {n: H.pi_groupoid(model, bundle, n) for n in range(1, tower.trunc)}
+
+    def pi_n_model(n, x):
+        return H.pi_n_at(pgs[n], n, H.iterated_unit(model, bundle, x, n - 1))[0]
+
     pi1 = {}
     for x in range(X.n_objects):
-        g_model, elems, _ = H.pi_n(model, bundle, 1, x)
+        g_model = pi_n_model(1, x)
         aut, loops = X.aut_group(x)
         q_grp, q_loops, _ = quillen_pi1(X, x)
         if groups.find_isomorphism(g_model, aut) is None:
@@ -707,8 +719,7 @@ def compare(X, tower, bundle, interp=None, check=False):
     higher = True
     for n in range(2, tower.trunc):
         for x in range(X.n_objects):
-            gn, _, _ = H.pi_n(model, bundle, n, x)
-            if gn.order != 1:
+            if pi_n_model(n, x).order != 1:
                 higher = False
             if quillen_pi_n(X, x, n).order != 1:
                 higher = False

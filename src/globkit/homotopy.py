@@ -143,9 +143,12 @@ def iterated_unit(model, bundle, c, n, start=0):
     return c
 
 
-def pi_n_at(model, bundle, n, u):
-    """The group of classes of loops at an (n-1)-cell u, for n >= 1."""
-    pg = pi_groupoid(model, bundle, n)
+def pi_n_at(pg, n, u):
+    """The group of classes of loops at an (n-1)-cell u in the pi-groupoid
+    `pg = pi_groupoid(model, bundle, n)`, for n >= 1.
+
+    Returns (group, elements), element i being the class of group element i.
+    """
     elems = list(pg.hom(u, u))
     # the identity swaps places with the first class, so it is element 0
     k = elems.index(pg.ident[u])
@@ -155,16 +158,18 @@ def pi_n_at(model, bundle, n, u):
     grp = groups.Group("pi_%d" % n, mult)
     if n >= 2 and not grp.is_abelian():
         raise LawViolation("homotopy group at dimension %d is not abelian" % n)
-    return grp, elems, pg
+    return grp, elems
 
 
 def pi_n(model, bundle, n, x=0):
-    """Homotopy group at a base object (n >= 1), or components for n = 0."""
+    """Homotopy group (group, elements, pi-groupoid) at a base object for
+    n >= 1, or the components for n = 0; the base must be a 0-cell either way."""
+    _check_cell(model, 0, x, "base object")
     if n == 0:
         return pi0(model)
-    _check_cell(model, 0, x, "base object")
     u = iterated_unit(model, bundle, x, n - 1)
-    return pi_n_at(model, bundle, n, u)
+    pg = pi_groupoid(model, bundle, n)
+    return pi_n_at(pg, n, u) + (pg,)
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +358,13 @@ def base_change_iso(model, bundle, n, u):
     tower = model.tower
     if n < 1:
         raise HomotopyError("base change needs n >= 1")
-    grp_u, elems_u, pg = pi_n_at(model, bundle, n, u)
+    pg = pi_groupoid(model, bundle, n)
+    grp_u, elems_u = pi_n_at(pg, n, u)
     if n == 1:
-        x = u
         return {i: i for i in range(len(elems_u))}, grp_u, grp_u
     x = model.carrier.boundary(sword(0, n - 1), u)
     kx = iterated_unit(model, bundle, x, n - 1)
-    grp_x, elems_x, _ = pi_n_at(model, bundle, n, kx)
+    grp_x, elems_x = pi_n_at(pg, n, kx)
 
     gamma_r = iterated_unit(model, bundle, x, n)
     phi = divide(model, bundle, n, 0, gamma_r, u, u, side="right")
@@ -367,7 +372,6 @@ def base_change_iso(model, bundle, n, u):
     gamma_l = ka[(u,)]
     psi = divide(model, bundle, n, 0, gamma_l, kx, kx, side="left")
 
-    class_of, _ = hom_classes(model, n)
     psi_inv = {}
     for cls, img in psi.fwd_classes.items():
         psi_inv[img] = cls

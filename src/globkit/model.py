@@ -225,6 +225,8 @@ def _strict_carrier(spec, trunc):
         return GlobularSet(tuple(counts), src, src), units
     if isinstance(spec, (KG1, KAn)):
         n, a = spec.n, spec.group.order
+        if n > trunc:
+            raise ModelError("K(A, %d) needs n <= the truncation %d" % (n, trunc))
         counts = [1] * n + [a] * (trunc - n + 1)
         src = [()]
         for d in range(1, n):

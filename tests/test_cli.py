@@ -69,6 +69,17 @@ def test_global_flags_after_the_verb_take_effect_and_before_it_exit_2(tmp_path, 
                  ["--seed", "1", "check", path], ["check", path, "--seed", "1"]):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "error:" in err, argv
+    # --dim belongs to stdlib, check and fundamental; the other verbs refuse it
+    for argv in (["normalize", path, "--term", "unit0 * s1"],
+                 ["admissible", path, "--src", "eps2 * s1", "--tgt", "eps1 * t1"],
+                 ["model-check", path, "--kg1", "Z2"],
+                 ["pi", path, "--kg1", "S3", "--n", "1"],
+                 ["weq", path, "m.json"],
+                 ["gpd-pi", "g.json", "--n", "1"],
+                 ["divide", path, "--kan", "Z2,2", "--n", "2", "--i", "0",
+                  "--gamma", "1", "--u", "0", "--v", "0"]):
+        code, out, err = run(capsys, *argv, "--dim", "3")
+        assert code == 2 and out == "" and "unrecognized arguments: --dim 3" in err, argv
 
 
 def test_admissible_verdicts(tmp_path, capsys):
@@ -227,6 +238,7 @@ def test_malformed_model_and_morphism_files_exit_1(tmp_path, capsys):
         assert code == 1 and words in err, err
     morph = {"source": {"kg1": "Z2"}, "target": {"kg1": "Z4"},
              "map": [[0], [0, 9]]}
+    xmod_no_boundary = {"base": "Z2", "fiber": "Z2", "action": [[0, 1], [0, 1]]}
     wpath = str(tmp_path / "m.json")
     with open(wpath, "w") as fh:
         json.dump(morph, fh)
@@ -238,7 +250,9 @@ def test_malformed_model_and_morphism_files_exit_1(tmp_path, capsys):
                           (lambda m: m.update(source="kg1"), "field 'source'"),
                           (lambda m: m.update(source={"kg1": 5}), "field 'kg1'"),
                           (lambda m: m.update(source={"kan": ["Z2"]}), "[group, n]"),
-                          (lambda m: m.update(source={"xmod": {}}), "crossed module")):
+                          (lambda m: m.update(source={"xmod": {}}), "crossed module"),
+                          (lambda m: m.update(source={"xmod": xmod_no_boundary}),
+                           "crossed module: the top level needs a list field 'boundary'")):
         bad = json.loads(json.dumps(morph))
         change(bad)
         with open(wpath, "w") as fh:
@@ -273,7 +287,10 @@ def test_malformed_groupoid_files_exit_1(tmp_path, capsys):
                           (lambda g: g["compose"][0].__setitem__(1, 3),
                            "composite (0, 1) is 3, but arrow 0 does not start where "
                            "arrow 1 ends, so it must be null"),
-                          (lambda g: g.update(objects=-1), "-1 objects")):
+                          (lambda g: g.update(objects=-1), "-1 objects"),
+                          (lambda g: g.update(objects=10 ** 9),
+                           "1000000000 objects need as many identity arrows, but there "
+                           "are 4 arrows")):
         bad = json.loads(json.dumps(good))
         change(bad)
         with open(gpath, "w") as fh:
@@ -307,11 +324,51 @@ def test_out_of_range_numeric_flags_exit_1(tmp_path, capsys):
     for argv, words in cases:
         code, _, err = run(capsys, *argv)
         assert code == 1 and words in err, (argv, err)
+    # the base is checked also where pi_0 and gpd-pi's pi_0 do not read it
+    for argv, words in (
+            (["pi", path, "--kg1", "Z2", "--n", "0", "--base", "9"],
+             "base object 9 is not one of the 1 0-cells"),
+            (["gpd-pi", gpath, "--n", "0", "--x", "5"], "object 5 out of range"),
+            (["pi", path, "--kan", "Z2,4", "--n", "1"], "K(A, 4) needs n <= the truncation 3")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and words in err, (argv, err)
     code, _, err = run(capsys, "pi", path, "--kan", "Z3", "--n", "2")
     assert code == 2 and "GROUP,N" in err
+    code, _, err = run(capsys, "pi", path, "--kg1", "Z9x", "--n", "1")
+    assert code == 2 and err == "error: unknown group name 'Z9x'\n"
     # looping reaches a fixed point, so a large n neither recurses nor loops long
     code, out, _ = run(capsys, "gpd-pi", gpath, "--n", "5000")
     assert code == 0 and "pi_5000 = Z1" in out
+
+
+def test_exactly_one_model_source(tmp_path, capsys):
+    from globkit import groups as G, model as M
+    path = str(tmp_path / "std.tower")
+    run(capsys, "stdlib", "--dim", "3", "--out", path)
+    tower, bundle = C.stdlib(3)
+    mpath = str(tmp_path / "z3.json")
+    with open(mpath, "w") as fh:
+        json.dump(M.model_to_json(M.build_strict(M.KG1(G.cyclic(3)), tower, bundle)), fh)
+    code, out, _ = run(capsys, "pi", path, mpath, "--n", "1")
+    assert code == 0 and out.startswith("pi_1 = Z3")
+    for argv in (["pi", path, mpath, "--kg1", "Z2", "--n", "1"],
+                 ["pi", path, "--kg1", "Z2", "--kan", "Z2,2", "--n", "1"],
+                 ["model-check", path, "--discrete", "2", "--xmod", mpath],
+                 ["divide", path, mpath, "--kan", "Z2,2", "--n", "2", "--i", "0",
+                  "--gamma", "1", "--u", "0", "--v", "0"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "not allowed with argument" in err, argv
+    code, _, err = run(capsys, "pi", path, "--n", "1")
+    assert code == 3 and "no model given" in err
+    # a side of a morphism file names one model too
+    wpath = str(tmp_path / "m.json")
+    for source, words in (({"kg1": "Z2", "kan": ["Z2", 2]},
+                           "source gives 2 model specs (kg1, kan); give one"),
+                          ({"group": "Z2"}, "unknown model spec")):
+        with open(wpath, "w") as fh:
+            json.dump({"source": source, "target": {"kg1": "Z2"}, "map": [[0], [0, 1]]}, fh)
+        code, out, err = run(capsys, "weq", path, wpath)
+        assert code == 2 and out == "" and words in err, (source, err)
 
 
 def test_fundamental_and_gpd_pi_verbs(tmp_path, capsys):
@@ -422,3 +479,89 @@ def test_fuzzed_near_misses(tmp_path, capsys):
         if code == 2:
             assert re.search(r"line \d+, column \d+", out.err), text[:120]
     assert rejected >= 150
+
+
+_JUNK = [None, -1, 0, 1, 2, 7, 10 ** 9, 1.5, "x", "", [], {}, [0], [[0]], True, "Z2", "S7"]
+
+
+def _mutate_json(rng, data):
+    """A near-miss of a JSON input: from the top level, pick a random key or
+    element and, while it is a non-empty list or object, step into it with
+    probability 0.6; the value reached is deleted (probability 0.3) or
+    replaced by a junk value."""
+    data = json.loads(json.dumps(data))
+    node = data
+    while True:
+        key = rng.choice(sorted(node) if isinstance(node, dict) else range(len(node)))
+        child = node[key]
+        if not (isinstance(child, (dict, list)) and child and rng.random() < 0.6):
+            break
+        node = child
+    if rng.random() < 0.3:
+        del node[key]
+    else:
+        node[key] = json.loads(json.dumps(rng.choice(_JUNK)))
+    return data
+
+
+def test_fuzzed_input_files_and_numeric_flags(tmp_path, capsys):
+    """Near-miss model, morphism, groupoid and crossed-module files, and
+    numeric flags out of range, end in exit 1, 2 or 3 with a message (for
+    model-check, possibly violations on stdout) or, when the change is
+    benign, in exit 0; never in an exception."""
+    from globkit import gpd as P, groups as G, model as M
+    path = str(tmp_path / "std.tower")
+    run(capsys, "stdlib", "--dim", "3", "--out", path)
+    tower, bundle = C.stdlib(3)
+    z2 = G.cyclic(2)
+    xmod = {"base": "Z2", "fiber": "Z2", "boundary": [0, 0], "action": [[0, 1], [0, 1]]}
+    kinds = [
+        ("model.json", M.model_to_json(M.build_strict(M.KG1(z2), tower, bundle)),
+         lambda f: ["model-check", path, f]),
+        ("morphism.json", {"source": {"xmod": xmod}, "target": {"kg1": "Z2"},
+                           "map": [[0], [0, 1], [0, 0, 1, 1]]},
+         lambda f: ["weq", path, f]),
+        ("groupoid.json", P.groupoid_to_json(P.codiscrete(2)),
+         lambda f: ["gpd-pi", f, "--n", "1"]),
+        ("groupoid.json", P.groupoid_to_json(P.one_object(G.cyclic(3))),
+         lambda f: ["fundamental", f, "--dim", "3"]),
+        ("xmod.json", xmod, lambda f: ["pi", path, "--xmod", f, "--n", "2"]),
+    ]
+    rng = random.Random(0)
+    runs = []
+    for fname, good, argv in kinds:
+        fpath = str(tmp_path / fname)
+        for _ in range(40):
+            with open(fpath, "w") as fh:
+                json.dump(_mutate_json(rng, good), fh)
+            runs.append(argv(fpath))
+    gpath = str(tmp_path / "g.json")
+    with open(gpath, "w") as fh:
+        json.dump(P.groupoid_to_json(P.one_object(G.cyclic(3))), fh)
+    # --discrete is the carrier's size and nothing bounds it yet: 10^9 points
+    # would be allocated per dimension (ROADMAP item 6), so it stays below
+    numbers = [-1, 0, 1, 2, 7, 10 ** 9]
+    flags = [
+        lambda k: ["pi", path, "--kg1", "Z2", "--n", k(), "--base", k()],
+        lambda k: ["pi", path, "--kan", "Z2,%s" % k(), "--n", k()],
+        lambda k: ["pi", path, "--discrete", str(rng.choice(numbers[:-1])), "--n", k(),
+                   "--base", k()],
+        lambda k: ["gpd-pi", gpath, "--n", k(), "--x", k()],
+        lambda k: ["divide", path, "--kan", "Z2,2", "--n", k(), "--i", k(),
+                   "--gamma", k(), "--u", k(), "--v", k()],
+    ]
+    for argv in flags:
+        for _ in range(8):
+            runs.append(argv(lambda: str(rng.choice(numbers))))
+    failed = 0
+    for argv in runs:
+        code, out, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        if code == 0:
+            assert out and not err, argv
+            continue
+        failed += 1
+        assert "error: " in err or \
+            (argv[0] == "model-check" and code == 1 and out.startswith("violation")), \
+            (argv, code, out, err)
+    assert failed >= len(runs) // 2, failed

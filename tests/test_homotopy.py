@@ -377,6 +377,94 @@ def test_weq_suite(std4):
         assert rep.is_weak_equivalence is expected
 
 
+def _quotient(grp, normal):
+    """grp / normal from the table: cosets sorted by least member, so the
+    identity coset is element 0."""
+    cosets = sorted({tuple(sorted(grp.op(g, h) for h in normal)) for g in range(grp.order)})
+    index = {g: i for i, c in enumerate(cosets) for g in c}
+    return G.Group("quotient", tuple(tuple(index[grp.op(c[0], e[0])] for e in cosets)
+                                     for c in cosets))
+
+
+def _subgroup(grp, members):
+    members = sorted(members)
+    index = {a: i for i, a in enumerate(members)}
+    return G.Group("subgroup", tuple(tuple(index[grp.op(a, b)] for b in members)
+                                     for a in members))
+
+
+def _alternating_in_s3():
+    """A3 -> S3 by inclusion, S3 acting by conjugation, as a crossed module."""
+    s3 = G.symmetric(3)
+    r = next(g for g in range(s3.order) if s3.element_order(g) == 3)
+    boundary = (0, r, s3.op(r, r))
+    pull = {c: k for k, c in enumerate(boundary)}
+    action = tuple(tuple(pull[s3.op(s3.op(g, c), s3.inv(g))] for c in boundary)
+                   for g in range(s3.order))
+    return G.CrossedModule(s3, G.cyclic(3), boundary, action)
+
+
+def test_crossed_module_homotopy_groups_against_table_oracles(std4):
+    """pi_1 of XMod(d: A -> G) is coker d, pi_2 is ker d and pi_3 is trivial;
+    the oracles are read off the group tables alone."""
+    tower, bundle = std4
+    z4 = G.cyclic(4)
+    doubling = G.CrossedModule(z4, z4, (0, 2, 0, 2), tuple(tuple(range(4)) for _ in range(4)))
+    cases = [(doubling, "Z2", "Z2"),
+             (_alternating_in_s3(), "Z2", "Z1"),
+             (G.trivial_xmod(G.cyclic(2), G.cyclic(2)), "Z2", "Z2"),
+             (G.inclusion_xmod(z4), "Z1", "Z1")]
+    for xm, pi1_name, pi2_name in cases:
+        coker = _quotient(xm.grp, set(xm.boundary))
+        ker = _subgroup(xm.agrp, [a for a in range(xm.agrp.order) if xm.boundary[a] == 0])
+        assert (G.recognize(coker), G.recognize(ker)) == (pi1_name, pi2_name)
+        m = M.build_strict(XMod(xm), tower, bundle)
+        pis = [H.pi_n(m, bundle, n, 0)[0] for n in (1, 2, 3)]
+        assert G.find_isomorphism(pis[0], coker) is not None, pi1_name
+        assert G.find_isomorphism(pis[1], ker) is not None, pi2_name
+        assert pis[2].order == 1
+
+
+def test_weq_on_crossed_modules(std4):
+    """The four conditions agree on morphisms of crossed modules: the identity
+    is a weak equivalence, the projection (g, a) -> g onto KG1(Z2) kills pi_2."""
+    tower, bundle = std4
+    z2 = G.cyclic(2)
+    mx = M.build_strict(XMod(G.trivial_xmod(z2, z2)), tower, bundle)
+    mk = M.build_strict(KG1(z2), tower, bundle)
+    identity = M.morphism_from_dims(mx, mx, [(0,), (0, 1), (0, 1, 2, 3)])
+    projection = M.morphism_from_dims(mx, mk, [(0,), (0, 1), (0, 0, 1, 1)])
+    for morph, expected in ((identity, True), (projection, False)):
+        rep = H.weak_equiv(morph, bundle)
+        assert rep.agree
+        assert rep.is_weak_equivalence is expected
+
+
+def test_pi_groupoid_built_once_per_query(std4, monkeypatch):
+    """compare builds one pi-groupoid per n and base change one in all."""
+    from globkit import gpd as P
+
+    tower, bundle = std4
+    calls = {"pi_groupoid": 0, "hom_classes": 0}
+
+    def counted(name):
+        fn = getattr(H, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(H, name, wrapper)
+
+    counted("pi_groupoid")
+    counted("hom_classes")
+    P.compare(P.connected_groupoid(3, G.symmetric(3)), tower, bundle)
+    assert calls == {"pi_groupoid": 3, "hom_classes": 4}
+    m = M.build_strict(KAn(G.cyclic(2), 2), tower, bundle)
+    calls.update(pi_groupoid=0, hom_classes=0)
+    H.base_change_iso(m, bundle, 2, 0)
+    assert calls == {"pi_groupoid": 1, "hom_classes": 3}
+
+
 def test_pi_commutes_with_restriction(std4):
     from test_coherator import level1_tower
     tower, bundle = std4
