@@ -176,7 +176,7 @@ def tuple_term(comps, src_table):
         if left != right:
             raise MatchingError(k, j)
     if all(isinstance(c, BaseT) for c in comps):
-        return BaseT(theta0.pair(tuple(c.gmap for c in comps), src_table))
+        return BaseT(theta0.paste(tuple(c.gmap for c in comps), src_table))
     return TupleT(src_table, comps)
 
 

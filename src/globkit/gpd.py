@@ -23,8 +23,8 @@ from functools import cached_property, partial
 from . import coherator as coh
 from . import groups
 from .coherator import BaseT, TupleT
-from .globe import GlobularSet, Table, realize_sum
-from .model import Model, _is_index, _json_field
+from .globe import Table, realize_sum
+from .model import Model, _is_index, _json_field, product_spec, strict_carrier
 
 
 class GroupoidError(Exception):
@@ -541,22 +541,14 @@ def fundamental(X, tower, interp=None, label=""):
     """The fundamental model of a finite groupoid over an interpreted tower."""
     interp = interp or TowerGpdInterp(tower)
     tower.seal()
-    trunc = tower.trunc
-    n_obj, n_arr = X.n_objects, X.n_arrows
-    counts = [n_obj] + [n_arr] * trunc
-    src = [(), tuple(X.src)]
-    tgt = [(), tuple(X.tgt)]
-    for d in range(2, trunc + 1):
-        src.append(tuple(range(n_arr)))
-        tgt.append(tuple(range(n_arr)))
-    carrier = GlobularSet(tuple(counts), tuple(src), tuple(tgt))
-    units = [tuple(X.ident)] + [tuple(range(n_arr)) for _ in range(1, trunc)]
+    label = label or "Pi(%s)" % (X,)
+    carrier, units = strict_carrier(product_spec(X, groups.cyclic(1), 2, label), tower.trunc)
 
     def filler(model, gen):
         walk = interp.walk(gen)
         return {x: walk_arrow(X, walk, x) for x in model.cells(gen.target)}
 
-    return Model(tower, carrier, {}, filler, tuple(units), label or "Pi(%s)" % (X,))
+    return Model(tower, carrier, {}, filler, units, label)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ programs; a generator chain looks its generator's table up when it runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import coherator as coh
 from . import groups
@@ -137,11 +138,6 @@ class Model:
         (out,) = self.eval(term, x)
         return out
 
-    def degenerate(self, d, c):
-        if self.units is None:
-            raise ModelError("model has no degeneracy structure")
-        return self.units[d][c]
-
     def check(self, gens=None):
         """Verify the two boundary equations of each generator on every input."""
         report = []
@@ -179,143 +175,133 @@ def unit_filler(model, gen):
         (b,) = gtgt(x, get)
         if a != b:
             raise FillerError(gen.name, x, a, b)
-        out[x] = model.degenerate(gen.dim - 1, a)
+        out[x] = model.units[gen.dim - 1][a]
     return out
 
 
 # ---------------------------------------------------------------------------
 # Builtin strict models
 
-@dataclass(frozen=True)
-class Discrete:
-    points: int
+class _Copies:
+    """k disjoint copies of the one-object groupoid of a group, read through
+    the names that `gpd.Groupoid` has: arrow x |G| + g is g at object x."""
+
+    def __init__(self, k, group):
+        n, self.group = group.order, group
+        self.src = self.tgt = tuple(f // n for f in range(k * n))
+        self.ident = tuple(x * n for x in range(k))
+        self.inv = tuple(f - f % n + group.inv(f % n) for f in range(k * n))
+
+    def compose(self, g, f):
+        """g after f."""
+        n = self.group.order
+        return f - f % n + self.group.op(g % n, f % n)
 
 
 @dataclass(frozen=True)
-class KG1:
-    """K(G, 1): the strict model has `KAn`'s formulas at n = 1, for any G."""
+class StrictSpec:
+    """A strict model as data: a groupoid of 1-cells and one group A placed
+    at dimension m (Brown-Higgins: a crossed module over a groupoid, when
+    m = 2).
 
-    group: groups.Group
-    n = 1
+    Dimension 0 holds the objects and dimensions 1..m-1 the arrows,
+    degenerate above dimension 1.  Dimension m and above hold the pairs
+    (f, a), numbered f |A| + a; at dimension m the pair goes from f to
+    d(a) f, and above it every cell is an identity.
+    """
 
-
-@dataclass(frozen=True)
-class KAn:
-    group: groups.Group
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ModelError("K(A, n) needs n >= 2, got %d" % self.n)
-        if not self.group.is_abelian():
-            raise ModelError("K(A, n) needs an abelian group, %s is not" % self.group.name)
-
-
-@dataclass(frozen=True)
-class XMod:
-    xm: groups.CrossedModule
-
-
-def _strict_carrier(spec, trunc):
-    if isinstance(spec, Discrete):
-        counts = [spec.points] * (trunc + 1)
-        ident = lambda d: tuple(range(counts[d]))
-        src = ((),) + tuple(ident(d) for d in range(1, trunc + 1))
-        units = tuple(tuple(range(spec.points)) for _ in range(trunc))
-        return GlobularSet(tuple(counts), src, src), units
-    if isinstance(spec, (KG1, KAn)):
-        n, a = spec.n, spec.group.order
-        if n > trunc:
-            raise ModelError("K(A, %d) needs n <= the truncation %d" % (n, trunc))
-        counts = [1] * n + [a] * (trunc - n + 1)
-        src = [()]
-        for d in range(1, n):
-            src.append((0,))
-        src.append(tuple(0 for _ in range(a)))
-        for d in range(n + 1, trunc + 1):
-            src.append(tuple(range(a)))
-        units = tuple((0,) if d < n else tuple(range(a)) for d in range(trunc))
-        gs = GlobularSet(tuple(counts), tuple(src), tuple(src))
-        return gs, units
-    if isinstance(spec, XMod):
-        xm = spec.xm
-        G, A = xm.grp, xm.agrp
-        ng, na = G.order, A.order
-        counts = [1, ng] + [ng * na] * (trunc - 1)
-        src = [(), tuple(0 for _ in range(ng))]
-        tgt = [(), tuple(0 for _ in range(ng))]
-        # 2-cells (g, a) : g -> d(a)g, encoded as g*|A| + a
-        src.append(tuple(g for g in range(ng) for _ in range(na)))
-        tgt.append(tuple(G.op(xm.boundary[a], g) for g in range(ng) for a in range(na)))
-        for d in range(3, trunc + 1):
-            src.append(tuple(range(ng * na)))
-            tgt.append(tuple(range(ng * na)))
-        units = [tuple([0]), tuple(g * na for g in range(ng))]
-        for d in range(2, trunc):
-            units.append(tuple(range(ng * na)))
-        gs = GlobularSet(tuple(counts), tuple(src), tuple(tgt))
-        return gs, tuple(units)
-    raise ModelError("unknown strict model spec %r" % (spec,))
-
-
-class _StrictOps:
-    """Composition, unit, and inverse operations of a strict structure."""
-
-    def __init__(self, spec):
-        self.spec = spec
+    arrows: object         # read through src, tgt, ident, inv and compose
+    fiber: groups.Group    # A
+    m: int
+    boundary: tuple        # boundary[x][a] = d(a), a loop at object x
+    action: tuple          # action[f][a] = f . a
+    label: str
 
     def comp(self, i, j, v, u):
-        s = self.spec
-        if isinstance(s, Discrete):
+        """v after u along their j-cells, for i-cells v and u."""
+        if j >= self.m:   # the cells are identities over their j-cells: v == u
             return v
-        if isinstance(s, (KG1, KAn)):
-            if i < s.n:
-                return 0
-            return s.group.op(v, u) if j < s.n else v
-        xm = s.xm
-        G, A, na = xm.grp, xm.agrp, xm.agrp.order
-        if i == 1:
-            return G.op(v, u)
-        if j >= 2:
-            return v
-        gv, av = divmod(v, na)
-        gu, au = divmod(u, na)
-        if j == 0:
-            return G.op(gv, gu) * na + A.op(av, xm.act(gv, au))
-        return gu * na + A.op(av, au)
-
-    def unit(self, i, c):
-        s = self.spec
-        if isinstance(s, (Discrete,)):
-            return c
-        if isinstance(s, (KG1, KAn)):
-            return 0 if i < s.n else c
-        na = s.xm.agrp.order
-        if i == 0:
-            return 0
-        if i == 1:
-            return c * na
-        return c
+        X = self.arrows
+        if i < self.m:    # arrows
+            return X.compose(v, u) if j == 0 else v
+        A, na = self.fiber, self.fiber.order
+        (fv, av), (fu, au) = divmod(v, na), divmod(u, na)
+        if j == 0:        # where the action enters
+            return X.compose(fv, fu) * na + A.op(av, self.action[fv][au])
+        return fu * na + A.op(av, au)   # v starts at d(au) fu, where u ends
 
     def inv(self, i, j, c):
-        s = self.spec
-        if isinstance(s, Discrete):
+        """The inverse of the i-cell c for composition along j-cells."""
+        if j >= self.m:
             return c
-        if isinstance(s, (KG1, KAn)):
-            if i < s.n:
-                return 0
-            return s.group.inv(c) if j < s.n else c
-        xm = s.xm
-        G, A, na = xm.grp, xm.agrp, xm.agrp.order
-        if i == 1:
-            return G.inv(c)
-        if j >= 2:
-            return c
-        g, a = divmod(c, na)
+        X = self.arrows
+        if i < self.m:
+            return X.inv[c] if j == 0 else c
+        A, na = self.fiber, self.fiber.order
+        f, a = divmod(c, na)
         if j == 0:
-            gi = G.inv(g)
-            return gi * na + xm.act(gi, A.inv(a))
-        return G.op(xm.boundary[a], g) * na + A.inv(a)
+            g = X.inv[f]
+            return g * na + self.action[g][A.inv(a)]
+        return X.compose(self.boundary[X.tgt[f]][a], f) * na + A.inv(a)
+
+
+def product_spec(arrows, group, m, label):
+    """The product of a groupoid with K(group, m): trivial boundary and
+    action."""
+    n = group.order
+    return StrictSpec(arrows, group, m, tuple((e,) * n for e in arrows.ident),
+                      (tuple(range(n)),) * len(arrows.src), label)
+
+
+def Discrete(points):
+    """The discrete model on `points` objects."""
+    if points < 0:
+        raise ModelError("a discrete model needs points >= 0, got %d" % points)
+    z1 = groups.cyclic(1)
+    return product_spec(_Copies(points, z1), z1, 0, "Discrete")
+
+
+def KG1(group):
+    """K(G, 1): G at dimension 1 over the point, for any G."""
+    return product_spec(_Copies(1, groups.cyclic(1)), group, 1, "KG1")
+
+
+def KAn(group, n):
+    """K(A, n) for n >= 2: the abelian group A at dimension n over the point."""
+    if n < 2:
+        raise ModelError("K(A, n) needs n >= 2, got %d" % n)
+    if not group.is_abelian():
+        raise ModelError("K(A, n) needs an abelian group, %s is not" % group.name)
+    return product_spec(_Copies(1, groups.cyclic(1)), group, n, "KAn")
+
+
+def XMod(xm):
+    """The strict 2-groupoid of a crossed module d : A -> G over one object."""
+    return StrictSpec(_Copies(1, xm.grp), xm.agrp, 2, (xm.boundary,), xm.action, "XMod")
+
+
+def strict_carrier(spec, trunc):
+    """The carrier of a strict spec truncated at `trunc`, and its units:
+    units[d][c] is the identity (d+1)-cell on the d-cell c."""
+    X, na = spec.arrows, spec.fiber.order
+    top = max(spec.m, 1)   # the lowest dimension of the pairs
+    n_arr = len(X.src)
+    src, tgt = [()], [()]
+    for d in range(1, trunc + 1):
+        if d == top:
+            s = tuple(f for f in range(n_arr) for a in range(na))
+            t = tuple(X.compose(spec.boundary[X.tgt[f]][a], f)
+                      for f in range(n_arr) for a in range(na))
+        else:
+            s = t = tuple(range(n_arr * na if d > top else n_arr))
+        if d == 1:   # the arrows these name, read as the objects they join
+            s, t = tuple(X.src[f] for f in s), tuple(X.tgt[f] for f in t)
+        src.append(s)
+        tgt.append(t)
+    counts = (len(X.ident),) + tuple(map(len, src[1:]))
+    units = tuple(tuple((X.ident[c] if d == 0 else c) * (na if d + 1 == top else 1)
+                        for c in range(counts[d])) for d in range(trunc))
+    return GlobularSet(counts, tuple(src), tuple(tgt)), units
 
 
 def build_strict(spec, tower, bundle, extra_bundles=(), label=""):
@@ -326,29 +312,23 @@ def build_strict(spec, tower, bundle, extra_bundles=(), label=""):
     the strict operations, so alternative declared choices of composition,
     unit, or inverse receive the same interpretation as the primary ones.
     """
-    carrier, units = _strict_carrier(spec, tower.trunc)
-    ops = _StrictOps(spec)
-    comp_names, unit_names, inv_names = {}, {}, {}
+    if spec.m > tower.trunc:
+        raise ModelError("K(A, %d) needs n <= the truncation %d" % (spec.m, tower.trunc))
+    carrier, units = strict_carrier(spec, tower.trunc)
+    ops = {}   # generator name -> its strict operation, on the cells of an input
     for b in (bundle,) + tuple(extra_bundles):
-        comp_names.update({name: ij for ij, name in b.comp.items()})
-        unit_names.update({name: i for i, name in b.unit.items()})
-        inv_names.update({name: ij for ij, name in b.inv.items()})
+        ops.update({name: partial(spec.comp, i, j) for (i, j), name in b.comp.items()})
+        ops.update({name: units[i].__getitem__ for i, name in b.unit.items()})
+        ops.update({name: partial(spec.inv, i, j) for (i, j), name in b.inv.items()})
 
     def filler(model, gen):
-        if gen.name in comp_names:
-            i, j = comp_names[gen.name]
-            return {x: ops.comp(i, j, x[0], x[1]) for x in model.cells(gen.target)}
-        if gen.name in unit_names:
-            i = unit_names[gen.name]
-            return {x: ops.unit(i, x[0]) for x in model.cells(gen.target)}
-        if gen.name in inv_names:
-            i, j = inv_names[gen.name]
-            return {x: ops.inv(i, j, x[0]) for x in model.cells(gen.target)}
-        return unit_filler(model, gen)
+        op = ops.get(gen.name)
+        if op is None:
+            return unit_filler(model, gen)
+        return {x: op(*x) for x in model.cells(gen.target)}
 
     tower.seal()
-    model = Model(tower, carrier, {}, filler, units,
-                  label or spec.__class__.__name__)
+    model = Model(tower, carrier, {}, filler, units, label or spec.label)
     for gen in tower.gens():
         model.interp_for(gen)
     return model
@@ -445,7 +425,11 @@ def model_from_json(data, tower):
     for gen in tower.gens():
         if gen.name not in interp:
             raise ModelError("missing interpretation for generator %r" % gen.name)
-        if set(interp[gen.name]) != set(model.cells(gen.target)):
+        rows, target = interp[gen.name], gen.target
+        # a disk's fiber product is one dimension's cells, and the file
+        # counts its 0-cells without listing them: compare sizes first
+        if target.is_disk and len(rows) != carrier.count(target.upper[0]) or \
+                set(rows) != set(model.cells(target)):
             raise ModelError("interpretation of %r does not cover the fiber product"
                              % gen.name)
     return model

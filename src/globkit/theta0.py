@@ -9,7 +9,7 @@ words, all with decidable equality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .globe import (
     GlobeError, Table, disk, disk_cell_word, disk_gset, realize_sum, sword, tword,
@@ -55,7 +55,7 @@ class GMap:
                 if tc.target(d, self.maps[d][c]) != self.maps[d - 1][sc.target(d, c)]:
                     raise GlobeError("map does not commute with tgt at dim %d" % d)
 
-    @property
+    @cached_property
     def is_identity(self):
         return self.source == self.target and \
             all(row == tuple(range(len(row))) for row in self.maps)
@@ -147,6 +147,11 @@ def pair(components, source_table):
             dim = next(d for d in range(j + 1)
                        if left.maps[d] != right.maps[d])
             raise MatchingError(k, dim)
+    return paste(components, source_table)
+
+
+def paste(components, source_table):
+    """`pair` without its checks, for legs known to satisfy them."""
     real = realize_sum(source_table)
     maps = []
     for d in range(real.carrier.dim + 1):
@@ -154,7 +159,7 @@ def pair(components, source_table):
         for (k, w) in real.presentations(d):
             row.append(components[k].maps[d][_disk_cell_index(source_table.upper[k], d, w)])
         maps.append(tuple(row))
-    return GMap(source_table, target, tuple(maps))
+    return GMap(source_table, components[0].target, tuple(maps))
 
 
 def _disk_cell_index(m, d, word):

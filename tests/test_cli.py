@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import time
 
 import pytest
 
@@ -229,13 +230,20 @@ def test_malformed_model_and_morphism_files_exit_1(tmp_path, capsys):
     no_cells = {k: v for k, v in good.items() if k != "cells"}
     bad_src = json.loads(json.dumps(good))
     bad_src["cells"][2]["src"][0] = 7
+    # the 0-cells are counted, not listed: a count no file can cover is
+    # refused before the fiber product over D0 is enumerated
+    huge = json.loads(json.dumps(good))
+    huge["cells"][0]["count"] = 10 ** 9
     mpath = str(tmp_path / "model.json")
     for data, words in ((no_cells, "field 'cells'"),
-                        (bad_src, "src of 2-cell 0 is 7")):
+                        (bad_src, "src of 2-cell 0 is 7"),
+                        (huge, "interpretation of 'unit0' does not cover")):
         with open(mpath, "w") as fh:
             json.dump(data, fh)
+        start = time.perf_counter()
         code, _, err = run(capsys, "model-check", path, mpath)
         assert code == 1 and words in err, err
+        assert time.perf_counter() - start < 1.0
     morph = {"source": {"kg1": "Z2"}, "target": {"kg1": "Z4"},
              "map": [[0], [0, 9]]}
     xmod_no_boundary = {"base": "Z2", "fiber": "Z2", "action": [[0, 1], [0, 1]]}

@@ -161,6 +161,25 @@ def test_fundamental_model_checks_clean(std4, interp4):
     assert m.check() == []
 
 
+def test_strict_model_of_a_groupoid_is_its_fundamental_model(std4, interp4):
+    """The strict formulas over X as the groupoid of 1-cells, with the trivial
+    group at dimension 2, against the fundamental model's pasting walks: two
+    independent constructions of the same tables."""
+    tower, bundle = std4
+    for name, X in P.corpus():
+        strict = M.build_strict(M.product_spec(X, G.cyclic(1), 2, name), tower, bundle)
+        pi = P.fundamental(X, tower, interp4)
+        # the carrier the fundamental model had before it shared the strict one
+        ident = tuple(range(X.n_arrows))
+        assert pi.carrier.cells == (X.n_objects,) + (X.n_arrows,) * tower.trunc
+        assert pi.carrier.src == ((), X.src) + (ident,) * (tower.trunc - 1)
+        assert pi.carrier.tgt == ((), X.tgt) + (ident,) * (tower.trunc - 1)
+        assert pi.units == (X.ident,) + (ident,) * (tower.trunc - 1)
+        assert (strict.carrier, strict.units) == (pi.carrier, pi.units), name
+        for gen in tower.gens():
+            assert strict.interp_for(gen) == pi.interp_for(gen), (name, gen.name)
+
+
 def test_pi1_of_fundamental_is_the_groupoid_itself(std4, interp4):
     """The comparison theorem: the pi_1-groupoid of Pi(X) is X itself."""
     tower, bundle = std4

@@ -1,5 +1,6 @@
 """Models: evaluation, checking, strict builders, files, restriction."""
 
+import dataclasses
 import itertools
 import random
 
@@ -10,7 +11,7 @@ from globkit import gpd
 from globkit import groups as G
 from globkit import model as M
 from globkit import rewrite as R
-from globkit.globe import GlobularSet, Table, all_tables, disk, realize_sum
+from globkit.globe import GlobeError, GlobularSet, Table, all_tables, disk, realize_sum
 from globkit.model import Discrete, FillerError, KAn, KG1, XMod
 
 
@@ -99,6 +100,202 @@ def test_kg1_is_kan_at_one_against_the_old_formulas():
                 assert new.interp_for(gen) == old.interp_for(gen), (group.name, gen.name)
     with pytest.raises(M.ModelError, match="n >= 2"):
         KAn(G.cyclic(3), 1)
+
+
+# The strict builders as they were before they became constructors of one
+# `StrictSpec`: the differential oracle of `build_strict`.
+
+@dataclasses.dataclass(frozen=True)
+class OldDiscrete:
+    points: int
+
+
+@dataclasses.dataclass(frozen=True)
+class OldKG1:
+    group: G.Group
+    n = 1
+
+
+@dataclasses.dataclass(frozen=True)
+class OldKAn:
+    group: G.Group
+    n: int
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise M.ModelError("K(A, n) needs n >= 2, got %d" % self.n)
+        if not self.group.is_abelian():
+            raise M.ModelError("K(A, n) needs an abelian group, %s is not" % self.group.name)
+
+
+@dataclasses.dataclass(frozen=True)
+class OldXMod:
+    xm: G.CrossedModule
+
+
+def old_strict_carrier(spec, trunc):
+    if isinstance(spec, OldDiscrete):
+        counts = [spec.points] * (trunc + 1)
+        ident = lambda d: tuple(range(counts[d]))
+        src = ((),) + tuple(ident(d) for d in range(1, trunc + 1))
+        units = tuple(tuple(range(spec.points)) for _ in range(trunc))
+        return GlobularSet(tuple(counts), src, src), units
+    if isinstance(spec, (OldKG1, OldKAn)):
+        n, a = spec.n, spec.group.order
+        if n > trunc:
+            raise M.ModelError("K(A, %d) needs n <= the truncation %d" % (n, trunc))
+        counts = [1] * n + [a] * (trunc - n + 1)
+        src = [()]
+        for d in range(1, n):
+            src.append((0,))
+        src.append(tuple(0 for _ in range(a)))
+        for d in range(n + 1, trunc + 1):
+            src.append(tuple(range(a)))
+        units = tuple((0,) if d < n else tuple(range(a)) for d in range(trunc))
+        gs = GlobularSet(tuple(counts), tuple(src), tuple(src))
+        return gs, units
+    xm = spec.xm
+    G_, A, ng, na = xm.grp, xm.agrp, xm.grp.order, xm.agrp.order
+    counts = [1, ng] + [ng * na] * (trunc - 1)
+    src = [(), tuple(0 for _ in range(ng))]
+    tgt = [(), tuple(0 for _ in range(ng))]
+    src.append(tuple(g for g in range(ng) for _ in range(na)))
+    tgt.append(tuple(G_.op(xm.boundary[a], g) for g in range(ng) for a in range(na)))
+    for d in range(3, trunc + 1):
+        src.append(tuple(range(ng * na)))
+        tgt.append(tuple(range(ng * na)))
+    units = [tuple([0]), tuple(g * na for g in range(ng))]
+    for d in range(2, trunc):
+        units.append(tuple(range(ng * na)))
+    gs = GlobularSet(tuple(counts), tuple(src), tuple(tgt))
+    return gs, tuple(units)
+
+
+class OldStrictOps:
+    def __init__(self, spec):
+        self.spec = spec
+
+    def comp(self, i, j, v, u):
+        s = self.spec
+        if isinstance(s, OldDiscrete):
+            return v
+        if isinstance(s, (OldKG1, OldKAn)):
+            if i < s.n:
+                return 0
+            return s.group.op(v, u) if j < s.n else v
+        xm = s.xm
+        G_, A, na = xm.grp, xm.agrp, xm.agrp.order
+        if i == 1:
+            return G_.op(v, u)
+        if j >= 2:
+            return v
+        gv, av = divmod(v, na)
+        gu, au = divmod(u, na)
+        if j == 0:
+            return G_.op(gv, gu) * na + A.op(av, xm.act(gv, au))
+        return gu * na + A.op(av, au)
+
+    def unit(self, i, c):
+        s = self.spec
+        if isinstance(s, (OldDiscrete,)):
+            return c
+        if isinstance(s, (OldKG1, OldKAn)):
+            return 0 if i < s.n else c
+        na = s.xm.agrp.order
+        if i == 0:
+            return 0
+        if i == 1:
+            return c * na
+        return c
+
+    def inv(self, i, j, c):
+        s = self.spec
+        if isinstance(s, OldDiscrete):
+            return c
+        if isinstance(s, (OldKG1, OldKAn)):
+            if i < s.n:
+                return 0
+            return s.group.inv(c) if j < s.n else c
+        xm = s.xm
+        G_, A, na = xm.grp, xm.agrp, xm.agrp.order
+        if i == 1:
+            return G_.inv(c)
+        if j >= 2:
+            return c
+        g, a = divmod(c, na)
+        if j == 0:
+            gi = G_.inv(g)
+            return gi * na + xm.act(gi, A.inv(a))
+        return G_.op(xm.boundary[a], g) * na + A.inv(a)
+
+
+def old_build_strict(spec, tower, bundle):
+    carrier, units = old_strict_carrier(spec, tower.trunc)
+    ops = OldStrictOps(spec)
+    comp = {name: ij for ij, name in bundle.comp.items()}
+    unit = {name: i for i, name in bundle.unit.items()}
+    inv = {name: ij for ij, name in bundle.inv.items()}
+
+    def filler(model, gen):
+        cells = model.cells(gen.target)
+        if gen.name in comp:
+            return {x: ops.comp(*comp[gen.name], x[0], x[1]) for x in cells}
+        if gen.name in unit:
+            return {x: ops.unit(unit[gen.name], x[0]) for x in cells}
+        if gen.name in inv:
+            return {x: ops.inv(*inv[gen.name], x[0]) for x in cells}
+        return M.unit_filler(model, gen)
+
+    tower.seal()
+    model = M.Model(tower, carrier, {}, filler, units, spec.__class__.__name__[3:])
+    for gen in tower.gens():
+        model.interp_for(gen)
+    return model
+
+
+def outcome(build):
+    """A built model, or the error that refused it (exit 1 on the CLI)."""
+    try:
+        return build()
+    except (M.ModelError, GlobeError) as e:
+        return e
+
+
+def test_strict_specs_against_the_old_builders():
+    z1, z2, z3, z4, v4, s3 = (G.cyclic(1), G.cyclic(2), G.cyclic(3), G.cyclic(4),
+                              G.klein4(), G.symmetric(3))
+    doubling = G.CrossedModule(z4, z4, (0, 2, 0, 2), (tuple(range(4)),) * 4)
+    cases = [(lambda k=k: Discrete(k), OldDiscrete(k)) for k in range(4)]
+    cases += [(lambda g=g: KG1(g), OldKG1(g)) for g in (z1, z2, z4, v4, s3)]
+    cases += [(lambda g=g, n=n: KAn(g, n), OldKAn(g, n))
+              for g in (z2, z3, v4) for n in (2, 3, 4)]
+    cases += [(lambda xm=xm: XMod(xm), OldXMod(xm))
+              for xm in (G.inclusion_xmod(s3), doubling, G.trivial_xmod(z2, z2),
+                         G.trivial_xmod(s3, z2))]
+    for trunc in range(6):
+        if trunc >= 2:
+            tower, bundle = C.stdlib(trunc)
+        else:
+            tower, bundle = C.Tower(trunc), C.PregroupoidBundle({}, {}, {})
+        for make, old_spec in cases:
+            new = outcome(lambda: M.build_strict(make(), tower, bundle))
+            old = outcome(lambda: old_build_strict(old_spec, tower, bundle))
+            if isinstance(old_spec, OldXMod) and trunc < 2:
+                # refused as any spec whose group sits above the truncation
+                assert "needs boundary rows" in str(old)
+                assert str(new) == "K(A, 2) needs n <= the truncation %d" % trunc
+                continue
+            assert isinstance(new, M.Model) == isinstance(old, M.Model), (old_spec, trunc)
+            if not isinstance(new, M.Model):
+                assert (type(new), str(new)) == (type(old), str(old))
+                continue
+            assert (new.carrier, new.units, new.label) == (old.carrier, old.units, old.label)
+            for gen in tower.gens():
+                assert new.interp_for(gen) == old.interp_for(gen), (old_spec, gen.name)
+    # a negative count is refused by the constructor, no longer by the carrier
+    assert "not all naturals" in str(outcome(lambda: old_strict_carrier(OldDiscrete(-1), 2)))
+    with pytest.raises(M.ModelError, match="points >= 0, got -1"):
+        Discrete(-1)
 
 
 def test_check_model_detects_bad_inverse(std3):

@@ -96,6 +96,20 @@ def test_pair_of_legs_is_identity_width_up_to_4():
     for table in all_tables(4, 3):
         legs = tuple(theta0.leg_gmap(table, k) for k in range(table.width))
         assert theta0.pair(legs, table) == theta0.identity_gmap(table)
+        assert theta0.paste(legs, table) == theta0.identity_gmap(table)
+
+
+def test_cached_is_identity_matches_row_scan():
+    tables = small_tables(2, 3)
+    identities = 0
+    for a in tables:
+        for b in tables:
+            for f in theta0.enumerate_homs(a, b):
+                scan = f.source == f.target and \
+                    all(row == tuple(range(len(row))) for row in f.maps)
+                assert f.is_identity == scan, f
+                identities += scan
+    assert identities == len(tables)
 
 
 def test_pair_of_inner_legs():
