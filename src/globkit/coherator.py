@@ -280,8 +280,7 @@ class Tower:
 
     def __init__(self, trunc=DEFAULT_TRUNC):
         self.trunc = trunc
-        self._gens = {}
-        self._order = []
+        self._gens = {}     # name -> generator, in declaration order
         self._sealed = False
         self.div_cache = {}
 
@@ -292,21 +291,17 @@ class Tower:
         return self._gens[name]
 
     def __len__(self):
-        return len(self._order)
+        return len(self._gens)
 
     def gens(self):
-        return [self._gens[n] for n in self._order]
+        return list(self._gens.values())
 
     def names(self):
-        return list(self._order)
+        return list(self._gens)
 
     def seal(self):
         self._sealed = True
         return self
-
-    @property
-    def sealed(self):
-        return self._sealed
 
     def declare(self, name, fsrc, gtgt, auto=False):
         """Add a lifting of (fsrc, gtgt); the pair must be admissible."""
@@ -324,7 +319,6 @@ class Tower:
         level = 1 + max(_top_level(fsrc), _top_level(gtgt))
         gen = Gen(name, dim, fsrc.target, fsrc, gtgt, level)
         self._gens[name] = gen
-        self._order.append(name)
         return gen
 
     def term(self, name):

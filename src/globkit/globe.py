@@ -160,7 +160,8 @@ class GlobularSet:
                     raise GlobeError("%s at dim %d has %d entries for %d cells"
                                      % (name, d, len(row), self.cells[d]))
                 for c, v in enumerate(row):
-                    if not (isinstance(v, int) and 0 <= v < self.cells[d - 1]):
+                    if not (isinstance(v, int) and not isinstance(v, bool)
+                            and 0 <= v < self.cells[d - 1]):
                         raise GlobeError("%s of %d-cell %d is %r, not one of the %d "
                                          "%d-cells" % (name, d, c, v, self.cells[d - 1], d - 1))
         for d in range(2, len(self.cells)):

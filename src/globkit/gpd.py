@@ -4,8 +4,9 @@ Cofibrations are functors injective on objects and weak equivalences are
 equivalences of groupoids; every object is fibrant.  The globe diagram built
 here takes the point in dimension 0 and the two-object contractible groupoid
 in every positive dimension, which makes every realized sum of disks thin, so
-fillers for admissible pairs are unique and the whole tower of structural
-generators can be interpreted by object images alone.
+fillers for admissible pairs are unique: a generator's filler is the one
+arrow between the two objects its boundary picks, the 0-faces of its
+boundary terms.
 
 The fundamental model of a groupoid X has the objects of X as 0-cells and
 the arrows of X as n-cells for every n >= 1; generator interpretations are
@@ -22,7 +23,6 @@ from functools import cached_property, partial
 
 from . import coherator as coh
 from . import groups
-from .coherator import BaseT, TupleT
 from .globe import Table, realize_sum
 from .model import Model, _is_index, _json_field, product_spec, strict_carrier
 
@@ -413,46 +413,25 @@ def realize_gpd(table):
     Thinness and contractibility are honest checks: the block graph of the
     gluing (disks merged along positive-dimensional faces) must be a
     connected tree, so each hom-set of the amalgam has exactly one arrow,
-    the path that `GpdSum.walk` follows.
+    the path that `GpdSum.walk` follows.  Gluing only joins neighbours, so a
+    block is a run of disks, each glued to the last along a positive
+    dimension.
     """
     real = realize_sum(table)
-    n_obj = real.carrier.count(0)
-    width = table.width
-    # merge disks glued along a positive dimension into blocks
-    block = list(range(width))
-
-    def find(k):
-        while block[k] != k:
-            block[k] = block[block[k]]
-            k = block[k]
-        return k
-
-    for k, j in enumerate(table.lower):
-        if j >= 1:
-            block[find(k + 1)] = find(k)
-    blocks = {}
-    for k in range(width):
-        if table.upper[k] >= 1:
-            blocks.setdefault(find(k), []).append(k)
-    # block graph must be a tree on the objects
-    edges = []
-    for b, ks in blocks.items():
-        k0 = ks[0]
-        o0 = real.legs[k0][0][0]
-        o1 = real.legs[k0][0][1]
-        for k in ks[1:]:
-            if (real.legs[k][0][0], real.legs[k][0][1]) != (o0, o1):
+    leg_objects = tuple(legs[0] for legs in real.legs)
+    edges, blocks = [], 0
+    for k, objs in enumerate(leg_objects):
+        if table.upper[k] == 0:
+            continue
+        edges.append((k,) + objs)
+        if k and table.lower[k - 1] >= 1:
+            if objs != leg_objects[k - 1]:
                 raise GroupoidError("merged disks disagree on objects")
-        edges.append((b, o0, o1))
-    if len(edges) != n_obj - 1:
+        else:
+            blocks += 1
+    if blocks != real.carrier.count(0) - 1:
         raise GroupoidError("realized sum is not simply connected: %s" % (table,))
-    leg_objects = tuple(
-        tuple(real.legs[k][0][c] for c in range(1 if table.upper[k] == 0 else 2))
-        for k in range(width))
-    disk_edges = tuple(
-        (k, real.legs[k][0][0], real.legs[k][0][1])
-        for k in range(width) if table.upper[k] >= 1)
-    return GpdSum(table, leg_objects, disk_edges)
+    return GpdSum(table, leg_objects, tuple(edges))
 
 
 def lifting_oracle(sumr, fpair, gpair, n):
@@ -472,76 +451,47 @@ def lifting_oracle(sumr, fpair, gpair, n):
 class TowerGpdInterp:
     """Interpretation of a tower in the groupoid globe diagram.
 
-    Every term's value is its object-image tuple; targets are thin, so this
-    determines the functor.  Generators are interpreted on demand through the
-    filler oracle, so later auto-declared liftings are covered too.
+    Targets are thin, so a generator's filler is the one arrow of its
+    realized sum between the two objects its boundary picks, and its image
+    under a pasting is that arrow's walk folded over the fiber product.
+    Generators are interpreted on demand, so later auto-declared liftings
+    are covered too.
     """
 
     def __init__(self, tower):
         self.tower = tower
-        self.gen_objs = {}
-        self.sums = {}
         self.walks = {}
-
-    def sum(self, table):
-        if table not in self.sums:
-            self.sums[table] = realize_gpd(table)
-        return self.sums[table]
 
     def interpret_all(self):
         for gen in self.tower.gens():
-            self.gen(gen)
+            self.walk(gen)
         return self
 
     def gen(self, g):
-        if g.name not in self.gen_objs:
-            fobj = self.term_objects(g.fsrc)
-            gobj = self.term_objects(g.gtgt)
-            self.gen_objs[g.name] = lifting_oracle(self.sum(g.target), fobj, gobj, g.dim - 1)
-            # validate the two boundary equations on object images
-            h = self.gen_objs[g.name]
-            hs = h if g.dim >= 2 else (h[0],)
-            ht = h if g.dim >= 2 else (h[1],)
-            if hs != fobj or ht != gobj:
-                raise GroupoidError("the filler of %r misses its boundary objects: "
-                                    "%s, %s vs %s, %s" % (g.name, hs, ht, fobj, gobj))
-        return self.gen_objs[g.name]
+        """The objects of g's realized sum that its filler joins: the source
+        0-face of its source boundary and the target 0-face of its target
+        boundary, read off their normal forms, which are concrete maps."""
+        return (_zero_face(g.fsrc, "s"), _zero_face(g.gtgt, "t"))
 
     def walk(self, g):
         """The pasting walk of a generator's filler, from the first to the
-        second object of its image (`GpdSum.walk`), found once."""
+        second object of `gen(g)` (`GpdSum.walk`), found once."""
         if g.name not in self.walks:
-            h = self.gen(g)
-            self.walks[g.name] = self.sum(g.target).walk(h[0], h[1])
+            self.walks[g.name] = realize_gpd(g.target).walk(*self.gen(g))
         return self.walks[g.name]
 
-    def term_objects(self, t):
-        """Object images of a term, as a tuple over its source's objects."""
-        if isinstance(t, BaseT):
-            gm = t.gmap
-            n_src_obj = realize_sum(gm.source).carrier.count(0)
-            return tuple(gm.maps[0][o] for o in range(n_src_obj))
-        if isinstance(t, TupleT):
-            real = realize_sum(t.src_table)
-            out = []
-            for o in range(real.carrier.count(0)):
-                k, w = real.presentation(0, o)
-                comp_objs = self.term_objects(t.comps[k])
-                c = 0 if w.is_identity else (0 if w.kind == "s" else 1)
-                out.append(comp_objs[c])
-            return tuple(out)
-        tail_objs = self.term_objects(t.tail)
-        gen_objs = self.gen(t.gen)
-        arg_objs = self.term_objects(t.arg)
-        lifted = tuple(tail_objs[g] for g in gen_objs)
-        return tuple(lifted[o] for o in arg_objs)
+
+def _zero_face(term, kind):
+    """The 0-cell that the s or t 0-face of a disk-sourced term hits."""
+    face = coh.compose(term, coh.wordt(kind, 0, term.source.upper[0]))
+    return face.gmap.maps[0][0]
 
 
-def fundamental(X, tower, interp=None, label=""):
+def fundamental(X, tower, interp=None):
     """The fundamental model of a finite groupoid over an interpreted tower."""
     interp = interp or TowerGpdInterp(tower)
     tower.seal()
-    label = label or "Pi(%s)" % (X,)
+    label = "Pi(%d objects, %d arrows)" % (X.n_objects, X.n_arrows)
     carrier, units = strict_carrier(product_spec(X, groups.cyclic(1), 2, label), tower.trunc)
 
     def filler(model, gen):

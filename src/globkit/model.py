@@ -138,11 +138,11 @@ class Model:
         (out,) = self.eval(term, x)
         return out
 
-    def check(self, gens=None):
+    def check(self):
         """Verify the two boundary equations of each generator on every input."""
         report = []
         get = self.interp_for
-        for gen in (gens if gens is not None else self.tower.gens()):
+        for gen in self.tower.gens():
             table = get(gen)
             fsrc, gtgt = self.program(gen.fsrc), self.program(gen.gtgt)
             src, tgt = self.carrier.src[gen.dim], self.carrier.tgt[gen.dim]
@@ -415,7 +415,7 @@ def model_from_json(data, tower):
         for r in rows:
             ins = _json_field(r, "in", list, "a row of %r" % name)
             out = _json_field(r, "out", int, "a row of %r" % name)
-            if not all(isinstance(c, int) for c in ins):
+            if not all(isinstance(c, int) and not isinstance(c, bool) for c in ins):
                 raise ModelError("model file: %r has a non-integer input %r" % (name, ins))
             if not _is_index(out, carrier.count(dim)):
                 raise ModelError("model file: %r sends %s to %d, not one of the %d %d-cells"

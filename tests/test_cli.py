@@ -234,10 +234,17 @@ def test_malformed_model_and_morphism_files_exit_1(tmp_path, capsys):
     # refused before the fiber product over D0 is enumerated
     huge = json.loads(json.dumps(good))
     huge["cells"][0]["count"] = 10 ** 9
+    # JSON booleans are not cell indices, though Python's bool is an int
+    bool_src = json.loads(json.dumps(good))
+    bool_src["cells"][1]["src"] = [False] * len(bool_src["cells"][1]["src"])
+    bool_in = json.loads(json.dumps(good))
+    bool_in["interp"]["comp1_0"][0]["in"] = [0, True]
     mpath = str(tmp_path / "model.json")
     for data, words in ((no_cells, "field 'cells'"),
                         (bad_src, "src of 2-cell 0 is 7"),
-                        (huge, "interpretation of 'unit0' does not cover")):
+                        (huge, "interpretation of 'unit0' does not cover"),
+                        (bool_src, "src of 1-cell 0 is False, not one of the 1 0-cells"),
+                        (bool_in, "'comp1_0' has a non-integer input [0, True]")):
         with open(mpath, "w") as fh:
             json.dump(data, fh)
         start = time.perf_counter()

@@ -1,7 +1,9 @@
 """Folk-structure validators, sums, fillers, fundamental models, comparison."""
 
+import ast
 import dataclasses
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -127,7 +129,100 @@ def test_tower_interpretation_is_deterministic(std4):
     tower, _ = std4
     a = P.TowerGpdInterp(tower).interpret_all()
     b = P.TowerGpdInterp(tower).interpret_all()
-    assert a.gen_objs == b.gen_objs
+    assert a.walks == b.walks
+
+
+class ObjectImageOracle:
+    """The groupoid interpretation by term evaluation: a term's value is the
+    tuple of its object images, found by recursion over the normal form, and
+    a generator's filler comes from `lifting_oracle` and is checked against
+    both boundaries.  The reference for endpoints read off normal forms."""
+
+    def __init__(self):
+        self.gen_objs = {}
+
+    def gen(self, g):
+        if g.name not in self.gen_objs:
+            fobj = self.term_objects(g.fsrc)
+            gobj = self.term_objects(g.gtgt)
+            h = P.lifting_oracle(P.realize_gpd(g.target), fobj, gobj, g.dim - 1)
+            hs = h if g.dim >= 2 else (h[0],)
+            ht = h if g.dim >= 2 else (h[1],)
+            assert (hs, ht) == (fobj, gobj), g.name
+            self.gen_objs[g.name] = h
+        return self.gen_objs[g.name]
+
+    def walk(self, g):
+        return P.realize_gpd(g.target).walk(*self.gen(g))
+
+    def term_objects(self, t):
+        if isinstance(t, C.BaseT):
+            gm = t.gmap
+            return tuple(gm.maps[0][o] for o in range(realize_sum(gm.source).carrier.count(0)))
+        if isinstance(t, C.TupleT):
+            real = realize_sum(t.src_table)
+            out = []
+            for o in range(real.carrier.count(0)):
+                k, w = real.presentation(0, o)
+                c = 0 if w.is_identity or w.kind == "s" else 1
+                out.append(self.term_objects(t.comps[k])[c])
+            return tuple(out)
+        tail_objs = self.term_objects(t.tail)
+        lifted = tuple(tail_objs[o] for o in self.gen(t.gen))
+        return tuple(lifted[o] for o in self.term_objects(t.arg))
+
+
+def test_endpoints_from_normal_forms_match_term_evaluation():
+    """`gen` and `walk` against the object-image evaluator, on every
+    generator of stdlib(2..8) and on the correction liftings that division
+    and base change declare."""
+    towers = [C.stdlib(trunc) for trunc in range(2, 9)]
+    tower, bundle = towers[2]  # stdlib(4)
+    for n in (2, 3):
+        m = M.build_strict(M.KAn(G.cyclic(2), n), tower, bundle)
+        if n == 2:
+            for gamma in (0, 1):
+                for side in ("left", "right"):
+                    H.divide(m, bundle, 2, 0, gamma, 0, 0, side=side)
+        H.base_change_iso(m, bundle, n, 0)
+    assert sum(name.startswith("auto.") for name in tower.names()) == 12
+    checked = 0
+    for tower, _ in towers:
+        interp, oracle = P.TowerGpdInterp(tower), ObjectImageOracle()
+        for g in tower.gens():
+            assert interp.gen(g) == oracle.gen(g), g.name
+            assert interp.walk(g) == oracle.walk(g), g.name
+            checked += 1
+    assert checked == 476 + 12
+
+
+def names_term_nodes(tree):
+    """The term node classes of `coherator` that a syntax tree names."""
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.rpartition(".")[2])
+    return named & {"BaseT", "TupleT", "Chain"}
+
+
+def test_gpd_does_not_evaluate_terms():
+    """The groupoid interpretation reads endpoints off normal forms; a second
+    term evaluator would have to name the term node classes."""
+    assert names_term_nodes(ast.parse(pathlib.Path(P.__file__).read_text(encoding="utf-8"))) \
+        == set()
+    for text in ("from .coherator import BaseT", "isinstance(t, coh.TupleT)",
+                 "from globkit.coherator import Chain as Ch"):
+        assert names_term_nodes(ast.parse(text)), text
+
+
+def test_fundamental_label_does_not_grow_with_the_groupoid(std4, interp4):
+    tower, _ = std4
+    m = P.fundamental(P.connected_groupoid(3, G.symmetric(3)), tower, interp4)
+    assert len(m.label) < 40
 
 
 def test_fundamental_point_and_contractible(std4, interp4):
@@ -328,7 +423,7 @@ def test_compiled_walk_matches_pasting_oracle(std4, interp4):
               P.codiscrete(3)):
         m = P.fundamental(X, tower, interp4)
         for gen in tower.gens():
-            sumr = interp4.sum(gen.target)
+            sumr = P.realize_gpd(gen.target)
             h = interp4.gen(gen)
             walk = interp4.walk(gen)
             table = m.interp_for(gen)
