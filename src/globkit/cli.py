@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 
 from . import coherator as coh
@@ -19,7 +18,7 @@ from . import gpd
 from . import groups
 from . import homotopy as hmt
 from . import model as mdl
-from .coherator import InadmissibleError, PregroupoidBundle, TermError
+from .coherator import InadmissibleError, TermError
 from .globe import GlobeError, disk
 from .theta0 import MatchingError
 
@@ -53,22 +52,6 @@ def _load_tower(path, trunc=None):
         raise CliError(2, "%s: %s" % (path, e))
     except dsl.CheckError as e:
         raise CliError(1, "%s: %s" % (path, e))
-
-
-def _bundle_for(tower):
-    """Collect the stdlib-named structural generators present in a tower."""
-    comp, unit, inv = {}, {}, {}
-    for name in tower.names():
-        m = re.match(r"^comp(\d+)_(\d+)$", name)
-        if m:
-            comp[(int(m.group(1)), int(m.group(2)))] = name
-        m = re.match(r"^unit(\d+)$", name)
-        if m:
-            unit[int(m.group(1))] = name
-        m = re.match(r"^inv(\d+)_(\d+)$", name)
-        if m:
-            inv[(int(m.group(1)), int(m.group(2)))] = name
-    return PregroupoidBundle(comp, unit, inv)
 
 
 def _group_by_name(name):
@@ -161,7 +144,10 @@ def _infer_target(tower, text):
                 return tower[t.value].target
             m = dsl._WORD_RE.match(t.value)
             if m:
-                return disk(int(m.group(2)))
+                try:
+                    return disk(int(m.group(2)))
+                except GlobeError as e:
+                    raise CliError(2, "bad term %r: %s" % (text, e))
         break
     raise CliError(2, "cannot infer the term's target; pass --target")
 
@@ -231,7 +217,7 @@ def cmd_admissible(args):
 
 def cmd_model_check(args):
     tower = _load_tower(args.tower)
-    model = _model_from_flags(args, tower, _bundle_for(tower))
+    model = _model_from_flags(args, tower, coh.bundle_of(tower))
     bad = model.check()
     if bad:
         lines = ["violation at %s on input %s (%s: expected %s, got %s)" % v
@@ -244,7 +230,7 @@ def cmd_model_check(args):
 
 def cmd_pi(args):
     tower = _load_tower(args.tower)
-    bundle = _bundle_for(tower)
+    bundle = coh.bundle_of(tower)
     model = _model_from_flags(args, tower, bundle)
     pi = hmt.pi_n(model, bundle, args.n, args.base)
     if args.n == 0:
@@ -284,7 +270,7 @@ def _morphism_side(data, side):
 
 def cmd_weq(args):
     tower = _load_tower(args.tower)
-    bundle = _bundle_for(tower)
+    bundle = coh.bundle_of(tower)
     data = _read_json(args.morphism)
     src = _build_model(*_morphism_side(data, "source"), tower, bundle)
     tgt = _build_model(*_morphism_side(data, "target"), tower, bundle)
@@ -338,7 +324,7 @@ def cmd_gpd_pi(args):
 
 def cmd_divide(args):
     tower = _load_tower(args.tower)
-    bundle = _bundle_for(tower)
+    bundle = coh.bundle_of(tower)
     model = _model_from_flags(args, tower, bundle)
     res = hmt.divide(model, bundle, args.n, args.i, args.gamma, args.u, args.v,
                      side=args.side)

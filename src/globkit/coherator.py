@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import theta0
-from .globe import DEFAULT_TRUNC, Table, Word, disk, idword
+from .globe import DEFAULT_TRUNC, MAX_DIM, Table, Word, disk
 from .theta0 import GMap, MatchingError
 
 
@@ -134,19 +134,10 @@ def gen_term(gen):
     return Chain(identity(gen.target), gen, identity(disk(gen.dim)))
 
 
-def _gmap_word(gm):
-    """Recover the word of a disk-to-disk concrete map."""
-    m = gm.source.upper[0]
-    i = gm.target.upper[0]
-    if m == i:
-        return idword(m)
-    return Word(m, i, "s" if gm.maps[m][0] == 0 else "t")
-
-
 def _make_chain(tail, gen, arg):
     """Chain constructor applying the generator's boundary equations."""
     if isinstance(arg, BaseT) and not arg.gmap.is_identity:
-        w = _gmap_word(arg.gmap)
+        w = theta0.decompose(arg.gmap)[1]
         m = w.src
         if m == gen.dim - 1:
             side = gen.fsrc if w.kind == "s" else gen.gtgt
@@ -279,6 +270,9 @@ class Tower:
     """An append-only, level-stratified list of lifting generators."""
 
     def __init__(self, trunc=DEFAULT_TRUNC):
+        if trunc > MAX_DIM:
+            raise TermError("truncation %d exceeds the largest supported dimension %d"
+                            % (trunc, MAX_DIM))
         self.trunc = trunc
         self._gens = {}     # name -> generator, in declaration order
         self._sealed = False
@@ -465,12 +459,25 @@ def stdlib(trunc=4):
     for i in range(1, trunc - 1):
         tw.declare("tri%d" % i, *triangle_pair(tw, i))
 
-    bundle = PregroupoidBundle(
-        comp={(i, j): comp_name(i, j) for i in range(1, trunc + 1) for j in range(i)},
-        unit={i: unit_name(i) for i in range(0, trunc)},
-        inv={(i, j): inv_name(i, j) for i in range(1, trunc + 1) for j in range(i)},
+    return tw, bundle_of(tw)
+
+
+def bundle_of(tower):
+    """The stdlib-named composition, unit and inverse generators a tower
+    declares with their stdlib shapes: the (i, j) composition D_i -> D_i +_j
+    D_i and inverse D_i -> D_i for i <= trunc, the unit D_{i+1} -> D_i for
+    i < trunc."""
+    def has(name, dim, target):
+        return name in tower and (tower[name].dim, tower[name].target) == (dim, target)
+
+    n = tower.trunc
+    pairs = [(i, j) for i in range(1, n + 1) for j in range(i)]
+    return PregroupoidBundle(
+        comp={(i, j): comp_name(i, j) for i, j in pairs
+              if has(comp_name(i, j), i, glue2(i, j))},
+        unit={i: unit_name(i) for i in range(n) if has(unit_name(i), i + 1, disk(i))},
+        inv={(i, j): inv_name(i, j) for i, j in pairs if has(inv_name(i, j), i, disk(i))},
     )
-    return tw, bundle
 
 
 def pentagon_pair(tw, i):
@@ -543,9 +550,10 @@ def triangle_pair(tw, i):
     return d2, d1
 
 
-def verify_bundle(tower, bundle, trunc=None):
-    """Check the two-case boundary formulas of a pregroupoid bundle."""
-    trunc = trunc if trunc is not None else tower.trunc
+def verify_bundle(tower, bundle):
+    """Check the two-case boundary formulas of a pregroupoid bundle up to the
+    tower's truncation."""
+    trunc = tower.trunc
     g = tower.term
 
     def sides(name):

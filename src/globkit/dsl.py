@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import coherator as coh
 from . import theta0
 from .coherator import InadmissibleError, TermError, Tower
-from .globe import DEFAULT_TRUNC, Table, Word, disk
+from .globe import DEFAULT_TRUNC, MAX_DIM, Table, disk
 from .theta0 import MatchingError
 
 
@@ -156,6 +156,10 @@ def _parse_lift(p, tower):
     if md is None:
         raise ParseError(dtok.line, dtok.col, "expected a disk D<n>")
     gdim = int(md.group(1))
+    if not 1 <= gdim <= MAX_DIM:
+        raise ParseError(dtok.line, dtok.col, "a lift starts at D1 to D%d, not D%d"
+                         % (MAX_DIM, gdim))
+    source = disk(gdim - 1)
     p.expect("arrow")
     table = _parse_table(p)
     p.expect("sym", ";")
@@ -166,12 +170,12 @@ def _parse_lift(p, tower):
     p.expect("name", "tgt")
     p.expect("sym", "=")
     gtgt = _elab_chain(_read_chain(p), tower, table)
-    if fsrc.source != disk(gdim - 1):
+    if fsrc.source != source:
         raise ParseError(kw.line, kw.col,
-                         "src term starts at %s, expected D%d" % (fsrc.source, gdim - 1))
-    if gtgt.source != disk(gdim - 1):
+                         "src term starts at %s, expected %s" % (fsrc.source, source))
+    if gtgt.source != source:
         raise ParseError(kw.line, kw.col,
-                         "tgt term starts at %s, expected D%d" % (gtgt.source, gdim - 1))
+                         "tgt term starts at %s, expected %s" % (gtgt.source, source))
     try:
         tower.declare(name, fsrc, gtgt)
     except (InadmissibleError, TermError) as e:
@@ -309,7 +313,7 @@ def _elab_atom(atom, tower, target):
         k = int(m.group(2))
         if k < 1:
             raise ParseError(tok.line, tok.col, "boundary words start at s1/t1")
-        if target != disk(k):
+        if not (target.is_disk and target.dimension == k):
             raise ParseError(tok.line, tok.col,
                              "%s maps into D%d, but %s is expected here" % (name, k, target))
         return coh.wordt(m.group(1), k - 1, k)
@@ -354,10 +358,9 @@ def _gmap_parts(gm):
     if gm.is_identity:
         return []
     if gm.source.is_disk:
-        if gm.target.is_disk:
-            w = coh._gmap_word(gm)
-            return [s for s in str(w).split(" * ")]
         k, w = theta0.decompose(gm)
+        if gm.target.is_disk:
+            return str(w).split(" * ")
         parts = ["eps%d" % (k + 1)]
         if not w.is_identity:
             parts.extend(str(w).split(" * "))

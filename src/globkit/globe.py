@@ -3,8 +3,10 @@
 Disks D0, D1, ... are connected by cosource/cotarget maps s_n, t_n : D_{n-1} -> D_n
 subject to (composing right to left) s.s = t.s and s.t = t.t.  A table of
 dimensions prescribes an iterated amalgamated sum of disks; `realize_sum`
-computes that colimit concretely as a finite globular set together with its
-cocone legs.
+computes that colimit concretely, in one pass over the disks, as a finite
+globular set together with its cocone legs and, for each cell, the lowest leg
+that hits it and the word presenting it there.  No dimension exceeds
+`MAX_DIM`, so nothing sized by a dimension grows without bound.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 DEFAULT_TRUNC = 6
+# the largest dimension of a table or truncation of a tower
+MAX_DIM = 64
 
 
 class GlobeError(Exception):
@@ -93,6 +97,9 @@ class Table:
             raise GlobeError("table rows have mismatched widths")
         if any(i < 0 for i in self.upper) or any(i < 0 for i in self.lower):
             raise GlobeError("table entries must be naturals")
+        if max(self.upper) > MAX_DIM:
+            raise GlobeError("table dimension %d exceeds the largest supported "
+                             "dimension %d" % (max(self.upper), MAX_DIM))
         for k, j in enumerate(self.lower):
             if not (self.upper[k] > j and self.upper[k + 1] > j):
                 raise GlobeError(
@@ -211,17 +218,9 @@ class GlobularSet:
         return tuple(combos)
 
 
-@lru_cache(maxsize=None)
-def disk_gset(m):
-    """The representable globular set of the m-disk."""
-    cells = tuple(2 for _ in range(m)) + (1,)
-    src = ((),) + tuple(tuple(0 for _ in range(cells[d])) for d in range(1, m + 1))
-    tgt = ((),) + tuple(tuple(1 for _ in range(cells[d])) for d in range(1, m + 1))
-    return GlobularSet(cells, src, tgt)
-
-
 def disk_cell_word(m, d, c):
-    """The word presenting cell (d, c) of the m-disk."""
+    """The word presenting cell (d, c) of the m-disk: below m, cell 0 is the
+    source and cell 1 the target; the one m-cell is the disk itself."""
     if d == m:
         return idword(m)
     return Word(d, m, "s" if c == 0 else "t")
@@ -235,103 +234,45 @@ class SumRealization:
     carrier: GlobularSet
     # legs[k][d][c] = carrier cell hit by cell (d, c) of the k-th disk
     legs: tuple[tuple[tuple[int, ...], ...], ...]
-
-    def presentations(self, d):
-        """For each d-cell of the carrier: canonical (leg k, word into D_{i_k})."""
-        return _presentations(self.table, d)
-
-    def presentation(self, d, cell):
-        return _presentations(self.table, d)[cell]
+    # owners[d][cell] = (k, word D_d -> D_{i_k}): the lowest leg hitting the
+    # cell and the word presenting it in that leg's disk
+    owners: tuple[tuple[tuple[int, Word], ...], ...]
 
 
 @lru_cache(maxsize=None)
 def realize_sum(table):
     """Colimit of the zig-zag of disks prescribed by a table of dimensions.
 
-    Consecutive disks are glued by identifying the s-word image of the lower
-    disk in the left factor with its t-word image in the right factor.  Glued
-    cells are owned by the lowest leg.
+    Gluing only joins neighbours: disk k shares its cells below the gluing
+    dimension j with disk k - 1, and its target j-cell is disk k - 1's source
+    j-cell.  Every other cell of disk k is new; it is numbered in leg order,
+    owned by leg k, and takes its faces from the disk's own cells one
+    dimension down.
     """
-    width = table.width
-    dims = table.upper
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
-    for k in range(width):
-        g = disk_gset(dims[k])
-        for d in range(g.dim + 1):
-            for c in range(g.count(d)):
-                parent[(k, d, c)] = (k, d, c)
-
-    for k, j in enumerate(table.lower):
-        # dims below the gluing dimension are identified cell-by-cell
-        for d in range(j):
-            for c in (0, 1):
-                union((k, d, c), (k + 1, d, c))
-        # at the gluing dimension: s-image of the left disk, t-image of the right
-        union((k, j, 0), (k + 1, j, 1))
-
     top = table.dimension
-    index = {}
-    counts = []
-    for d in range(top + 1):
-        reps = sorted({find((k, d, c))
-                       for k in range(width)
-                       for c in range(disk_gset(dims[k]).count(d))})
-        for i, r in enumerate(reps):
-            index[(d, r)] = i
-        counts.append(len(reps))
-
-    def cell_of(k, d, c):
-        return index[(d, find((k, d, c)))]
-
-    src = [()]
-    tgt = [()]
-    for d in range(1, top + 1):
-        s_row = [None] * counts[d]
-        t_row = [None] * counts[d]
-        for k in range(width):
-            g = disk_gset(dims[k])
-            for c in range(g.count(d)):
-                i = cell_of(k, d, c)
-                s_val = cell_of(k, d - 1, g.source(d, c))
-                t_val = cell_of(k, d - 1, g.target(d, c))
-                assert s_row[i] in (None, s_val), "boundary not respected by gluing"
-                assert t_row[i] in (None, t_val)
-                s_row[i] = s_val
-                t_row[i] = t_val
-        src.append(tuple(s_row))
-        tgt.append(tuple(t_row))
-
-    carrier = GlobularSet(tuple(counts), tuple(src), tuple(tgt))
-    legs = tuple(
-        tuple(
-            tuple(cell_of(k, d, c) for c in range(disk_gset(dims[k]).count(d)))
-            for d in range(dims[k] + 1)
-        )
-        for k in range(width)
-    )
-    return SumRealization(table, carrier, legs)
-
-
-@lru_cache(maxsize=None)
-def _presentations(table, d):
-    real = realize_sum(table)
-    out = [None] * real.carrier.count(d)
-    for k in range(table.width - 1, -1, -1):
-        m = table.upper[k]
-        if d > m:
-            continue
-        for c in range(disk_gset(m).count(d) - 1, -1, -1):
-            out[real.legs[k][d][c]] = (k, disk_cell_word(m, d, c))
-    return tuple(out)
+    src = [[] for _ in range(top + 1)]
+    tgt = [[] for _ in range(top + 1)]
+    owners = [[] for _ in range(top + 1)]
+    legs = []
+    for k, m in enumerate(table.upper):
+        j = table.lower[k - 1] if k else -1
+        leg = []
+        for d in range(m + 1):
+            row = []
+            for c in range(2 if d < m else 1):
+                if d < j:
+                    cell = legs[k - 1][d][c]
+                elif d == j and c == 1:
+                    cell = legs[k - 1][d][0]
+                else:
+                    cell = len(owners[d])
+                    owners[d].append((k, disk_cell_word(m, d, c)))
+                    if d:
+                        src[d].append(leg[d - 1][0])
+                        tgt[d].append(leg[d - 1][1])
+                row.append(cell)
+            leg.append(tuple(row))
+        legs.append(tuple(leg))
+    carrier = GlobularSet(tuple(len(row) for row in owners),
+                          tuple(map(tuple, src)), tuple(map(tuple, tgt)))
+    return SumRealization(table, carrier, tuple(legs), tuple(map(tuple, owners)))

@@ -117,12 +117,12 @@ class Model:
 
     def _plan(self, gm):
         """Per leg of the source: (input slot, word table) of its top cell's
-        image, through the target's canonical presentation."""
+        image, through the owner the target's realization records for it."""
         treal = realize_sum(gm.target)
         sreal = realize_sum(gm.source)
         plan = []
         for k, m in enumerate(gm.source.upper):
-            slot, word = treal.presentation(m, gm.maps[m][sreal.legs[k][m][0]])
+            slot, word = treal.owners[m][gm.maps[m][sreal.legs[k][m][0]]]
             plan.append((slot, self._word_table(word)))
         return tuple(plan)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from . import theta0
 from .coherator import (
-    RBase, RComp, RGen, RTuple, TermError, _eval_raw, _gmap_word, term_to_raw,
+    RBase, RComp, RGen, RTuple, TermError, _eval_raw, term_to_raw,
 )
 from .globe import Word, disk
 
@@ -73,7 +73,7 @@ def _pair_redex(x, y):
             return _spine(x.comps[k]) + rest
         if isinstance(x, RGen):
             gen = x.gen
-            w = _gmap_word(y.gmap)
+            w = theta0.decompose(y.gmap)[1]
             if w.src == gen.dim - 1:
                 side = gen.fsrc if w.kind == "s" else gen.gtgt
                 return _spine(term_to_raw(side))

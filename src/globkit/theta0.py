@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .globe import (
-    GlobeError, Table, disk, disk_cell_word, disk_gset, realize_sum, sword, tword,
+    GlobeError, Table, disk, disk_cell_word, realize_sum, sword, tword,
 )
 
 
@@ -93,16 +93,12 @@ def leg_gmap(table, k):
 @lru_cache(maxsize=None)
 def cell_gmap(table, m, cell):
     """The map D_m -> sum picking a given m-cell of the carrier (Yoneda)."""
-    real = realize_sum(table)
-    g = disk_gset(m)
-    maps = []
-    for d in range(m + 1):
-        row = []
-        for c in range(g.count(d)):
-            w = disk_cell_word(m, d, c)
-            row.append(real.carrier.boundary(w, cell))
-        maps.append(tuple(row))
-    return GMap(disk(m), table, tuple(maps))
+    carrier = realize_sum(table).carrier
+    maps = tuple(
+        tuple(carrier.boundary(disk_cell_word(m, d, c), cell)
+              for c in range(2 if d < m else 1))
+        for d in range(m + 1))
+    return GMap(disk(m), table, maps)
 
 
 @lru_cache(maxsize=None)
@@ -113,14 +109,12 @@ def globe_functor(word):
 
 
 def decompose(gmap):
-    """Write a disk-sourced map as (leg k, word) via the canonical presentation."""
+    """Write a disk-sourced map as (leg k, word): the owner of the cell it picks."""
     if not gmap.source.is_disk:
         raise GlobeError("only a map out of a disk decomposes, not one out of %s"
                          % gmap.source)
     m = gmap.source.upper[0]
-    real = realize_sum(gmap.target)
-    k, w = real.presentation(m, gmap.maps[m][0])
-    return k, w
+    return realize_sum(gmap.target).owners[m][gmap.maps[m][0]]
 
 
 def pair(components, source_table):
@@ -151,22 +145,15 @@ def pair(components, source_table):
 
 
 def paste(components, source_table):
-    """`pair` without its checks, for legs known to satisfy them."""
+    """`pair` without its checks, for legs known to satisfy them: each leg
+    writes its component's cells through the leg's map into the sum."""
     real = realize_sum(source_table)
-    maps = []
-    for d in range(real.carrier.dim + 1):
-        row = []
-        for (k, w) in real.presentations(d):
-            row.append(components[k].maps[d][_disk_cell_index(source_table.upper[k], d, w)])
-        maps.append(tuple(row))
-    return GMap(source_table, components[0].target, tuple(maps))
-
-
-def _disk_cell_index(m, d, word):
-    """Index of the disk cell presented by a word D_d -> D_m."""
-    if d == m:
-        return 0
-    return 0 if word.kind == "s" else 1
+    maps = [[0] * n for n in real.carrier.cells]
+    for comp, leg in zip(components, real.legs):
+        for row, leg_row, comp_row in zip(maps, leg, comp.maps):
+            for cell, image in zip(leg_row, comp_row):
+                row[cell] = image
+    return GMap(source_table, components[0].target, tuple(map(tuple, maps)))
 
 
 def legs_pair_gmap(target_table, ks, source_table):

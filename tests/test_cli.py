@@ -468,6 +468,17 @@ def _mutate(rng, text):
     return " ".join(tokens)
 
 
+def test_stdlib_names_of_another_shape_are_not_structural(tmp_path, capsys):
+    """A script may call any generator `comp1_0` or `unit9`; the model verbs
+    take only the stdlib shapes as composition, unit and inverse."""
+    path = tmp_path / "t.tower"
+    for lift in ("lift comp1_0 : D1 -> D1 ; src = s1 ; tgt = t1",
+                 "lift unit9 : D1 -> D1 ; src = s1 ; tgt = s1"):
+        path.write_text("dim 3\n%s\n" % lift)
+        code, _, err = run(capsys, "pi", str(path), "--kg1", "Z2", "--n", "1")
+        assert code == 1 and "no composition generator at (1, 0)" in err, (lift, err)
+
+
 def test_fuzzed_near_misses(tmp_path, capsys):
     tower, _ = C.stdlib(3)
     good = dsl.emit_tower(tower)
@@ -564,10 +575,27 @@ def test_fuzzed_input_files_and_numeric_flags(tmp_path, capsys):
         lambda k: ["gpd-pi", gpath, "--n", k(), "--x", k()],
         lambda k: ["divide", path, "--kan", "Z2,2", "--n", k(), "--i", k(),
                    "--gamma", k(), "--u", k(), "--v", k()],
+        lambda k: ["stdlib", "--dim", k()],
+        lambda k: ["check", path, "--dim", k()],
+        lambda k: ["fundamental", gpath, "--dim", k()],
+        lambda k: ["normalize", path, "--term", "id", "--target", "D" + k()],
     ]
     for argv in flags:
         for _ in range(8):
             runs.append(argv(lambda: str(rng.choice(numbers))))
+    # a dimension above globe.MAX_DIM is refused before anything sized by it
+    # is allocated: as a truncation with exit 1, inside a table with exit 2
+    big = str(tmp_path / "big.tower")
+    with open(big, "w") as fh:
+        fh.write("dim 1000000000\n")
+    huge = str(10 ** 9)
+    for argv, want in ((["stdlib", "--dim", huge], 1), (["check", path, "--dim", huge], 1),
+                       (["fundamental", gpath, "--dim", huge], 1), (["check", big], 1),
+                       (["pi", big, "--kg1", "Z2", "--n", "1"], 1),
+                       (["normalize", path, "--term", "id", "--target", "D" + huge], 2),
+                       (["normalize", path, "--term", "s" + huge], 2)):
+        code, _, err = run(capsys, *argv)
+        assert code == want and "largest supported dimension 64" in err, (argv, code, err)
     failed = 0
     for argv in runs:
         code, out, err = run(capsys, *argv)

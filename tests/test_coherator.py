@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 
 import pytest
 
@@ -14,7 +15,7 @@ from globkit.coherator import (
     glob_source, glob_target, identity, legs_base, normalize, parallel,
     stdlib, term_to_raw, tuple_term, verify_bundle, wordt,
 )
-from globkit.globe import Table, disk
+from globkit.globe import MAX_DIM, Table, Word, disk, idword
 from globkit.theta0 import MatchingError
 
 
@@ -195,6 +196,9 @@ def test_declare_rejects_duplicates_and_inadmissible():
 
 
 def test_truncation_bound():
+    assert Tower(MAX_DIM).trunc == MAX_DIM
+    with pytest.raises(TermError, match="exceeds the largest supported dimension"):
+        Tower(MAX_DIM + 1)
     tower = Tower(2)
     with pytest.raises(TermError):
         # a level-1 lifting at dimension 3 exceeds the truncation
@@ -375,6 +379,52 @@ def test_bundle_case_formulas(std4):
         bad = dataclasses.replace(bundle, **{field: {**getattr(bundle, field), (2, 0): wrong}})
         with pytest.raises(TermError, match=wrong):
             verify_bundle(tower, bad)
+
+
+def regex_bundle(tower):
+    """The bundle the command line used to parse back out of generator names."""
+    comp, unit, inv = {}, {}, {}
+    for name in tower.names():
+        for pattern, table in ((r"^comp(\d+)_(\d+)$", comp), (r"^unit(\d+)$", unit),
+                               (r"^inv(\d+)_(\d+)$", inv)):
+            m = re.match(pattern, name)
+            if m:
+                key = tuple(int(g) for g in m.groups())
+                table[key if len(key) > 1 else key[0]] = name
+    return C.PregroupoidBundle(comp, unit, inv)
+
+
+def test_bundle_of_matches_name_parsing_and_stdlib_ranges():
+    for d in range(2, 9):
+        tower, bundle = stdlib(d)
+        listed = C.PregroupoidBundle(
+            comp={(i, j): C.comp_name(i, j) for i in range(1, d + 1) for j in range(i)},
+            unit={i: C.unit_name(i) for i in range(d)},
+            inv={(i, j): C.inv_name(i, j) for i in range(1, d + 1) for j in range(i)})
+        assert bundle == C.bundle_of(tower) == regex_bundle(tower) == listed, d
+    # a tower's bundle keeps only the names it declares with their stdlib shape
+    tower = Tower(3)
+    tower.declare(C.unit_name(1), identity(disk(1)), identity(disk(1)))
+    tower.declare(C.comp_name(1, 0), wordt("s", 0, 1), wordt("t", 0, 1))
+    tower.declare(C.unit_name(3), wordt("s", 0, 1), wordt("s", 0, 1))
+    assert C.bundle_of(tower) == C.PregroupoidBundle({}, {1: "unit1"}, {})
+
+
+def gmap_word(gm):
+    """The word of a disk-to-disk map, read off its top cell's image: the
+    reading `decompose` replaced on the coherator path."""
+    m, i = gm.source.upper[0], gm.target.upper[0]
+    if m == i:
+        return idword(m)
+    return Word(m, i, "s" if gm.maps[m][0] == 0 else "t")
+
+
+def test_decomposed_word_matches_gmap_word_oracle():
+    for i in range(9):
+        for j in range(i + 1):
+            for kind in "st":
+                gm = wordt(kind, j, i).gmap
+                assert theta0.decompose(gm) == (0, gmap_word(gm)), (kind, j, i)
 
 
 def test_stdlib_families_present(std3):

@@ -1,14 +1,23 @@
 """Words, tables, disks, and realized sums against brute-force oracles."""
 
+import ast
 import itertools
+import pathlib
 import random
 
 import pytest
 
+import globkit
 from globkit.globe import (
-    GlobeError, GlobularSet, Table, Word, all_tables, compose_words, disk,
-    disk_gset, idword, realize_sum, sword, tword,
+    MAX_DIM, GlobeError, GlobularSet, Table, Word, all_tables, compose_words, disk,
+    idword, realize_sum, sword, tword,
 )
+
+
+def disk_count(m, d):
+    """Cells of dimension d in the m-disk: a source and a target below m,
+    the disk itself at m, none above."""
+    return 2 if d < m else 1 if d == m else 0
 
 
 # --- oracle: the free category on s/t letters modulo the two relations ----
@@ -159,7 +168,7 @@ def oracle_realize(table):
     for k in range(width):
         m = table.upper[k]
         for d in range(m + 1):
-            for c in range(disk_gset(m).count(d)):
+            for c in range(disk_count(m, d)):
                 cells[(k, d, c)] = (k, d, c)
 
     def find(x):
@@ -176,7 +185,7 @@ def oracle_realize(table):
     for k, j in enumerate(table.lower):
         # identify the whole image of the j-disk under s-word / t-word
         for d in range(j + 1):
-            for c in range(disk_gset(j).count(d)):
+            for c in range(disk_count(j, d)):
                 # image of cell (d, c) of D_j inside D_m under a word map:
                 # below the top it is the same cell, the top goes to s/t
                 def img(m, kind):
@@ -188,7 +197,7 @@ def oracle_realize(table):
     counts = []
     for d in range(table.dimension + 1):
         reps = {find((k, d, c)) for k in range(width)
-                for c in range(disk_gset(table.upper[k]).count(d))}
+                for c in range(disk_count(table.upper[k], d))}
         counts.append(len(reps))
     return tuple(counts)
 
@@ -229,10 +238,8 @@ def test_cocone_compatibility():
     for table in all_tables(4, 3):
         real = realize_sum(table)
         for k, j in enumerate(table.lower):
-            gl, gr = disk_gset(table.upper[k]), disk_gset(table.upper[k + 1])
             for d in range(j + 1):
-                for c in range(disk_gset(j).count(d)):
-                    lc = c if d < j else (0 if j < table.upper[k] else 0)
+                for c in range(disk_count(j, d)):
                     # s-word image in the left disk / t-word image in the right
                     li = (d, c) if d < j else (j, 0)
                     ri = (d, c) if d < j else (j, 1)
@@ -241,11 +248,11 @@ def test_cocone_compatibility():
 
 def test_presentations():
     real = realize_sum(Table((1, 1), (0,)))
-    pres = real.presentations(0)
+    pres = real.owners[0]
     assert [(k, str(w)) for k, w in pres] == [(0, "s1"), (0, "t1"), (1, "s1")]
-    assert [(k, str(w)) for k, w in real.presentations(1)] == [(0, "id"), (1, "id")]
+    assert [(k, str(w)) for k, w in real.owners[1]] == [(0, "id"), (1, "id")]
     real22 = realize_sum(Table((2, 2), (1,)))
-    pres1 = real22.presentations(1)
+    pres1 = real22.owners[1]
     # the shared middle 1-cell is presented through the first leg
     assert [(k, str(w)) for k, w in pres1] == [(0, "s2"), (0, "t2"), (1, "s2")]
 
@@ -259,8 +266,95 @@ def test_glued_cells_lowest_leg_and_uniqueness():
                 m = table.upper[k]
                 if d > m:
                     continue
-                for c in range(disk_gset(m).count(d)):
+                for c in range(disk_count(m, d)):
                     hits.setdefault(real.legs[k][d][c], []).append(k)
             for cell, legs in hits.items():
-                k, w = real.presentation(d, cell)
+                k, w = real.owners[d][cell]
                 assert k == min(legs)
+
+
+# --- oracle: the union-find realization that `realize_sum` replaced --------
+
+def union_find_realize(table):
+    """(cells, src, tgt, legs, owners) of a table's sum, by a general
+    union-find over every cell of every disk; each class is numbered by, and
+    owned by, its least (leg, dimension, cell) member."""
+    parent = {(k, d, c): (k, d, c) for k, m in enumerate(table.upper)
+              for d in range(m + 1) for c in range(disk_count(m, d))}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+
+    for k, j in enumerate(table.lower):
+        for d in range(j):
+            for c in (0, 1):
+                union((k, d, c), (k + 1, d, c))
+        union((k, j, 0), (k + 1, j, 1))
+
+    top = table.dimension
+    index, counts, owners = {}, [], []
+    for d in range(top + 1):
+        reps = sorted({find((k, d, c)) for k, m in enumerate(table.upper)
+                       for c in range(disk_count(m, d))})
+        index.update({(d, r): i for i, r in enumerate(reps)})
+        counts.append(len(reps))
+        owners.append(tuple(
+            (k, idword(d) if d == table.upper[k] else Word(d, table.upper[k], "st"[c]))
+            for (k, _, c) in reps))
+
+    def cell_of(k, d, c):
+        return index[(d, find((k, d, c)))]
+
+    src, tgt = [()], [()]
+    for d in range(1, top + 1):
+        s_row, t_row = [None] * counts[d], [None] * counts[d]
+        for k, m in enumerate(table.upper):
+            for c in range(disk_count(m, d)):
+                i = cell_of(k, d, c)
+                for row, face in ((s_row, 0), (t_row, 1)):
+                    value = cell_of(k, d - 1, face)
+                    if row[i] not in (None, value):
+                        raise GlobeError("boundary not respected by gluing")
+                    row[i] = value
+        src.append(tuple(s_row))
+        tgt.append(tuple(t_row))
+    legs = tuple(tuple(tuple(cell_of(k, d, c) for c in range(disk_count(m, d)))
+                       for d in range(m + 1))
+                 for k, m in enumerate(table.upper))
+    return tuple(counts), tuple(src), tuple(tgt), legs, tuple(owners)
+
+
+def test_one_pass_realization_matches_union_find_oracle():
+    for table in all_tables(4, 4):
+        real = realize_sum(table)
+        got = (real.carrier.cells, real.carrier.src, real.carrier.tgt, real.legs,
+               real.owners)
+        assert got == union_find_realize(table), table
+
+
+def test_dimension_bound():
+    assert Table((MAX_DIM,), ()).dimension == MAX_DIM
+    for upper, lower in (((MAX_DIM + 1,), ()), ((1, 10 ** 9), (0,))):
+        with pytest.raises(GlobeError, match="exceeds the largest supported dimension"):
+            Table(upper, lower)
+
+
+def test_library_has_no_assert():
+    """Input checks raise the library's own errors; `python -O` would strip
+    an `assert`."""
+    def asserts(tree):
+        return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+    src = pathlib.Path(globkit.__file__).parent
+    found = {path.name: asserts(ast.parse(path.read_text(encoding="utf-8")))
+             for path in sorted(src.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert asserts(ast.parse("def f(x):\n    assert x\n")) == [2]

@@ -163,7 +163,7 @@ class ObjectImageOracle:
             real = realize_sum(t.src_table)
             out = []
             for o in range(real.carrier.count(0)):
-                k, w = real.presentation(0, o)
+                k, w = real.owners[0][o]
                 c = 0 if w.is_identity or w.kind == "s" else 1
                 out.append(self.term_objects(t.comps[k])[c])
             return tuple(out)

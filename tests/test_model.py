@@ -393,7 +393,7 @@ def oracle_gmap(model, gm, x):
     treal, sreal = realize_sum(gm.target), realize_sum(gm.source)
     out = []
     for k, m in enumerate(gm.source.upper):
-        slot, word = treal.presentation(m, gm.maps[m][sreal.legs[k][m][0]])
+        slot, word = treal.owners[m][gm.maps[m][sreal.legs[k][m][0]]]
         out.append(model.carrier.boundary(word, x[slot]))
     return tuple(out)
 

@@ -92,6 +92,30 @@ def test_globe_functor_is_one_map_per_word():
                 assert theta0.decompose(gm) == (0, w)
 
 
+def owner_paste(components, source_table):
+    """The pasting `paste` replaced: each carrier cell reads its owning leg's
+    component at the disk cell the owner's word presents."""
+    real = realize_sum(source_table)
+    maps = []
+    for d in range(real.carrier.dim + 1):
+        row = []
+        for k, w in real.owners[d]:
+            c = 0 if d == source_table.upper[k] or w.kind == "s" else 1
+            row.append(components[k].maps[d][c])
+        maps.append(tuple(row))
+    return theta0.GMap(source_table, components[0].target, tuple(maps))
+
+
+def test_paste_matches_owner_oracle():
+    tables = all_tables(2, 2)
+    for s in tables:
+        for t in tables:
+            for h in theta0.enumerate_homs(s, t):
+                comps = tuple(theta0.compose(h, theta0.leg_gmap(s, k))
+                              for k in range(s.width))
+                assert theta0.paste(comps, s) == owner_paste(comps, s) == h, (s, t)
+
+
 def test_pair_of_legs_is_identity_width_up_to_4():
     for table in all_tables(4, 3):
         legs = tuple(theta0.leg_gmap(table, k) for k in range(table.width))
