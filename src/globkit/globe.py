@@ -6,7 +6,8 @@ dimensions prescribes an iterated amalgamated sum of disks; `realize_sum`
 computes that colimit concretely, in one pass over the disks, as a finite
 globular set together with its cocone legs and, for each cell, the lowest leg
 that hits it and the word presenting it there.  No dimension exceeds
-`MAX_DIM`, so nothing sized by a dimension grows without bound.
+`MAX_DIM`, so nothing sized by a dimension grows without bound, and no
+strict model's carrier has more than `MAX_CELLS` cells.
 """
 
 from __future__ import annotations
@@ -18,6 +19,10 @@ from functools import lru_cache
 DEFAULT_TRUNC = 6
 # the largest dimension of a table or truncation of a tower
 MAX_DIM = 64
+# the most cells, over all dimensions, of a strict model's carrier; its
+# fiber products and tables grow with it: Discrete(25000) at truncation 3,
+# 10^5 cells, builds and checks in 1.5 s and 114 MB
+MAX_CELLS = 10 ** 6
 
 
 class GlobeError(Exception):

@@ -5,9 +5,12 @@ generator of the tower as a function from the fiber product over its target
 table to cells one dimension up.  The fiber products themselves realize the
 gluing condition, so the concrete layer acts by boundary words through the
 canonical presentations of the target's realization.  Each term is compiled
-once per model: a concrete map becomes, per source leg, an input slot and a
-table of its boundary word on the carrier; a tuple becomes its components'
-programs; a generator chain looks its generator's table up when it runs.
+once per model into a column program, which evaluates it on a whole fiber
+product at once: the product is read as one column per slot of its table, a
+concrete map gathers each source leg's column through its boundary word's
+table on the carrier, a tuple takes its components' columns, and a generator
+chain gathers its generator's table over the zipped columns of its tail.  A
+single input is a product of one row.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import partial
 from . import coherator as coh
 from . import groups
 from .coherator import BaseT, TupleT
-from .globe import GlobeError, GlobularSet, realize_sum
+from .globe import MAX_CELLS, GlobeError, GlobularSet, realize_sum
 
 
 class ModelError(Exception):
@@ -29,8 +32,7 @@ class FillerError(ModelError):
     """A generator cannot be interpreted by the requested filler policy."""
 
     def __init__(self, gen_name, witness, got=None, want=None):
-        self.gen_name = gen_name
-        self.witness = witness
+        self.gen_name, self.witness, self.got, self.want = gen_name, witness, got, want
         msg = "no degenerate filler for %r at input %s" % (gen_name, (witness,))
         if got is not None:
             msg += ": boundary sides evaluate to %s vs %s" % (got, want)
@@ -65,6 +67,11 @@ class Model:
             combos = self._fibers[table] = self.carrier.fiber_product(table)
         return combos
 
+    def columns(self, table):
+        """The fiber product over a table as one column per slot of the
+        table, built anew on each call."""
+        return tuple(zip(*self.cells(table))) or ((),) * len(table.upper)
+
     def _word_table(self, word):
         """The word applied to every carrier cell of its top dimension, or
         None for an identity word."""
@@ -87,12 +94,14 @@ class Model:
     def program(self, term):
         """The term compiled against this carrier, compiled once per model.
 
-        A program is called as `program(x, get)`: `x` is an element of the
-        fiber product over the term's target, `get` is `interp_for`, and the
-        result is a tuple indexed by the term's source table.  Generator
-        tables are fetched through `get` on every call, never at compile
-        time, so an interpretation overwritten or filled later is the one
-        used.
+        A program is called as `program(cols, get)`: `cols` holds one
+        column per slot of the term's target table, row i of the columns
+        being an element of its fiber product (`columns`, or one row for a
+        single element); `get` is `interp_for`.  The result holds one column
+        per slot of the term's source table, row for row.  Generator tables
+        are fetched through `get` on every call, never at compile time, so
+        an interpretation overwritten or filled later is the one used.  A
+        row that a generator's table lacks raises `KeyError` with that row.
         """
         prog = self._programs.get(term)
         if prog is None:
@@ -102,18 +111,15 @@ class Model:
     def _compile(self, term):
         if isinstance(term, BaseT):
             plan = self._plan(term.gmap)
-            if len(plan) == 1:  # disk-sourced, the common case: no loop
-                ((k, table),) = plan
-                if table is None:
-                    return lambda x, get: (x[k],)
-                return lambda x, get: (table[x[k]],)
-            return lambda x, get: tuple([x[k] if table is None else table[x[k]]
-                                         for k, table in plan])
+            return lambda cols, get: tuple([
+                cols[k] if table is None else tuple(map(table.__getitem__, cols[k]))
+                for k, table in plan])
         if isinstance(term, TupleT):
             comps = tuple(self._compile(c) for c in term.comps)
-            return lambda x, get: tuple([comp(x, get)[0] for comp in comps])
+            return lambda cols, get: tuple([comp(cols, get)[0] for comp in comps])
         gen, tail, arg = term.gen, self._compile(term.tail), self._compile(term.arg)
-        return lambda x, get: arg((get(gen)[tail(x, get)],), get)
+        return lambda cols, get: arg(
+            (tuple(map(get(gen).__getitem__, zip(*tail(cols, get)))),), get)
 
     def _plan(self, gm):
         """Per leg of the source: (input slot, word table) of its top cell's
@@ -132,25 +138,38 @@ class Model:
         Returns a tuple indexed by the term's source table; use `eval1` for
         disk-sourced terms.
         """
-        return self.program(term)(tuple(x), self.interp_for)
+        return tuple(col[0] for col in self.program(term)(_row(x), self.interp_for))
 
     def eval1(self, term, x):
         (out,) = self.eval(term, x)
         return out
 
     def check(self):
-        """Verify the two boundary equations of each generator on every input."""
+        """Verify the two boundary equations of each generator on every input.
+
+        Each generator is checked column-wise first; one that fails is
+        checked again element by element, in the fiber product's order, for
+        the report."""
         report = []
         get = self.interp_for
         for gen in self.tower.gens():
             table = get(gen)
             fsrc, gtgt = self.program(gen.fsrc), self.program(gen.gtgt)
             src, tgt = self.carrier.src[gen.dim], self.carrier.tgt[gen.dim]
-            for x in self.cells(gen.target):
+            cells = self.cells(gen.target)
+            try:
+                cols = self.columns(gen.target)
+                vals = tuple(map(table.__getitem__, cells))
+                if fsrc(cols, get)[0] == tuple(map(src.__getitem__, vals)) and \
+                        gtgt(cols, get)[0] == tuple(map(tgt.__getitem__, vals)):
+                    continue
+            except KeyError:
+                pass
+            for x in cells:
                 v = table[x]
                 try:
-                    (want_s,) = fsrc(x, get)
-                    (want_t,) = gtgt(x, get)
+                    ((want_s,),) = fsrc(_row(x), get)
+                    ((want_t,),) = gtgt(_row(x), get)
                 except KeyError as e:
                     # an interpretation sent a sub-term outside the fiber
                     # product of the generator applied to it
@@ -165,22 +184,50 @@ class Model:
         return report
 
 
+def _row(x):
+    """A single fiber element as columns of one row."""
+    return tuple((c,) for c in x)
+
+
 def unit_filler(model, gen):
-    """Fill a generator degenerately when its two boundary sides agree."""
+    """Fill a generator degenerately when its two boundary sides agree; the
+    error names the first input, in the fiber product's order, where they
+    do not."""
     get = model.interp_for
     fsrc, gtgt = model.program(gen.fsrc), model.program(gen.gtgt)
-    out = {}
-    for x in model.cells(gen.target):
-        (a,) = fsrc(x, get)
-        (b,) = gtgt(x, get)
-        if a != b:
-            raise FillerError(gen.name, x, a, b)
-        out[x] = model.units[gen.dim - 1][a]
-    return out
+    cells = model.cells(gen.target)
+    try:
+        cols = model.columns(gen.target)
+        (a,), (b,) = fsrc(cols, get), gtgt(cols, get)
+    except KeyError:   # raised again below, at the first input that needs it
+        a = b = None
+    if a is None or a != b:
+        for x in cells:
+            ((a,),), ((b,),) = fsrc(_row(x), get), gtgt(_row(x), get)
+            if a != b:
+                raise FillerError(gen.name, x, a, b)
+    return dict(zip(cells, map(model.units[gen.dim - 1].__getitem__, a)))
 
 
 # ---------------------------------------------------------------------------
 # Builtin strict models
+
+class _Rows:
+    """A read-only sequence of n rows, each made from its index when read, so
+    a spec sized by a count allocates nothing before `strict_carrier` has
+    checked the size of its carrier."""
+
+    def __init__(self, n, row):
+        self.n, self.row = n, row
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        return self.row(i)
+
 
 class _Copies:
     """k disjoint copies of the one-object groupoid of a group, read through
@@ -188,9 +235,9 @@ class _Copies:
 
     def __init__(self, k, group):
         n, self.group = group.order, group
-        self.src = self.tgt = tuple(f // n for f in range(k * n))
-        self.ident = tuple(x * n for x in range(k))
-        self.inv = tuple(f - f % n + group.inv(f % n) for f in range(k * n))
+        self.src = self.tgt = _Rows(k * n, lambda f: f // n)
+        self.ident = range(0, k * n, n)
+        self.inv = _Rows(k * n, lambda f: f - f % n + group.inv(f % n))
 
     def compose(self, g, f):
         """g after f."""
@@ -248,9 +295,9 @@ class StrictSpec:
 def product_spec(arrows, group, m, label):
     """The product of a groupoid with K(group, m): trivial boundary and
     action."""
-    n = group.order
-    return StrictSpec(arrows, group, m, tuple((e,) * n for e in arrows.ident),
-                      (tuple(range(n)),) * len(arrows.src), label)
+    n, row = group.order, tuple(range(group.order))
+    return StrictSpec(arrows, group, m, _Rows(len(arrows.ident), lambda x: (arrows.ident[x],) * n),
+                      _Rows(len(arrows.src), lambda f: row), label)
 
 
 def Discrete(points):
@@ -282,10 +329,16 @@ def XMod(xm):
 
 def strict_carrier(spec, trunc):
     """The carrier of a strict spec truncated at `trunc`, and its units:
-    units[d][c] is the identity (d+1)-cell on the d-cell c."""
+    units[d][c] is the identity (d+1)-cell on the d-cell c.  A carrier of
+    more than `MAX_CELLS` cells is refused before any of it is built."""
     X, na = spec.arrows, spec.fiber.order
     top = max(spec.m, 1)   # the lowest dimension of the pairs
     n_arr = len(X.src)
+    counts = (len(X.ident),) + tuple(n_arr * na if d >= top else n_arr
+                                     for d in range(1, trunc + 1))
+    if sum(counts) > MAX_CELLS:
+        raise ModelError("a %s model truncated at %d has %d cells, more than the %d "
+                         "supported" % (spec.label, trunc, sum(counts), MAX_CELLS))
     src, tgt = [()], [()]
     for d in range(1, trunc + 1):
         if d == top:
@@ -298,7 +351,6 @@ def strict_carrier(spec, trunc):
             s, t = tuple(X.src[f] for f in s), tuple(X.tgt[f] for f in t)
         src.append(s)
         tgt.append(t)
-    counts = (len(X.ident),) + tuple(map(len, src[1:]))
     units = tuple(tuple((X.ident[c] if d == 0 else c) * (na if d + 1 == top else 1)
                         for c in range(counts[d])) for d in range(trunc))
     return GlobularSet(counts, tuple(src), tuple(tgt)), units
@@ -344,8 +396,8 @@ def restrict(model, functor):
         img = functor.assignment.get(gen.name)
         if img is None:
             img = functor.translate(coh.gen_term(gen))
-        prog, get = model.program(img), model.interp_for
-        return {x: prog(x, get)[0] for x in m.cells(gen.target)}
+        out = model.program(img)(m.columns(gen.target), model.interp_for)[0]
+        return dict(zip(m.cells(gen.target), out))
 
     out = Model(functor.source, model.carrier, {}, filler, model.units,
                 model.label + "|restricted")

@@ -127,6 +127,9 @@ def test_model_check_verb(tmp_path, capsys):
     run(capsys, "stdlib", "--dim", "3", "--out", path)
     code, out, _ = run(capsys, "model-check", path, "--kg1", "Z3")
     assert code == 0 and "clean" in out
+    # every fiber product of Discrete(0) is empty
+    assert run(capsys, "model-check", path, "--discrete", "0") == \
+        (0, "model checks clean (28 generators)\n", "")
 
 
 def test_model_file_and_xmod_flags(tmp_path, capsys):
@@ -344,7 +347,13 @@ def test_out_of_range_numeric_flags_exit_1(tmp_path, capsys):
             (["pi", path, "--kg1", "Z2", "--n", "0", "--base", "9"],
              "base object 9 is not one of the 1 0-cells"),
             (["gpd-pi", gpath, "--n", "0", "--x", "5"], "object 5 out of range"),
-            (["pi", path, "--kan", "Z2,4", "--n", "1"], "K(A, 4) needs n <= the truncation 3")):
+            (["pi", path, "--discrete", "0", "--n", "0"],
+             "base object 0 is not one of the 0 0-cells"),
+            (["pi", path, "--kan", "Z2,4", "--n", "1"], "K(A, 4) needs n <= the truncation 3"),
+            # a carrier above globe.MAX_CELLS is refused before it is built
+            (["pi", path, "--discrete", "1000000000", "--n", "1"],
+             "a Discrete model truncated at 3 has 4000000000 cells, more than the 1000000 "
+             "supported")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and words in err, (argv, err)
     code, _, err = run(capsys, "pi", path, "--kan", "Z3", "--n", "2")
@@ -564,14 +573,11 @@ def test_fuzzed_input_files_and_numeric_flags(tmp_path, capsys):
     gpath = str(tmp_path / "g.json")
     with open(gpath, "w") as fh:
         json.dump(P.groupoid_to_json(P.one_object(G.cyclic(3))), fh)
-    # --discrete is the carrier's size and nothing bounds it yet: 10^9 points
-    # would be allocated per dimension (ROADMAP item 6), so it stays below
     numbers = [-1, 0, 1, 2, 7, 10 ** 9]
     flags = [
         lambda k: ["pi", path, "--kg1", "Z2", "--n", k(), "--base", k()],
         lambda k: ["pi", path, "--kan", "Z2,%s" % k(), "--n", k()],
-        lambda k: ["pi", path, "--discrete", str(rng.choice(numbers[:-1])), "--n", k(),
-                   "--base", k()],
+        lambda k: ["pi", path, "--discrete", k(), "--n", k(), "--base", k()],
         lambda k: ["gpd-pi", gpath, "--n", k(), "--x", k()],
         lambda k: ["divide", path, "--kan", "Z2,2", "--n", k(), "--i", k(),
                    "--gamma", k(), "--u", k(), "--v", k()],

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import random
+import types
 
 import pytest
 
@@ -11,7 +12,8 @@ from globkit import gpd
 from globkit import groups as G
 from globkit import model as M
 from globkit import rewrite as R
-from globkit.globe import GlobeError, GlobularSet, Table, all_tables, disk, realize_sum
+from globkit.globe import (
+    MAX_CELLS, GlobeError, GlobularSet, Table, all_tables, disk, realize_sum)
 from globkit.model import Discrete, FillerError, KAn, KG1, XMod
 
 
@@ -298,6 +300,24 @@ def test_strict_specs_against_the_old_builders():
         Discrete(-1)
 
 
+def test_strict_carriers_are_bounded_before_they_are_built(std3):
+    tower, bundle = std3
+    carrier, units = M.strict_carrier(Discrete(MAX_CELLS), 0)
+    assert carrier.cells == (MAX_CELLS,) and units == ()
+    with pytest.raises(M.ModelError, match="has %d cells, more than the %d supported"
+                       % (MAX_CELLS + 1, MAX_CELLS)):
+        M.strict_carrier(Discrete(MAX_CELLS + 1), 0)
+    with pytest.raises(M.ModelError, match="truncated at 3 has 4000000000 cells"):
+        M.build_strict(Discrete(10 ** 9), tower, bundle)
+    # the fundamental model's carrier goes through the same check; a stand-in
+    # for a groupoid too large to build is read only through its sizes
+    n = MAX_CELLS
+    huge = types.SimpleNamespace(n_objects=n, n_arrows=n, src=range(n), tgt=range(n),
+                                 ident=range(n))
+    with pytest.raises(M.ModelError, match="has %d cells" % (n * 4)):
+        gpd.fundamental(huge, tower)
+
+
 def test_check_model_detects_bad_inverse(std3):
     tower, bundle = std3
     model = M.build_strict(KG1(G.cyclic(3)), tower, bundle)
@@ -307,6 +327,7 @@ def test_check_model_detects_bad_inverse(std3):
     bad = model.check()
     assert bad
     assert any(v[0] in ("rinv1", "linv1") for v in bad)
+    assert bad == oracle_check(model)
 
 
 def test_build_strict_succeeds_on_s3_with_unit_fillers(std3):
@@ -341,7 +362,7 @@ def test_crossed_module_has_genuine_two_cells(std3):
     assert model.check() == []
 
 
-def test_filler_failure_names_generator_and_witness():
+def test_filler_failure_names_generator_and_witness(monkeypatch):
     # a lifting of (s2, t2) asks for a section of the boundary map; on a
     # crossed module with nontrivial boundary no degenerate filler exists
     tower, bundle = C.stdlib(3)
@@ -351,6 +372,12 @@ def test_filler_failure_names_generator_and_witness():
         M.build_strict(XMod(xm), tower, bundle)
     assert exc.value.gen_name == "sect"
     assert exc.value.witness is not None
+    # the same first failing input and sides as one input at a time
+    with monkeypatch.context() as mp:
+        mp.setattr(M, "unit_filler", per_element_unit_filler)
+        want = outcome_of(lambda: M.build_strict(XMod(xm), tower, bundle))
+    assert outcome_of(lambda: M.build_strict(XMod(xm), tower, bundle)) == want
+    assert want[:5] == ("FillerError", "sect", exc.value.witness, exc.value.got, exc.value.want)
     # on a strict one-object model the same pair fills degenerately
     assert M.build_strict(KG1(G.cyclic(3)), tower, bundle).check() == []
 
@@ -416,12 +443,72 @@ def oracle_check(model):
         fsrc, gtgt = C.term_to_raw(gen.fsrc), C.term_to_raw(gen.gtgt)
         for x in model.cells(gen.target):
             v = model.interp_for(gen)[x]
-            for side, raw, got in (("src", fsrc, model.carrier.source(gen.dim, v)),
-                                   ("tgt", gtgt, model.carrier.target(gen.dim, v))):
-                (want,) = oracle_eval(model, raw, x)
+            try:
+                wants = [oracle_eval(model, raw, x)[0] for raw in (fsrc, gtgt)]
+            except KeyError as e:
+                report.append((gen.name, x, "boundary",
+                               "a sub-term inside a fiber product", e.args[0]))
+                continue
+            for side, want, got in zip(("src", "tgt"), wants,
+                                       (model.carrier.source(gen.dim, v),
+                                        model.carrier.target(gen.dim, v))):
                 if got != want:
                     report.append((gen.name, x, side, want, got))
     return report
+
+
+def per_element_program(model, term):
+    """The closure compiler that `Model.program` replaced, as its
+    differential oracle: `prog(x, get)` evaluates the term on one fiber
+    element and returns a tuple indexed by the term's source table."""
+    if isinstance(term, C.BaseT):
+        plan = model._plan(term.gmap)
+        return lambda x, get: tuple([x[k] if table is None else table[x[k]]
+                                     for k, table in plan])
+    if isinstance(term, C.TupleT):
+        comps = tuple(per_element_program(model, c) for c in term.comps)
+        return lambda x, get: tuple([comp(x, get)[0] for comp in comps])
+    gen = term.gen
+    tail, arg = per_element_program(model, term.tail), per_element_program(model, term.arg)
+    return lambda x, get: arg((get(gen)[tail(x, get)],), get)
+
+
+def per_element_unit_filler(model, gen):
+    """`unit_filler` with the per-element programs, one input at a time."""
+    get = model.interp_for
+    fsrc, gtgt = per_element_program(model, gen.fsrc), per_element_program(model, gen.gtgt)
+    out = {}
+    for x in model.cells(gen.target):
+        (a,) = fsrc(x, get)
+        (b,) = gtgt(x, get)
+        if a != b:
+            raise FillerError(gen.name, x, a, b)
+        out[x] = model.units[gen.dim - 1][a]
+    return out
+
+
+def column_rows(model, term, table):
+    """The column program of a term run over a whole fiber product, read
+    back row by row."""
+    cols = model.program(term)(model.columns(table), model.interp_for)
+    assert all(len(col) == len(model.cells(table)) for col in cols)
+    return list(zip(*cols))
+
+
+def assert_columns_match_per_element(model, term, table):
+    prog, get = per_element_program(model, term), model.interp_for
+    assert column_rows(model, term, table) == [prog(x, get) for x in model.cells(table)], \
+        (model.label, term)
+
+
+def outcome_of(fill):
+    """What a filler returns, or the error it raises, as comparable data."""
+    try:
+        return fill()
+    except FillerError as e:
+        return ("FillerError", e.gen_name, e.witness, e.got, e.want, str(e))
+    except KeyError as e:
+        return ("KeyError", e.args)
 
 
 def test_eval_matches_raw_oracle_on_random_terms(std3):
@@ -435,6 +522,7 @@ def test_eval_matches_raw_oracle_on_random_terms(std3):
             nf = C.normalize(raw)
             for x in model.cells(nf.target):
                 assert oracle_eval(model, raw, x) == model.eval(nf, x)
+            assert_columns_match_per_element(model, nf, nf.target)
 
 
 def test_compiled_boundaries_match_raw_oracle(std4, strict_models):
@@ -452,6 +540,32 @@ def test_compiled_boundaries_match_raw_oracle(std4, strict_models):
                 for x in model.cells(gen.target):
                     assert model.eval(term, x) == oracle_eval(model, raw, x), \
                         (model.label, gen.name, x)
+
+
+def test_column_programs_match_per_element_programs(std4, strict_models):
+    """Every generator's two boundary programs, run over its whole fiber
+    product, against the per-element programs they replaced, on the models
+    of the raw-oracle test above."""
+    tower, _ = std4
+    models = list(strict_models)
+    models.append(gpd.fundamental(gpd.connected_groupoid(2, G.cyclic(2)), tower))
+    models.append(M.restrict(strict_models[0], C.tower_functor(tower, {}, tower)))
+    for model in models:
+        for gen in tower.gens():
+            for term in (gen.fsrc, gen.gtgt):
+                assert_columns_match_per_element(model, term, gen.target)
+
+
+def test_empty_fiber_products(std3):
+    tower, bundle = std3
+    model = M.build_strict(Discrete(0), tower, bundle)
+    assert model.check() == []
+    for gen in tower.gens():
+        assert model.interp_for(gen) == {}
+        assert model.columns(gen.target) == ((),) * len(gen.target.upper)
+        for term in (gen.fsrc, gen.gtgt):
+            assert model.program(term)(model.columns(gen.target), model.interp_for) == ((),)
+    assert M.restrict(model, C.tower_functor(tower, {}, tower)).check() == []
 
 
 def test_check_sees_interpretation_overwritten_after_compiling(std3):
@@ -484,6 +598,15 @@ def test_check_reports_terms_that_leave_the_fiber_product(std3):
     assert outside
     assert outside == {(gen.name, x) for gen in tower.gens()
                        for x in model.cells(gen.target) if leaves(gen, x)}
+    assert bad == oracle_check(model)
+    # pent1's first failing input leaves a fiber product and a later one only
+    # mismatches: the report keeps the fiber product's order
+    pent = [v[2] for v in bad if v[0] == "pent1"]
+    assert pent[0] == "boundary" and {"src", "tgt"} & set(pent)
+    # the fillers see the same first failure, input for input
+    for gen in tower.gens():
+        assert outcome_of(lambda: M.unit_filler(model, gen)) == \
+            outcome_of(lambda: per_element_unit_filler(model, gen)), gen.name
 
 
 def test_model_json_round_trip(std3):
