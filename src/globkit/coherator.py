@@ -167,7 +167,7 @@ def tuple_term(comps, src_table):
         if left != right:
             raise MatchingError(k, j)
     if all(isinstance(c, BaseT) for c in comps):
-        return BaseT(theta0.paste(tuple(c.gmap for c in comps), src_table))
+        return BaseT(theta0.pair(tuple(c.gmap for c in comps), src_table))
     return TupleT(src_table, comps)
 
 
@@ -181,8 +181,7 @@ def compose(t2, t1):
         return tuple_term([compose(t2, c) for c in t1.comps], t1.src_table)
     if isinstance(t1, BaseT):
         if t1.source.width > 1:
-            comps = [compose(t2, BaseT(theta0.compose(t1.gmap, theta0.leg_gmap(t1.source, k))))
-                     for k in range(t1.source.width)]
+            comps = [compose(t2, BaseT(t1.gmap.leg(k))) for k in range(t1.source.width)]
             return tuple_term(comps, t1.source)
         if isinstance(t2, TupleT):
             k, w = theta0.decompose(t1.gmap)

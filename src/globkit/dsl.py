@@ -365,8 +365,7 @@ def _gmap_parts(gm):
         if not w.is_identity:
             parts.extend(str(w).split(" * "))
         return parts
-    comps = [coh.BaseT(theta0.compose(gm, theta0.leg_gmap(gm.source, k)))
-             for k in range(gm.source.width)]
+    comps = [coh.BaseT(gm.leg(k)) for k in range(gm.source.width)]
     return [_tuple_str(comps, gm.source)]
 
 

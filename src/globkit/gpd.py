@@ -484,7 +484,7 @@ class TowerGpdInterp:
 def _zero_face(term, kind):
     """The 0-cell that the s or t 0-face of a disk-sourced term hits."""
     face = coh.compose(term, coh.wordt(kind, 0, term.source.upper[0]))
-    return face.gmap.maps[0][0]
+    return face.gmap.cells[0]
 
 
 def fundamental(X, tower, interp=None):

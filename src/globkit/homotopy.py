@@ -358,6 +358,7 @@ def base_change_iso(model, bundle, n, u):
     tower = model.tower
     if n < 1:
         raise HomotopyError("base change needs n >= 1")
+    _check_cell(model, n - 1, u, "u")
     pg = pi_groupoid(model, bundle, n)
     grp_u, elems_u = pi_n_at(pg, n, u)
     if n == 1:
@@ -465,10 +466,9 @@ def weak_equiv(morph, bundle):
 
     # (3) the dimension-1 quotient is an equivalence, higher classes biject
     def pi1_equivalence(full_only=False):
-        ess = all(
-            any(homotopic(H, 0, morph.apply(0, x), y) for x in range(G.carrier.count(0)))
-            for y in range(H.carrier.count(0)))
-        if not ess:
+        b_of = cls_H[0][0]
+        hit = {b_of[morph.apply(0, x)] for x in range(G.carrier.count(0))}
+        if any(b_of[y] not in hit for y in range(H.carrier.count(0))):
             return False
         for u in range(G.carrier.count(0)):
             for v in range(G.carrier.count(0)):

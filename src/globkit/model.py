@@ -124,11 +124,10 @@ class Model:
     def _plan(self, gm):
         """Per leg of the source: (input slot, word table) of its top cell's
         image, through the owner the target's realization records for it."""
-        treal = realize_sum(gm.target)
-        sreal = realize_sum(gm.source)
+        owners = realize_sum(gm.target).owners
         plan = []
-        for k, m in enumerate(gm.source.upper):
-            slot, word = treal.owners[m][gm.maps[m][sreal.legs[k][m][0]]]
+        for m, c in zip(gm.source.upper, gm.cells):
+            slot, word = owners[m][c]
             plan.append((slot, self._word_table(word)))
         return tuple(plan)
 

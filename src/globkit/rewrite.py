@@ -80,9 +80,7 @@ def _pair_redex(x, y):
             rest = Word(w.src, gen.dim - 1, w.kind)
             return _spine(term_to_raw(gen.fsrc)) + [RBase(theta0.globe_functor(rest))]
     if isinstance(y, RBase) and y.source.width > 1 and not isinstance(x, RBase):
-        comps = tuple(
-            RComp(x, RBase(theta0.compose(y.gmap, theta0.leg_gmap(y.source, k))))
-            for k in range(y.source.width))
+        comps = tuple(RComp(x, RBase(y.gmap.leg(k))) for k in range(y.source.width))
         return [RTuple(y.source, comps)]
     return None
 

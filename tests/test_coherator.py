@@ -17,6 +17,7 @@ from globkit.coherator import (
 )
 from globkit.globe import MAX_DIM, Table, Word, disk, idword
 from globkit.theta0 import MatchingError
+from test_theta0 import level_map
 
 
 def test_normalize_projection_law(std3):
@@ -416,7 +417,7 @@ def gmap_word(gm):
     m, i = gm.source.upper[0], gm.target.upper[0]
     if m == i:
         return idword(m)
-    return Word(m, i, "s" if gm.maps[m][0] == 0 else "t")
+    return Word(m, i, "s" if level_map(gm).maps[m][0] == 0 else "t")
 
 
 def test_decomposed_word_matches_gmap_word_oracle():

@@ -358,3 +358,31 @@ def test_library_has_no_assert():
              for path in sorted(src.glob("*.py"))}
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert asserts(ast.parse("def f(x):\n    assert x\n")) == [2]
+
+
+# The library's process-global caches.  Each is unbounded and lives as long
+# as the process, so adding one is a decision recorded here.
+GLOBAL_CACHES = {
+    "globe.disk", "globe.realize_sum",
+    "theta0.compose", "theta0.enumerate_homs", "theta0.globe_functor",
+    "theta0.identity_gmap", "theta0.leg_gmap",
+}
+
+
+def test_library_caches_are_the_allowlist():
+    def cached(tree):
+        def is_cache(node):
+            node = node.func if isinstance(node, ast.Call) else node
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            return name in ("lru_cache", "cache")
+        return sorted(node.name for node in ast.walk(tree)
+                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and any(map(is_cache, node.decorator_list)))
+
+    src = pathlib.Path(globkit.__file__).parent
+    found = {"%s.%s" % (path.stem, name) for path in sorted(src.glob("*.py"))
+             for name in cached(ast.parse(path.read_text(encoding="utf-8")))}
+    assert found == GLOBAL_CACHES and len(found) == 7
+    assert cached(ast.parse("import functools\n@functools.lru_cache(maxsize=None)\n"
+                            "def f(): pass\n@cache\ndef g(): pass\n"
+                            "@property\ndef h(): pass\n")) == ["f", "g"]

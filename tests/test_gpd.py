@@ -14,6 +14,7 @@ from globkit import groups as G
 from globkit import homotopy as H
 from globkit import model as M
 from globkit.globe import Table, all_tables, realize_sum
+from test_theta0 import level_map
 
 
 @pytest.fixture(scope="module")
@@ -157,8 +158,7 @@ class ObjectImageOracle:
 
     def term_objects(self, t):
         if isinstance(t, C.BaseT):
-            gm = t.gmap
-            return tuple(gm.maps[0][o] for o in range(realize_sum(gm.source).carrier.count(0)))
+            return level_map(t.gmap).maps[0]
         if isinstance(t, C.TupleT):
             real = realize_sum(t.src_table)
             out = []

@@ -334,6 +334,14 @@ def test_base_change_cases(std4):
     assert iso == {i: i for i in range(g1.order)}
 
 
+def test_base_change_refuses_an_out_of_range_u(std4):
+    tower, bundle = std4
+    m = M.build_strict(KAn(G.cyclic(2), 2), tower, bundle)
+    for u in (-1, m.carrier.count(1), 5):
+        with pytest.raises(H.HomotopyError, match="u %d is not one of the" % u):
+            H.base_change_iso(m, bundle, 2, u)
+
+
 def test_one_arrow_transport(std4):
     tower, bundle = std4
     # every 1-cell of the builtin models transports pi_n along base change

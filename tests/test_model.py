@@ -15,6 +15,7 @@ from globkit import rewrite as R
 from globkit.globe import (
     MAX_CELLS, GlobeError, GlobularSet, Table, all_tables, disk, realize_sum)
 from globkit.model import Discrete, FillerError, KAn, KG1, XMod
+from test_theta0 import level_map
 
 
 @pytest.fixture(scope="module")
@@ -417,10 +418,10 @@ def test_fiber_product_counts_against_hom_oracle(std3):
 def oracle_gmap(model, gm, x):
     """A concrete map on a fiber element, read off the target's canonical
     presentations and walked with the carrier's own boundary maps."""
-    treal, sreal = realize_sum(gm.target), realize_sum(gm.source)
+    treal, sreal, maps = realize_sum(gm.target), realize_sum(gm.source), level_map(gm).maps
     out = []
     for k, m in enumerate(gm.source.upper):
-        slot, word = treal.owners[m][gm.maps[m][sreal.legs[k][m][0]]]
+        slot, word = treal.owners[m][maps[m][sreal.legs[k][m][0]]]
         out.append(model.carrier.boundary(word, x[slot]))
     return tuple(out)
 

@@ -1,15 +1,115 @@
-"""Concrete maps of realized sums: composition, pairing, decomposition."""
+"""Concrete maps of realized sums: composition, pairing, decomposition.
 
+`LevelMap` is the representation `GMap` replaced, kept as the differential
+oracle: a cell map for every dimension of the source's realized sum,
+validated cell by cell, with cellwise composition and pasting through the
+owners.  `level_map(gm)` builds it from the cells a `GMap` picks, through the
+old Yoneda maps and the old pairing check; the other test modules read a
+map's lower cells through it.
+"""
+
+import functools
 import itertools
 import random
+from dataclasses import dataclass
 
 import pytest
 
 from globkit import theta0
 from globkit.globe import (
-    GlobeError, Table, Word, all_tables, disk, realize_sum, sword, tword,
+    GlobeError, Table, Word, all_tables, disk, disk_cell_word, realize_sum, sword, tword,
 )
 from globkit.theta0 import MatchingError
+
+
+@dataclass(frozen=True)
+class LevelMap:
+    """A map of realized sums, given cell-wise per dimension."""
+
+    source: Table
+    target: Table
+    maps: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        sc = realize_sum(self.source).carrier
+        tc = realize_sum(self.target).carrier
+        if len(self.maps) != sc.dim + 1:
+            raise GlobeError("map has rows for %d dimensions, %s has %d"
+                             % (len(self.maps), self.source, sc.dim + 1))
+        for d in range(sc.dim + 1):
+            if len(self.maps[d]) != sc.count(d):
+                raise GlobeError("map has %d entries at dim %d" % (len(self.maps[d]), d))
+            for v in self.maps[d]:
+                if not 0 <= v < tc.count(d):
+                    raise GlobeError("map sends a %d-cell to %r" % (d, v))
+        for d in range(1, sc.dim + 1):
+            for c in range(sc.count(d)):
+                if tc.source(d, self.maps[d][c]) != self.maps[d - 1][sc.source(d, c)]:
+                    raise GlobeError("map does not commute with src at dim %d" % d)
+                if tc.target(d, self.maps[d][c]) != self.maps[d - 1][sc.target(d, c)]:
+                    raise GlobeError("map does not commute with tgt at dim %d" % d)
+
+
+def level_compose(g, f):
+    """g after f, cell by cell, through the validating constructor."""
+    maps = tuple(tuple(g.maps[d][c] for c in f.maps[d]) for d in range(len(f.maps)))
+    return LevelMap(f.source, g.target, maps)
+
+
+@functools.cache
+def level_cell(table, m, cell):
+    """The map D_m -> sum picking a given m-cell of the carrier (Yoneda)."""
+    carrier = realize_sum(table).carrier
+    maps = tuple(
+        tuple(carrier.boundary(disk_cell_word(m, d, c), cell)
+              for c in range(2 if d < m else 1))
+        for d in range(m + 1))
+    return LevelMap(disk(m), table, maps)
+
+
+def level_word(word):
+    """The map of representables induced by a globe-category word."""
+    return level_cell(disk(word.tgt), word.src,
+                      realize_sum(disk(word.tgt)).carrier.boundary(word, 0))
+
+
+def owner_paste(components, source_table):
+    """Each carrier cell reads its owning leg's component at the disk cell
+    the owner's word presents."""
+    real = realize_sum(source_table)
+    maps = []
+    for d in range(real.carrier.dim + 1):
+        row = []
+        for k, w in real.owners[d]:
+            c = 0 if d == source_table.upper[k] or w.kind == "s" else 1
+            row.append(components[k].maps[d][c])
+        maps.append(tuple(row))
+    return LevelMap(source_table, components[0].target, tuple(maps))
+
+
+def level_pair(components, source_table):
+    """The old `pair`: each gluing checked by composing both components
+    with their face words, a failure naming the lowest differing dimension;
+    then the owner paste."""
+    for k, j in enumerate(source_table.lower):
+        left = level_compose(components[k], level_word(sword(j, source_table.upper[k])))
+        right = level_compose(components[k + 1], level_word(tword(j, source_table.upper[k + 1])))
+        if left != right:
+            raise MatchingError(k, next(d for d in range(j + 1)
+                                        if left.maps[d] != right.maps[d]))
+    return owner_paste(components, source_table)
+
+
+def level_cells(source_table, target_table, cells):
+    """The per-dimension map out of a sum picking the given cells."""
+    return level_pair(tuple(level_cell(target_table, m, c)
+                            for m, c in zip(source_table.upper, cells)), source_table)
+
+
+@functools.cache
+def level_map(gm):
+    """The per-dimension map of a `GMap`, built from the element it is."""
+    return level_cells(gm.source, gm.target, gm.cells)
 
 
 def small_tables(max_width=3, max_dim=3):
@@ -56,10 +156,49 @@ def test_compose_associative_random():
         assert theta0.compose(theta0.identity_gmap(b), f) == f
 
 
-def cellwise_compose(g, f):
-    """g after f, built cell by cell through the validating constructor."""
-    maps = tuple(tuple(g.maps[d][c] for c in f.maps[d]) for d in range(len(f.maps)))
-    return theta0.GMap(f.source, g.target, maps)
+def test_level_map_of_each_element_commutes_and_composes_cellwise():
+    tables = all_tables(2, 2)
+    elements = composites = 0
+    for a in tables:
+        for b in tables:
+            for x in realize_sum(b).carrier.fiber_product(a):
+                # LevelMap's constructor checks that it commutes with src/tgt
+                f = theta0.GMap(a, b, x)
+                old = level_cells(a, b, x)
+                assert level_map(f) == old
+                elements += 1
+                for c in tables:
+                    for g in theta0.enumerate_homs(b, c):
+                        got = level_map(theta0.compose(g, f))
+                        assert got == level_compose(level_map(g), old), (g, x)
+                        composites += 1
+    assert (elements, composites) == (61, 248)
+
+
+def test_gmap_accepts_exactly_the_fiber_product():
+    """Yoneda: among all in-range cell tuples, a map is exactly a fiber
+    product element, and a refused tuple fails where the old pairing does."""
+    accepted = refused = 0
+    tables = small_tables(3, 2)
+    for a in tables:
+        for b in tables:
+            carrier = realize_sum(b).carrier
+            elements = set(carrier.fiber_product(a))
+            for x in itertools.product(*(range(carrier.count(m)) for m in a.upper)):
+                try:
+                    gm = theta0.GMap(a, b, x)
+                except MatchingError as e:
+                    assert x not in elements
+                    with pytest.raises(MatchingError) as old:
+                        level_cells(a, b, x)
+                    assert (e.k, e.dim) == (old.value.k, old.value.dim), (a, b, x)
+                    refused += 1
+                else:
+                    assert x in elements and gm.cells == x
+                    accepted += 1
+    assert (accepted, refused) == (373, 6152)
+    assert accepted == sum(len(realize_sum(b).carrier.fiber_product(a))
+                           for a in tables for b in tables)
 
 
 def test_memoized_compose_matches_cellwise_oracle():
@@ -71,7 +210,7 @@ def test_memoized_compose_matches_cellwise_oracle():
                 for c in tables:
                     for g in theta0.enumerate_homs(b, c):
                         got = theta0.compose(g, f)
-                        assert got == cellwise_compose(g, f), (g, f)
+                        assert level_map(got) == level_compose(level_map(g), level_map(f)), (g, f)
                         assert theta0.compose(g, f) is got
                         pairs += 1
     assert pairs == 1582
@@ -92,35 +231,25 @@ def test_globe_functor_is_one_map_per_word():
                 assert theta0.decompose(gm) == (0, w)
 
 
-def owner_paste(components, source_table):
-    """The pasting `paste` replaced: each carrier cell reads its owning leg's
-    component at the disk cell the owner's word presents."""
-    real = realize_sum(source_table)
-    maps = []
-    for d in range(real.carrier.dim + 1):
-        row = []
-        for k, w in real.owners[d]:
-            c = 0 if d == source_table.upper[k] or w.kind == "s" else 1
-            row.append(components[k].maps[d][c])
-        maps.append(tuple(row))
-    return theta0.GMap(source_table, components[0].target, tuple(maps))
-
-
-def test_paste_matches_owner_oracle():
+def test_pair_matches_owner_paste_oracle():
     tables = all_tables(2, 2)
     for s in tables:
         for t in tables:
             for h in theta0.enumerate_homs(s, t):
                 comps = tuple(theta0.compose(h, theta0.leg_gmap(s, k))
                               for k in range(s.width))
-                assert theta0.paste(comps, s) == owner_paste(comps, s) == h, (s, t)
+                assert comps == tuple(h.leg(k) for k in range(s.width))
+                assert theta0.pair(comps, s) == h, (s, t)
+                assert owner_paste(tuple(map(level_map, comps)), s) == level_map(h)
 
 
 def test_pair_of_legs_is_identity_width_up_to_4():
     for table in all_tables(4, 3):
         legs = tuple(theta0.leg_gmap(table, k) for k in range(table.width))
-        assert theta0.pair(legs, table) == theta0.identity_gmap(table)
-        assert theta0.paste(legs, table) == theta0.identity_gmap(table)
+        identity = theta0.identity_gmap(table)
+        assert theta0.pair(legs, table) == identity
+        assert owner_paste(tuple(map(level_map, legs)), table) == level_map(identity)
+        assert all(row == tuple(range(len(row))) for row in level_map(identity).maps)
 
 
 def test_cached_is_identity_matches_row_scan():
@@ -130,7 +259,7 @@ def test_cached_is_identity_matches_row_scan():
         for b in tables:
             for f in theta0.enumerate_homs(a, b):
                 scan = f.source == f.target and \
-                    all(row == tuple(range(len(row))) for row in f.maps)
+                    all(row == tuple(range(len(row))) for row in level_map(f).maps)
                 assert f.is_identity == scan, f
                 identities += scan
     assert identities == len(tables)
@@ -142,7 +271,7 @@ def test_pair_of_inner_legs():
     t3 = Table((1, 1, 1), (0, 0))
     emb = theta0.legs_pair_gmap(t3, (1, 2), tab)
     assert emb.source == tab and emb.target == t3
-    assert emb.maps[1] == (realize_sum(t3).legs[1][1][0], realize_sum(t3).legs[2][1][0])
+    assert level_map(emb).maps[1] == (realize_sum(t3).legs[1][1][0], realize_sum(t3).legs[2][1][0])
 
 
 def test_pair_matching_violation_reports_position():
@@ -155,11 +284,11 @@ def test_pair_matching_violation_reports_position():
 
 
 def test_globe_functor_examples():
-    s1 = theta0.globe_functor(sword(0, 1))
+    s1 = level_map(theta0.globe_functor(sword(0, 1)))
     assert s1.maps[0] == (0,)
-    t20 = theta0.globe_functor(tword(0, 2))
+    t20 = level_map(theta0.globe_functor(tword(0, 2)))
     assert t20.maps[0] == (1,)
-    s2 = theta0.globe_functor(sword(1, 2))
+    s2 = level_map(theta0.globe_functor(sword(1, 2)))
     # commutes with boundaries by construction; the 1-cell goes to the s-face
     assert s2.maps[1] == (0,)
     assert s2.maps[0] == (0, 1)
@@ -193,9 +322,7 @@ def product_enumeration(source_table, target_table):
         if all(real.carrier.boundary(sword(j, source_table.upper[k]), combo[k])
                == real.carrier.boundary(tword(j, source_table.upper[k + 1]), combo[k + 1])
                for k, j in enumerate(source_table.lower)):
-            comps = tuple(theta0.cell_gmap(target_table, m, c)
-                          for m, c in zip(source_table.upper, combo))
-            out.append(theta0.pair(comps, source_table))
+            out.append(level_cells(source_table, target_table, combo))
     return tuple(out)
 
 
@@ -203,14 +330,21 @@ def test_enumerate_homs_matches_product_enumeration_in_order():
     tables = small_tables(3, 3)
     for a in tables:
         for b in tables:
-            assert theta0.enumerate_homs(a, b) == product_enumeration(a, b), (a, b)
+            homs = tuple(map(level_map, theta0.enumerate_homs(a, b)))
+            assert homs == product_enumeration(a, b), (a, b)
 
 
 def test_malformed_maps_raise_globe_error():
     tab = Table((1, 1), (0,))
-    good = theta0.leg_gmap(tab, 0).maps
-    for maps in (good[:1], (good[0], good[1] + (0,)), (good[0], (7,))):
+    good = theta0.leg_gmap(tab, 0).cells
+    for cells in ((), good + good, (7,), (-1,)):
         with pytest.raises(GlobeError):
-            theta0.GMap(disk(1), tab, maps)
+            theta0.GMap(disk(1), tab, cells)
+    with pytest.raises(MatchingError):
+        theta0.GMap(tab, tab, good + good)
+    old = level_map(theta0.leg_gmap(tab, 0)).maps
+    for maps in (old[:1], (old[0], old[1] + (0,)), (old[0], (7,))):
+        with pytest.raises(GlobeError):
+            LevelMap(disk(1), tab, maps)
     with pytest.raises(GlobeError):
         theta0.decompose(theta0.identity_gmap(tab))
