@@ -3,15 +3,18 @@
 A tower starts from the concrete maps of `theta0` and freely adds, level by
 level, generators h : D_{n+1} -> S whose two boundary equations h.s = f and
 h.t = g are the only new relations.  Morphisms are kept in a normal form
-built from concrete maps, generator chains, and tuples over amalgamated
-sums; the smart constructors below orient the relations as rewrites:
+built from concrete maps (`theta0.GMap` itself, the one concrete node of
+both the normal forms and the raw syntax trees), generator chains, and
+tuples over amalgamated sums; the smart constructors below orient the
+relations as rewrites:
 
   * a concrete map out of a disk into a sum collapses against a tuple
     through its canonical (leg, word) presentation;
   * a generator post-composed with a word of its top dimension reduces to
     the declared f or g;
   * a tuple whose components are all concrete recombines into one concrete
-    map.
+    map, whose constructor checks its gluing; only a tuple with a
+    non-concrete component has its gluing checked here, term by term.
 
 `normalize` evaluates an arbitrary raw syntax tree through these
 constructors.  `comp_pair` and `inv_pair` state the two-case boundary
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 
 from . import theta0
 from .globe import DEFAULT_TRUNC, MAX_DIM, Table, Word, disk
-from .theta0 import GMap, MatchingError
+from .theta0 import GMap
 
 
 class TermError(Exception):
@@ -53,21 +56,6 @@ class Gen:
 
     def __repr__(self):
         return "Gen(%s)" % self.name
-
-
-@dataclass(frozen=True)
-class BaseT:
-    """A morphism lying in the concrete layer."""
-
-    gmap: GMap
-
-    @property
-    def source(self):
-        return self.gmap.source
-
-    @property
-    def target(self):
-        return self.gmap.target
 
 
 @dataclass(frozen=True)
@@ -103,31 +91,26 @@ class TupleT:
         return self.comps[0].target
 
 
-Term = (BaseT, Chain, TupleT)
-
-
-def base(gmap):
-    return BaseT(gmap)
+Term = (GMap, Chain, TupleT)
 
 
 def identity(table):
-    return BaseT(theta0.identity_gmap(table))
+    return theta0.identity_gmap(table)
 
 
 def wordt(kind, j, i):
     """The word map s/t from D_j to D_i as a term."""
-    w = Word(j, i, None if i == j else kind)
-    return BaseT(theta0.globe_functor(w))
+    return theta0.globe_functor(Word(j, i, None if i == j else kind))
 
 
 def eps(table, k):
     """The k-th cocone leg as a term (0-indexed)."""
-    return BaseT(theta0.leg_gmap(table, k))
+    return theta0.leg_gmap(table, k)
 
 
 def legs_base(target_table, ks, src_table):
     """Pairing of cocone legs as a single concrete map."""
-    return BaseT(theta0.legs_pair_gmap(target_table, tuple(ks), src_table))
+    return theta0.legs_pair_gmap(target_table, ks, src_table)
 
 
 def gen_term(gen):
@@ -136,20 +119,22 @@ def gen_term(gen):
 
 def _make_chain(tail, gen, arg):
     """Chain constructor applying the generator's boundary equations."""
-    if isinstance(arg, BaseT) and not arg.gmap.is_identity:
-        w = theta0.decompose(arg.gmap)[1]
+    if isinstance(arg, GMap) and not arg.is_identity:
+        w = theta0.decompose(arg)[1]
         m = w.src
         if m == gen.dim - 1:
             side = gen.fsrc if w.kind == "s" else gen.gtgt
             return compose(tail, side)
         # peel the (canonicalized) top letter; lower letters keep the kind
         rest = Word(m, gen.dim - 1, w.kind)
-        return compose(tail, compose(gen.fsrc, BaseT(theta0.globe_functor(rest))))
+        return compose(tail, compose(gen.fsrc, theta0.globe_functor(rest)))
     return Chain(tail, gen, arg)
 
 
 def tuple_term(comps, src_table):
-    """Tuple constructor: checks gluing, recombines all-concrete tuples."""
+    """Tuple constructor: an all-concrete tuple recombines into the one
+    concrete map picking its components' cells, which checks its gluing;
+    any other tuple is checked here."""
     comps = tuple(comps)
     if len(comps) != src_table.width:
         raise TermError("expected %d components, got %d" % (src_table.width, len(comps)))
@@ -161,31 +146,41 @@ def tuple_term(comps, src_table):
         if c.target != target:
             raise TermError("component %d has target %s, expected %s"
                             % (k, c.target, target))
+    if all(isinstance(c, GMap) for c in comps):
+        return GMap(src_table, target, tuple(c.cells[0] for c in comps))
     for k, j in enumerate(src_table.lower):
-        left = compose(comps[k], wordt("s", j, src_table.upper[k]))
-        right = compose(comps[k + 1], wordt("t", j, src_table.upper[k + 1]))
-        if left != right:
-            raise MatchingError(k, j)
-    if all(isinstance(c, BaseT) for c in comps):
-        return BaseT(theta0.pair(tuple(c.gmap for c in comps), src_table))
+        error = gluing_error(k, j, comps[k], comps[k + 1])
+        if error is not None:
+            raise error
     return TupleT(src_table, comps)
+
+
+def gluing_error(k, j, left, right):
+    """None if `right` glues after `left` over D_j, the source j-face of
+    `left` being the target j-face of `right`; otherwise the failure of
+    gluing k, at the lowest dimension where those faces differ."""
+    a = compose(left, wordt("s", j, _disk_dim(left)))
+    b = compose(right, wordt("t", j, _disk_dim(right)))
+    if a == b:
+        return None
+    return theta0.gluing_error(k, j, a, b, lambda w, x: compose(x, theta0.globe_functor(w)))
 
 
 def compose(t2, t1):
     """Normal form of t2 ∘ t1 (t1 applied first)."""
     if t1.target != t2.source:
         raise TermError("cannot compose: %s then %s" % (t1.target, t2.source))
-    if isinstance(t2, BaseT) and isinstance(t1, BaseT):
-        return BaseT(theta0.compose(t2.gmap, t1.gmap))
+    if isinstance(t2, GMap) and isinstance(t1, GMap):
+        return theta0.compose(t2, t1)
     if isinstance(t1, TupleT):
         return tuple_term([compose(t2, c) for c in t1.comps], t1.src_table)
-    if isinstance(t1, BaseT):
+    if isinstance(t1, GMap):
         if t1.source.width > 1:
-            comps = [compose(t2, BaseT(t1.gmap.leg(k))) for k in range(t1.source.width)]
+            comps = [compose(t2, t1.leg(k)) for k in range(t1.source.width)]
             return tuple_term(comps, t1.source)
         if isinstance(t2, TupleT):
-            k, w = theta0.decompose(t1.gmap)
-            return compose(t2.comps[k], BaseT(theta0.globe_functor(w)))
+            k, w = theta0.decompose(t1)
+            return compose(t2.comps[k], theta0.globe_functor(w))
         # t2 is a Chain
         return _make_chain(t2.tail, t2.gen, compose(t2.arg, t1))
     # t1 is a Chain
@@ -237,7 +232,7 @@ def admissible(f, g):
     """Admissibility verdict for a pair of terms out of D_n."""
     try:
         n = _disk_dim(f)
-        if not f.source.is_disk or not g.source.is_disk:
+        if not g.source.is_disk:
             return Verdict(False, "pair is not disk-sourced")
         if f.source != g.source or f.target != g.target:
             return Verdict(False, "pair members have different spans")
@@ -588,7 +583,7 @@ class TowerFunctor:
     assignment: dict  # generator name -> Term in the target tower
 
     def translate(self, t):
-        if isinstance(t, BaseT):
+        if isinstance(t, GMap):
             return t
         if isinstance(t, TupleT):
             return tuple_term([self.translate(c) for c in t.comps], t.src_table)
@@ -620,19 +615,6 @@ def tower_functor(source, assignment, target):
 
 # ---------------------------------------------------------------------------
 # Raw syntax trees and their evaluation
-
-@dataclass(frozen=True)
-class RBase:
-    gmap: GMap
-
-    @property
-    def source(self):
-        return self.gmap.source
-
-    @property
-    def target(self):
-        return self.gmap.target
-
 
 @dataclass(frozen=True)
 class RGen:
@@ -675,18 +657,18 @@ class RComp:
         return self.outer.target
 
 
-Raw = (RBase, RGen, RTuple, RComp)
+Raw = (GMap, RGen, RTuple, RComp)
 
 
 def term_to_raw(t):
-    if isinstance(t, BaseT):
-        return RBase(t.gmap)
+    if isinstance(t, GMap):
+        return t
     if isinstance(t, TupleT):
         return RTuple(t.src_table, tuple(term_to_raw(c) for c in t.comps))
     raw = RGen(t.gen)
-    if not (isinstance(t.arg, BaseT) and t.arg.gmap.is_identity):
+    if not (isinstance(t.arg, GMap) and t.arg.is_identity):
         raw = RComp(raw, term_to_raw(t.arg))
-    if not (isinstance(t.tail, BaseT) and t.tail.gmap.is_identity):
+    if not (isinstance(t.tail, GMap) and t.tail.is_identity):
         raw = RComp(term_to_raw(t.tail), raw)
     return raw
 
@@ -699,8 +681,8 @@ def normalize(raw):
 
 
 def _eval_raw(raw):
-    if isinstance(raw, RBase):
-        return BaseT(raw.gmap)
+    if isinstance(raw, GMap):
+        return raw
     if isinstance(raw, RGen):
         return gen_term(raw.gen)
     if isinstance(raw, RTuple):

@@ -18,7 +18,7 @@ from . import coherator as coh
 from . import theta0
 from .coherator import InadmissibleError, TermError, Tower
 from .globe import DEFAULT_TRUNC, MAX_DIM, Table, disk
-from .theta0 import MatchingError
+from .theta0 import GMap, MatchingError
 
 
 class ParseError(Exception):
@@ -289,13 +289,8 @@ def _elab_atom(atom, tower, target):
             if g is not None:
                 lower.append(g)
                 continue
-            found = None
-            for j in range(min(upper[k], upper[k + 1]) - 1, -1, -1):
-                left = coh.compose(comps[k], coh.wordt("s", j, upper[k]))
-                right = coh.compose(comps[k + 1], coh.wordt("t", j, upper[k + 1]))
-                if left == right:
-                    found = j
-                    break
+            found = next((j for j in range(min(upper[k], upper[k + 1]) - 1, -1, -1)
+                          if coh.gluing_error(k, j, comps[k], comps[k + 1]) is None), None)
             if found is None:
                 raise ParseError(tok.line, tok.col,
                                  "no gluing dimension matches tuple components %d, %d"
@@ -344,8 +339,8 @@ def term_str(term):
 
 
 def _term_parts(term):
-    if isinstance(term, coh.BaseT):
-        return _gmap_parts(term.gmap)
+    if isinstance(term, GMap):
+        return _gmap_parts(term)
     if isinstance(term, coh.TupleT):
         return [_tuple_str(term.comps, term.src_table)]
     parts = _term_parts(term.tail)
@@ -365,8 +360,7 @@ def _gmap_parts(gm):
         if not w.is_identity:
             parts.extend(str(w).split(" * "))
         return parts
-    comps = [coh.BaseT(gm.leg(k)) for k in range(gm.source.width)]
-    return [_tuple_str(comps, gm.source)]
+    return [_tuple_str([gm.leg(k) for k in range(gm.source.width)], gm.source)]
 
 
 def _tuple_str(comps, src_table):

@@ -12,7 +12,6 @@ strict model's carrier has more than `MAX_CELLS` cells.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,20 +132,6 @@ class Table:
 def disk(m):
     """The one-disk table D_m, one shared object per m."""
     return Table((m,), ())
-
-
-def all_tables(max_width, max_dim):
-    """Every valid table with the given width and dimension bounds."""
-    out = []
-    for width in range(1, max_width + 1):
-        for upper in itertools.product(range(max_dim + 1), repeat=width):
-            lowers = [
-                range(min(upper[k], upper[k + 1]))
-                for k in range(width - 1)
-            ]
-            for lower in itertools.product(*lowers):
-                out.append(Table(tuple(upper), tuple(lower)))
-    return out
 
 
 @dataclass(frozen=True)

@@ -434,20 +434,6 @@ def realize_gpd(table):
     return GpdSum(table, leg_objects, tuple(edges))
 
 
-def lifting_oracle(sumr, fpair, gpair, n):
-    """The unique filler of an admissible pair into a thin sum.
-
-    Pairs are given by object images; for n >= 1 parallelism forces the two
-    maps to agree, and the filler is determined by those objects.
-    """
-    if n == 0:
-        return (fpair[0], gpair[0])
-    if fpair != gpair:
-        raise GroupoidError("parallel pair disagrees on objects: %s vs %s"
-                            % (fpair, gpair))
-    return fpair
-
-
 class TowerGpdInterp:
     """Interpretation of a tower in the groupoid globe diagram.
 
@@ -484,7 +470,7 @@ class TowerGpdInterp:
 def _zero_face(term, kind):
     """The 0-cell that the s or t 0-face of a disk-sourced term hits."""
     face = coh.compose(term, coh.wordt(kind, 0, term.source.upper[0]))
-    return face.gmap.cells[0]
+    return face.cells[0]
 
 
 def fundamental(X, tower, interp=None):

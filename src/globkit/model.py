@@ -20,8 +20,9 @@ from functools import partial
 
 from . import coherator as coh
 from . import groups
-from .coherator import BaseT, TupleT
+from .coherator import TupleT
 from .globe import MAX_CELLS, GlobeError, GlobularSet, realize_sum
+from .theta0 import GMap
 
 
 class ModelError(Exception):
@@ -109,8 +110,8 @@ class Model:
         return prog
 
     def _compile(self, term):
-        if isinstance(term, BaseT):
-            plan = self._plan(term.gmap)
+        if isinstance(term, GMap):
+            plan = self._plan(term)
             return lambda cols, get: tuple([
                 cols[k] if table is None else tuple(map(table.__getitem__, cols[k]))
                 for k, table in plan])

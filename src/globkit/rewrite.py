@@ -5,17 +5,18 @@ at once, one redex at a time, under a selectable strategy: the innermost or
 the outermost redex first.  Both strategies must reach `normalize`'s normal
 form within ten times the weighted size of the input, which is what the
 confluence and termination checks test.  `random_raw` draws seeded
-well-typed raw terms for those checks.  No production module imports this
+well-typed raw terms for those checks.  Its concrete factors are
+`theta0.GMap`s, as in `coherator`'s raw trees, and a lone tuple of them
+collapses through `coherator.tuple_term`.  No production module imports this
 module; it exists to be compared against.
 """
 
 from __future__ import annotations
 
 from . import theta0
-from .coherator import (
-    RBase, RComp, RGen, RTuple, TermError, _eval_raw, term_to_raw,
-)
+from .coherator import RComp, RGen, RTuple, TermError, _eval_raw, term_to_raw, tuple_term
 from .globe import Word, disk
+from .theta0 import GMap
 
 
 def raw_size(raw):
@@ -27,7 +28,7 @@ def _size(raw, weights):
     """`raw_size`, with the generator weights found so far keyed by the
     generator object: two towers may declare different generators under one
     name.  Every generator is reachable from `raw`, so its id stays valid."""
-    if isinstance(raw, RBase):
+    if isinstance(raw, GMap):
         return 1
     if isinstance(raw, RGen):
         gen = raw.gen
@@ -57,38 +58,38 @@ def _unspine(factors):
 
 def _pair_redex(x, y):
     """Reduct of the adjacent pair x ∘ y, or None."""
-    if isinstance(y, RBase) and y.gmap.is_identity:
+    if isinstance(y, GMap) and y.is_identity:
         return [x]
-    if isinstance(x, RBase) and x.gmap.is_identity:
+    if isinstance(x, GMap) and x.is_identity:
         return [y]
-    if isinstance(x, RBase) and isinstance(y, RBase):
-        return [RBase(theta0.compose(x.gmap, y.gmap))]
+    if isinstance(x, GMap) and isinstance(y, GMap):
+        return [theta0.compose(x, y)]
     if isinstance(y, RTuple):
         comps = tuple(RComp(x, c) for c in y.comps)
         return [RTuple(y.src_table, comps)]
-    if isinstance(y, RBase) and y.source.is_disk:
+    if isinstance(y, GMap) and y.source.is_disk:
         if isinstance(x, RTuple):
-            k, w = theta0.decompose(y.gmap)
-            rest = [] if w.is_identity else [RBase(theta0.globe_functor(w))]
+            k, w = theta0.decompose(y)
+            rest = [] if w.is_identity else [theta0.globe_functor(w)]
             return _spine(x.comps[k]) + rest
         if isinstance(x, RGen):
             gen = x.gen
-            w = theta0.decompose(y.gmap)[1]
+            w = theta0.decompose(y)[1]
             if w.src == gen.dim - 1:
                 side = gen.fsrc if w.kind == "s" else gen.gtgt
                 return _spine(term_to_raw(side))
             rest = Word(w.src, gen.dim - 1, w.kind)
-            return _spine(term_to_raw(gen.fsrc)) + [RBase(theta0.globe_functor(rest))]
-    if isinstance(y, RBase) and y.source.width > 1 and not isinstance(x, RBase):
-        comps = tuple(RComp(x, RBase(y.gmap.leg(k))) for k in range(y.source.width))
+            return _spine(term_to_raw(gen.fsrc)) + [theta0.globe_functor(rest)]
+    if isinstance(y, GMap) and y.source.width > 1 and not isinstance(x, GMap):
+        comps = tuple(RComp(x, y.leg(k)) for k in range(y.source.width))
         return [RTuple(y.source, comps)]
     return None
 
 
 def _tuple_collapse(t):
     """Reduct of a lone tuple factor whose components are all concrete."""
-    if all(isinstance(c, RBase) for c in t.comps):
-        return RBase(theta0.pair(tuple(c.gmap for c in t.comps), t.src_table))
+    if all(isinstance(c, GMap) for c in t.comps):
+        return tuple_term(t.comps, t.src_table)
     return None
 
 
@@ -188,7 +189,7 @@ def _random_into(tower, rng, target, budget):
         if homs:
             h = rng.choice(homs)
             inner = _random_into(tower, rng, h.source, budget - 1)
-            return RComp(RBase(h), inner)
+            return RComp(h, inner)
         kind = "base"
     # a random concrete map out of a random small source
     sources = [disk(m) for m in range(target.dimension + 1)] + [target]
@@ -196,5 +197,5 @@ def _random_into(tower, rng, target, budget):
     for s in sources:
         homs = theta0.enumerate_homs(s, target)
         if homs:
-            return RBase(rng.choice(homs))
-    return RBase(theta0.identity_gmap(target))
+            return rng.choice(homs)
+    return theta0.identity_gmap(target)

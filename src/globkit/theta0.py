@@ -4,9 +4,10 @@ Objects are tables of dimensions.  By the colimit property and Yoneda, a
 morphism out of a table's sum of disks is the tuple of target cells its
 disks pick whose glued faces agree: one element of the target carrier's
 fiber product over the source table.  Every other cell of the source goes
-where its owner (leg, word) sends it.  This gives composition, cocone
-pairing, and the embedding of globe-category words, all with decidable
-equality.
+where its owner (leg, word) sends it.  This gives composition, the cocone
+legs, and the embedding of globe-category words, all with decidable
+equality.  A `GMap` is also the concrete node of `coherator`'s term trees,
+and its constructor is the one check of a concrete tuple's gluing.
 """
 
 from __future__ import annotations
@@ -24,6 +25,15 @@ class MatchingError(GlobeError):
         self.k = k
         self.dim = dim
         super().__init__(msg or "matching condition fails at gluing %d, dimension %d" % (k, dim))
+
+
+def gluing_error(k, j, a, b, face):
+    """The failure of gluing k over dimension j, whose two j-cells a and b
+    differ: it names the lowest dimension at which their faces differ, j if
+    all their lower faces agree.  `face(word, x)` is x's face along a word."""
+    return MatchingError(k, next((d for d in range(j)
+                                  if any(face(w(d, j), a) != face(w(d, j), b)
+                                         for w in (sword, tword))), j))
 
 
 @dataclass(frozen=True)
@@ -54,10 +64,7 @@ class GMap:
             a = carrier.boundary(sword(j, upper[k]), self.cells[k])
             b = carrier.boundary(tword(j, upper[k + 1]), self.cells[k + 1])
             if a != b:
-                raise MatchingError(k, next(
-                    d for d in range(j + 1)
-                    if any(carrier.boundary(w(d, j), a) != carrier.boundary(w(d, j), b)
-                           for w in (sword, tword))))
+                raise gluing_error(k, j, a, b, carrier.boundary)
 
     @cached_property
     def is_identity(self):
@@ -111,30 +118,13 @@ def decompose(gmap):
     return realize_sum(gmap.target).owners[gmap.source.upper[0]][gmap.cells[0]]
 
 
-def pair(components, source_table):
-    """The unique map out of a sum restricting to the given legs: the cells
-    they pick, in order.
-
-    components[k] must be a map out of the k-th disk of `source_table`; the
-    gluing conditions are checked and violations report the failing gluing
-    index and dimension.
-    """
-    width = source_table.width
-    if len(components) != width:
-        raise GlobeError("expected %d components, got %d" % (width, len(components)))
-    target = components[0].target
-    for k, comp in enumerate(components):
-        if comp.source != disk(source_table.upper[k]):
-            raise GlobeError("component %d has source %s, expected D%d"
-                             % (k, comp.source, source_table.upper[k]))
-        if comp.target != target:
-            raise GlobeError("component %d has a different target" % k)
-    return GMap(source_table, target, tuple(comp.cells[0] for comp in components))
-
-
 def legs_pair_gmap(target_table, ks, source_table):
-    """Pairing of several cocone legs of `target_table` over `source_table`."""
-    return pair(tuple(leg_gmap(target_table, k) for k in ks), source_table)
+    """Pairing of several cocone legs of `target_table` over `source_table`:
+    the map picking the top cells of the disks `ks`."""
+    if tuple(target_table.upper[k] for k in ks) != source_table.upper:
+        raise GlobeError("legs %s of %s do not span %s" % (ks, target_table, source_table))
+    cells = identity_gmap(target_table).cells
+    return GMap(source_table, target_table, tuple(cells[k] for k in ks))
 
 
 @lru_cache(maxsize=None)

@@ -20,8 +20,9 @@ from globkit.coherator import (
     compose, eps, gen_term, glob_source, glob_target, identity, legs_base,
     tuple_term, wordt,
 )
-from globkit.globe import Table, all_tables, disk
+from globkit.globe import Table, disk
 from globkit.model import Discrete, KAn, KG1, XMod
+from oracles import all_tables, lifting_oracle
 
 
 @contextmanager
@@ -94,10 +95,10 @@ def test_criterion_01_structural_library(std4):
                 from globkit.globe import sword, tword
                 t2 = C.glue2(i, j)
                 t2lo = C.glue2(i - 1, j)
-                smap = C.BaseT(theta0.pair(
+                smap = tuple_term(
                     (theta0.compose(theta0.leg_gmap(t2, 0), theta0.globe_functor(sword(i - 1, i))),
                      theta0.compose(theta0.leg_gmap(t2, 1), theta0.globe_functor(sword(i - 1, i)))),
-                    t2lo))
+                    t2lo)
                 assert got == compose(smap, lower)
                 geninv = tower[C.inv_name(i, j)]
                 assert geninv.level == c
@@ -330,7 +331,7 @@ def test_criterion_08_folk_realization():
             else:
                 f = (rng.choice(objs), rng.choice(objs))
                 g = f
-            h = P.lifting_oracle(s, f, g, n)
+            h = lifting_oracle(s, f, g, n)
             assert h == ((f[0], g[0]) if n == 0 else f)
             count += 1
 

@@ -446,6 +446,17 @@ def test_user_tower_with_inferred_gluing(tmp_path, capsys):
     assert tower["squash"].level == 2
 
 
+def test_tuple_gluing_failure_names_the_lowest_differing_dimension(tmp_path, capsys):
+    # eps1's source 1-face and eps2's target 1-face differ already at their
+    # source 0-faces, so the failure is reported at dimension 0
+    path = str(tmp_path / "bad.tower")
+    with open(path, "w") as fh:
+        fh.write("dim 3\nlift x : D2 -> D2 +0 D2 ; src = [eps1 ;1 eps2] ; tgt = eps1\n")
+    code, _, err = run(capsys, "check", path)
+    assert code == 2
+    assert "bad tuple: matching condition fails at gluing 0, dimension 0" in err
+
+
 def test_missing_file_is_exit_3(capsys):
     code, _, err = run(capsys, "check", "no-such-file.tower")
     assert code == 3

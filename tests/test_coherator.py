@@ -130,6 +130,23 @@ def test_parallel_examples(std3):
     assert parallel(s1, wordt("t", 0, 1))  # 0-dimensional sources always parallel
 
 
+def test_tuple_gluing_failure_names_the_lowest_differing_dimension(std3):
+    """A tuple with a non-concrete component is checked term by term, and a
+    failure names the lowest dimension where the glued faces differ, as a
+    concrete map's does."""
+    tower, _ = std3
+    comps = [tower.term("comp2_0"), eps(C.glue2(2, 0), 0)]
+    left = compose(comps[0], wordt("s", 1, 2))
+    right = compose(comps[1], wordt("t", 1, 2))
+    # the two 1-faces differ, and so do their source 0-faces
+    assert left != right
+    assert compose(left, wordt("s", 0, 1)) != compose(right, wordt("s", 0, 1))
+    with pytest.raises(MatchingError) as exc:
+        tuple_term(comps, C.glue2(2, 1))
+    assert (exc.value.k, exc.value.dim) == (0, 0)
+    assert (C.gluing_error(0, 1, *comps).k, C.gluing_error(0, 1, *comps).dim) == (0, 0)
+
+
 def test_admissible_examples(std3):
     tower, _ = std3
     for i in (1, 2, 3):
@@ -424,7 +441,7 @@ def test_decomposed_word_matches_gmap_word_oracle():
     for i in range(9):
         for j in range(i + 1):
             for kind in "st":
-                gm = wordt(kind, j, i).gmap
+                gm = wordt(kind, j, i)
                 assert theta0.decompose(gm) == (0, gmap_word(gm)), (kind, j, i)
 
 

@@ -13,7 +13,9 @@ from globkit import gpd as P
 from globkit import groups as G
 from globkit import homotopy as H
 from globkit import model as M
-from globkit.globe import Table, all_tables, realize_sum
+from globkit.globe import Table, realize_sum
+from globkit.theta0 import GMap
+from oracles import all_tables, lifting_oracle
 from test_theta0 import level_map
 
 
@@ -116,7 +118,7 @@ def test_lifting_oracle_total_and_unique_on_seeded_pairs():
         else:
             f = (rng.choice(objs), rng.choice(objs))
             g = f
-        h = P.lifting_oracle(s, f, g, n)
+        h = lifting_oracle(s, f, g, n)
         # totality: the filler exists; uniqueness: object images are forced,
         # and functors into a thin groupoid are determined by objects
         if n == 0:
@@ -146,7 +148,7 @@ class ObjectImageOracle:
         if g.name not in self.gen_objs:
             fobj = self.term_objects(g.fsrc)
             gobj = self.term_objects(g.gtgt)
-            h = P.lifting_oracle(P.realize_gpd(g.target), fobj, gobj, g.dim - 1)
+            h = lifting_oracle(P.realize_gpd(g.target), fobj, gobj, g.dim - 1)
             hs = h if g.dim >= 2 else (h[0],)
             ht = h if g.dim >= 2 else (h[1],)
             assert (hs, ht) == (fobj, gobj), g.name
@@ -157,8 +159,8 @@ class ObjectImageOracle:
         return P.realize_gpd(g.target).walk(*self.gen(g))
 
     def term_objects(self, t):
-        if isinstance(t, C.BaseT):
-            return level_map(t.gmap).maps[0]
+        if isinstance(t, GMap):
+            return level_map(t).maps[0]
         if isinstance(t, C.TupleT):
             real = realize_sum(t.src_table)
             out = []
@@ -206,7 +208,7 @@ def names_term_nodes(tree):
             named.add(node.attr)
         elif isinstance(node, ast.alias):
             named.add(node.name.rpartition(".")[2])
-    return named & {"BaseT", "TupleT", "Chain"}
+    return named & {"GMap", "TupleT", "Chain"}
 
 
 def test_gpd_does_not_evaluate_terms():
@@ -214,7 +216,7 @@ def test_gpd_does_not_evaluate_terms():
     term evaluator would have to name the term node classes."""
     assert names_term_nodes(ast.parse(pathlib.Path(P.__file__).read_text(encoding="utf-8"))) \
         == set()
-    for text in ("from .coherator import BaseT", "isinstance(t, coh.TupleT)",
+    for text in ("from .theta0 import GMap", "isinstance(t, coh.TupleT)",
                  "from globkit.coherator import Chain as Ch"):
         assert names_term_nodes(ast.parse(text)), text
 

@@ -12,9 +12,10 @@ from globkit import gpd
 from globkit import groups as G
 from globkit import model as M
 from globkit import rewrite as R
-from globkit.globe import (
-    MAX_CELLS, GlobeError, GlobularSet, Table, all_tables, disk, realize_sum)
+from globkit.globe import MAX_CELLS, GlobeError, GlobularSet, Table, disk, realize_sum
 from globkit.model import Discrete, FillerError, KAn, KG1, XMod
+from globkit.theta0 import GMap
+from oracles import all_tables
 from test_theta0 import level_map
 
 
@@ -428,8 +429,8 @@ def oracle_gmap(model, gm, x):
 
 def oracle_eval(model, raw, x):
     """Evaluate a raw syntax tree node by node, with no compiled program."""
-    if isinstance(raw, C.RBase):
-        return oracle_gmap(model, raw.gmap, tuple(x))
+    if isinstance(raw, GMap):
+        return oracle_gmap(model, raw, tuple(x))
     if isinstance(raw, C.RGen):
         return (model.interp_for(raw.gen)[tuple(x)],)
     if isinstance(raw, C.RTuple):
@@ -462,8 +463,8 @@ def per_element_program(model, term):
     """The closure compiler that `Model.program` replaced, as its
     differential oracle: `prog(x, get)` evaluates the term on one fiber
     element and returns a tuple indexed by the term's source table."""
-    if isinstance(term, C.BaseT):
-        plan = model._plan(term.gmap)
+    if isinstance(term, GMap):
+        plan = model._plan(term)
         return lambda x, get: tuple([x[k] if table is None else table[x[k]]
                                      for k, table in plan])
     if isinstance(term, C.TupleT):

@@ -21,25 +21,31 @@ def test_generator_weights_are_per_generator_not_per_name():
     assert R.raw_size(RGen(h_small)) == 3
 
 
-def imports_rewrite(tree):
+def imports_module(tree, name):
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            if any("rewrite" in alias.name.split(".") for alias in node.names):
+            if any(name in alias.name.split(".") for alias in node.names):
                 return True
         elif isinstance(node, ast.ImportFrom):
-            if "rewrite" in (node.module or "").split(".") or \
-                    any(alias.name == "rewrite" for alias in node.names):
+            if name in (node.module or "").split(".") or \
+                    any(alias.name == name for alias in node.names):
                 return True
     return False
 
 
 def test_no_production_module_imports_the_oracle():
+    """No library module imports the rewriting engine, nor the tests-only
+    oracles of `tests/oracles.py`."""
     package = pathlib.Path(R.__file__).parent
     modules = sorted(package.glob("*.py"))
     assert len(modules) > 5
-    offenders = [path.name for path in modules if path.stem != "rewrite"
-                 and imports_rewrite(ast.parse(path.read_text(encoding="utf-8")))]
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in modules}
+    offenders = [stem for stem, tree in trees.items()
+                 if stem != "rewrite" and imports_module(tree, "rewrite")
+                 or imports_module(tree, "oracles")]
     assert offenders == []
     for text in ("from . import rewrite", "from .rewrite import reduce_steps",
                  "import globkit.rewrite", "from globkit import theta0, rewrite"):
-        assert imports_rewrite(ast.parse(text)), text
+        assert imports_module(ast.parse(text), "rewrite"), text
+    for text in ("import oracles", "from oracles import all_tables"):
+        assert imports_module(ast.parse(text), "oracles"), text

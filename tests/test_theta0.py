@@ -15,11 +15,14 @@ from dataclasses import dataclass
 
 import pytest
 
+from globkit import coherator as C
 from globkit import theta0
+from globkit.coherator import TermError, tuple_term
 from globkit.globe import (
-    GlobeError, Table, Word, all_tables, disk, disk_cell_word, realize_sum, sword, tword,
+    GlobeError, Table, Word, disk, disk_cell_word, realize_sum, sword, tword,
 )
 from globkit.theta0 import MatchingError
+from oracles import all_tables
 
 
 @dataclass(frozen=True)
@@ -177,7 +180,9 @@ def test_level_map_of_each_element_commutes_and_composes_cellwise():
 
 def test_gmap_accepts_exactly_the_fiber_product():
     """Yoneda: among all in-range cell tuples, a map is exactly a fiber
-    product element, and a refused tuple fails where the old pairing does."""
+    product element, and a refused tuple fails where the old pairing does,
+    whether built as a map, as the tuple term of its disk maps, or checked
+    by the term-level gluing predicate."""
     accepted = refused = 0
     tables = small_tables(3, 2)
     for a in tables:
@@ -185,16 +190,25 @@ def test_gmap_accepts_exactly_the_fiber_product():
             carrier = realize_sum(b).carrier
             elements = set(carrier.fiber_product(a))
             for x in itertools.product(*(range(carrier.count(m)) for m in a.upper)):
+                comps = tuple(theta0.GMap(disk(m), b, (c,)) for m, c in zip(a.upper, x))
+                term_errors = [e for e in (C.gluing_error(k, j, comps[k], comps[k + 1])
+                                           for k, j in enumerate(a.lower)) if e is not None]
                 try:
                     gm = theta0.GMap(a, b, x)
                 except MatchingError as e:
                     assert x not in elements
                     with pytest.raises(MatchingError) as old:
                         level_cells(a, b, x)
-                    assert (e.k, e.dim) == (old.value.k, old.value.dim), (a, b, x)
+                    want = (old.value.k, old.value.dim)
+                    assert (e.k, e.dim) == want, (a, b, x)
+                    with pytest.raises(MatchingError) as via_term:
+                        tuple_term(comps, a)
+                    assert (via_term.value.k, via_term.value.dim) == want, (a, b, x)
+                    assert (term_errors[0].k, term_errors[0].dim) == want, (a, b, x)
                     refused += 1
                 else:
                     assert x in elements and gm.cells == x
+                    assert tuple_term(comps, a) == gm and term_errors == []
                     accepted += 1
     assert (accepted, refused) == (373, 6152)
     assert accepted == sum(len(realize_sum(b).carrier.fiber_product(a))
@@ -239,7 +253,7 @@ def test_pair_matches_owner_paste_oracle():
                 comps = tuple(theta0.compose(h, theta0.leg_gmap(s, k))
                               for k in range(s.width))
                 assert comps == tuple(h.leg(k) for k in range(s.width))
-                assert theta0.pair(comps, s) == h, (s, t)
+                assert tuple_term(comps, s) == h, (s, t)
                 assert owner_paste(tuple(map(level_map, comps)), s) == level_map(h)
 
 
@@ -247,7 +261,7 @@ def test_pair_of_legs_is_identity_width_up_to_4():
     for table in all_tables(4, 3):
         legs = tuple(theta0.leg_gmap(table, k) for k in range(table.width))
         identity = theta0.identity_gmap(table)
-        assert theta0.pair(legs, table) == identity
+        assert tuple_term(legs, table) == identity
         assert owner_paste(tuple(map(level_map, legs)), table) == level_map(identity)
         assert all(row == tuple(range(len(row))) for row in level_map(identity).maps)
 
@@ -272,6 +286,9 @@ def test_pair_of_inner_legs():
     emb = theta0.legs_pair_gmap(t3, (1, 2), tab)
     assert emb.source == tab and emb.target == t3
     assert level_map(emb).maps[1] == (realize_sum(t3).legs[1][1][0], realize_sum(t3).legs[2][1][0])
+    # legs of other dimensions do not span the smaller sum
+    with pytest.raises(GlobeError):
+        theta0.legs_pair_gmap(Table((1, 2, 1), (0, 0)), (0, 1), tab)
 
 
 def test_pair_matching_violation_reports_position():
@@ -279,8 +296,13 @@ def test_pair_matching_violation_reports_position():
     # two legs of a disjoint-looking choice: eps1 with itself mismatches
     f = theta0.leg_gmap(tab, 0)
     with pytest.raises(MatchingError) as exc:
-        theta0.pair((f, f), tab)
+        tuple_term((f, f), tab)
     assert exc.value.k == 0 and exc.value.dim == 0
+    # arity, sources and targets are checked before the gluing
+    for comps in ((f,), (f, theta0.leg_gmap(Table((1, 2), (0,)), 0)),
+                  (f, theta0.identity_gmap(disk(2)))):
+        with pytest.raises(TermError):
+            tuple_term(comps, tab)
 
 
 def test_globe_functor_examples():
