@@ -61,10 +61,6 @@ def _group_by_name(name):
         raise CliError(2, e.args[0])
 
 
-def _is_int(value):
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 _xmod_field = functools.partial(mdl._json_field, where="the top level",
                                 file="crossed module")
 
@@ -262,7 +258,7 @@ def _morphism_side(data, side):
     if kind == "kan":
         kan = spec["kan"]
         if not (isinstance(kan, list) and len(kan) == 2 and isinstance(kan[0], str)
-                and _is_int(kan[1])):
+                and mdl._is_int(kan[1])):
             raise CliError(1, "morphism file: %s 'kan' must be [group, n]" % side)
         return kind, tuple(kan)
     return kind, _morphism_field(spec, kind, _SIDE_SPECS[kind], side)
@@ -275,7 +271,7 @@ def cmd_weq(args):
     src = _build_model(*_morphism_side(data, "source"), tower, bundle)
     tgt = _build_model(*_morphism_side(data, "target"), tower, bundle)
     rows = _morphism_field(data, "map", list, "the top level")
-    if not all(isinstance(r, list) and all(_is_int(c) for c in r) for r in rows):
+    if not all(isinstance(r, list) and all(mdl._is_int(c) for c in r) for r in rows):
         raise CliError(1, "morphism file: 'map' must be a list of integer lists, "
                           "one per dimension")
     morph = mdl.morphism_from_dims(src, tgt, [tuple(r) for r in rows])

@@ -4,9 +4,13 @@ Two n-cells are homotopic when some (n+1)-cell connects them.  The quotient
 of n-cells by that relation, with composition, units, and inverses evaluated
 from a chosen bundle of structural generators, forms a groupoid whose laws
 are verified exactly; automorphism groups of iterated units are the homotopy
-groups.  The division construction whiskers by a fixed cell and builds an
-explicit inverse from auto-declared correction liftings, and the weak
-equivalence checker evaluates its four characterizations independently.
+groups, each read by `gpd.Groupoid.aut_group`.  The division construction
+whiskers by a fixed cell and builds an explicit inverse from auto-declared
+correction liftings.  The weak-equivalence checker reads its four
+characterizations off the functors a morphism induces on the pi-groupoids
+and its bijection on pi_0; condition 4 asks for injectivity at the top
+dimension, where the truncation cuts the surjectivity one dimension up that
+would imply it.  It needs a truncation of at least 1.
 """
 
 from __future__ import annotations
@@ -15,7 +19,6 @@ from dataclasses import dataclass
 
 from . import coherator as coh
 from . import gpd
-from . import groups
 from .coherator import compose, eps, gen_term, identity, tuple_term, wordt
 from .globe import Table, disk, sword, tword
 
@@ -147,15 +150,11 @@ def pi_n_at(pg, n, u):
     """The group of classes of loops at an (n-1)-cell u in the pi-groupoid
     `pg = pi_groupoid(model, bundle, n)`, for n >= 1.
 
-    Returns (group, elements), element i being the class of group element i.
+    This is `pg.aut_group(u)`: it returns (group, elements), element i being
+    the class of group element i, the identity first and the other loops
+    ascending.
     """
-    elems = list(pg.hom(u, u))
-    # the identity swaps places with the first class, so it is element 0
-    k = elems.index(pg.ident[u])
-    elems[0], elems[k] = elems[k], elems[0]
-    index = {e: i for i, e in enumerate(elems)}
-    mult = tuple(tuple(index[pg.comp[a][b]] for b in elems) for a in elems)
-    grp = groups.Group("pi_%d" % n, mult)
+    grp, elems = pg.aut_group(u)
     if n >= 2 and not grp.is_abelian():
         raise LawViolation("homotopy group at dimension %d is not abelian" % n)
     return grp, elems
@@ -409,87 +408,47 @@ class WeqReport:
 
 
 def weak_equiv(morph, bundle):
-    """Evaluate the four characterizations of weak equivalence independently.
+    """Evaluate the four characterizations of weak equivalence.
 
-    The four verdicts are asserted to agree; disagreement raises, since it
-    would falsify either the implementation or the model.
+    Each is read off the functors F_n : pi_groupoid(G, n) -> pi_groupoid(H, n)
+    that the morphism induces for 1 <= n <= trunc - 1 (objects through the
+    (n-1)-cell map, each class to the class of its first member's image),
+    together with the bijection on pi_0:
+    (1) F_n bijective on the loops at each object's iterated unit;
+    (2) F_n bijective on the loops at every (n-1)-cell;
+    (3) F_n bijective on the arrows between every parallel pair;
+    (4) F_n surjective on the arrows between every parallel pair, and at
+        n = trunc - 1 also injective: injectivity at n follows from
+        surjectivity at n + 1, which the truncation leaves only as whether
+        a trunc-cell exists.
+    The truncation must be at least 1, since pi_0 needs 1-cells.  The four
+    verdicts are asserted to agree; disagreement raises, since it would
+    falsify either the implementation or the model.
     """
     G, H = morph.source, morph.target
     morph.validate()
+    _, g_classes = hom_classes(G, 0)
+    h_of, h_classes = hom_classes(H, 0)
+    pi0_bijective = len(g_classes) == len(h_classes) == len(
+        {h_of[morph.apply(0, cl[0])] for cl in g_classes})
+    conds = [pi0_bijective] * 4
     top_n = G.trunc - 1
-    cls_G = {n: hom_classes(G, n) for n in range(0, top_n + 1)}
-    cls_H = {n: hom_classes(H, n) for n in range(0, top_n + 1)}
-    pg_G = {n: pi_groupoid(G, bundle, n) for n in range(1, top_n + 1)}
-    pg_H = {n: pi_groupoid(H, bundle, n) for n in range(1, top_n + 1)}
-
-    def pi0_bijection():
-        a_of, a_cls = cls_G[0]
-        b_of, b_cls = cls_H[0]
-        img = {i: b_of[morph.apply(0, cl[0])] for i, cl in enumerate(a_cls)}
-        return len(set(img.values())) == len(b_cls) and len(img) == len(b_cls)
-
-    def class_image(n, i):
-        """The class in H of the image of a member of class i of G."""
-        return cls_H[n][0][morph.apply(n, cls_G[n][1][i][0])]
-
-    def group_iso(n, u):
-        pgu, pgh = pg_G[n], pg_H[n]
-        fu = morph.apply(n - 1, u)
-        eu, eh = pgu.hom(u, u), pgh.hom(fu, fu)
-        img = {i: class_image(n, i) for i in eu}
-        if len(set(img.values())) != len(img) or sorted(set(img.values())) != sorted(eh):
-            return False
-        return all(img[pgu.comp[a][b]] == pgh.comp[img[a]][img[b]]
-                   for a in eu for b in eu)
-
-    def class_bijection(n, u, v):
-        dom = pg_G[n].hom(u, v)
-        cod = set(pg_H[n].hom(morph.apply(n - 1, u), morph.apply(n - 1, v)))
-        img = {class_image(n, i) for i in dom}
-        return img == cod and len(img) == len(dom), img == cod
-
-    def parallel_pairs(n):
-        for u in range(G.carrier.count(n - 1)):
-            for v in range(G.carrier.count(n - 1)):
-                if parallel_cells(G, n - 1, u, v):
-                    yield u, v
-
-    # (1) pi_0 bijection and group isos at objects
-    cond1 = pi0_bijection() and all(
-        group_iso(n, iterated_unit(G, bundle, x, n - 1))
-        for n in range(1, top_n + 1) for x in range(G.carrier.count(0)))
-
-    # (2) pi_0 bijection and group isos at every cell
-    cond2 = pi0_bijection() and all(
-        group_iso(n, u)
-        for n in range(1, top_n + 1) for u in range(G.carrier.count(n - 1)))
-
-    # (3) the dimension-1 quotient is an equivalence, higher classes biject
-    def pi1_equivalence(full_only=False):
-        b_of = cls_H[0][0]
-        hit = {b_of[morph.apply(0, x)] for x in range(G.carrier.count(0))}
-        if any(b_of[y] not in hit for y in range(H.carrier.count(0))):
-            return False
-        for u in range(G.carrier.count(0)):
-            for v in range(G.carrier.count(0)):
-                bij, surj = class_bijection(1, u, v)
-                if full_only:
-                    if not surj:
-                        return False
-                elif not bij:
-                    return False
-        return True
-
-    cond3 = pi1_equivalence() and all(
-        class_bijection(n, u, v)[0]
-        for n in range(2, top_n + 1) for (u, v) in parallel_pairs(n))
-
-    # (4) dimension 1 full and essentially surjective, higher classes surject
-    cond4 = pi1_equivalence(full_only=True) and all(
-        class_bijection(n, u, v)[1]
-        for n in range(2, top_n + 1) for (u, v) in parallel_pairs(n))
-
-    report = WeqReport(cond1, cond2, cond3, cond4)
+    for n in range(1, top_n + 1):
+        _, g_classes = hom_classes(G, n)
+        h_of, _ = hom_classes(H, n)
+        cells = range(G.carrier.count(n - 1))
+        F = gpd.GFunctor(pi_groupoid(G, bundle, n), pi_groupoid(H, bundle, n),
+                         tuple(morph.apply(n - 1, u) for u in cells),
+                         tuple(h_of[morph.apply(n, cl[0])] for cl in g_classes)).validate()
+        homs = {(u, v): F.on_homs(u, v) for u in cells for v in cells
+                if parallel_cells(G, n - 1, u, v)}
+        units = {iterated_unit(G, bundle, x, n - 1) for x in range(G.carrier.count(0))}
+        conds[0] = conds[0] and all(all(homs[e, e]) for e in units)
+        conds[1] = conds[1] and all(all(homs[u, u]) for u in cells)
+        conds[2] = conds[2] and all(all(h) for h in homs.values())
+        conds[3] = conds[3] and all(surj and (inj or n < top_n)
+                                    for inj, surj in homs.values())
+    report = WeqReport(*conds)
     if not report.agree:
         raise HomotopyError("the four weak-equivalence conditions disagree: %s" % (report,))
     return report

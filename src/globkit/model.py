@@ -423,8 +423,13 @@ def model_to_json(model):
     return data
 
 
+def _is_int(value):
+    """A JSON integer: an int that is not a boolean."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _is_index(value, count):
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < count
+    return _is_int(value) and 0 <= value < count
 
 
 def _json_field(obj, key, kind, where, file="model file", error=ModelError):
@@ -467,7 +472,7 @@ def model_from_json(data, tower):
         for r in rows:
             ins = _json_field(r, "in", list, "a row of %r" % name)
             out = _json_field(r, "out", int, "a row of %r" % name)
-            if not all(isinstance(c, int) and not isinstance(c, bool) for c in ins):
+            if not all(_is_int(c) for c in ins):
                 raise ModelError("model file: %r has a non-integer input %r" % (name, ins))
             if not _is_index(out, carrier.count(dim)):
                 raise ModelError("model file: %r sends %s to %d, not one of the %d %d-cells"

@@ -1,11 +1,13 @@
-"""Oracles that only the tests read: every small table, and the filler of
-an admissible pair in the groupoid globe diagram found from object images
-alone."""
+"""Oracles that only the tests read: every small table, the filler of an
+admissible pair in the groupoid globe diagram found from object images
+alone, and the weak-equivalence checker that restated the functor
+properties of the induced pi-groupoid functors by hand."""
 
 import itertools
 
 from globkit.globe import Table
 from globkit.gpd import GroupoidError
+from globkit.homotopy import WeqReport, hom_classes, iterated_unit, parallel_cells, pi_groupoid
 
 
 def all_tables(max_width, max_dim):
@@ -34,3 +36,90 @@ def lifting_oracle(sumr, fpair, gpair, n):
         raise GroupoidError("parallel pair disagrees on objects: %s vs %s"
                             % (fpair, gpair))
     return fpair
+
+
+def old_weak_equiv(morph, bundle):
+    """The four characterizations of weak equivalence as `homotopy.weak_equiv`
+    stated them before they were read off the induced pi-groupoid functors.
+
+    It returns the four verdicts even when they disagree, where the library
+    raises, so that a test can see its known defect: at the top dimension
+    trunc - 1, condition 4 asks only for surjectivity on classes, so a map
+    that kills pi there passes condition 4 alone.  It needs trunc >= 2.
+    """
+    G, H = morph.source, morph.target
+    morph.validate()
+    top_n = G.trunc - 1
+    cls_G = {n: hom_classes(G, n) for n in range(0, top_n + 1)}
+    cls_H = {n: hom_classes(H, n) for n in range(0, top_n + 1)}
+    pg_G = {n: pi_groupoid(G, bundle, n) for n in range(1, top_n + 1)}
+    pg_H = {n: pi_groupoid(H, bundle, n) for n in range(1, top_n + 1)}
+
+    def pi0_bijection():
+        a_of, a_cls = cls_G[0]
+        b_of, b_cls = cls_H[0]
+        img = {i: b_of[morph.apply(0, cl[0])] for i, cl in enumerate(a_cls)}
+        return len(set(img.values())) == len(b_cls) and len(img) == len(b_cls)
+
+    def class_image(n, i):
+        """The class in H of the image of a member of class i of G."""
+        return cls_H[n][0][morph.apply(n, cls_G[n][1][i][0])]
+
+    def group_iso(n, u):
+        pgu, pgh = pg_G[n], pg_H[n]
+        fu = morph.apply(n - 1, u)
+        eu, eh = pgu.hom(u, u), pgh.hom(fu, fu)
+        img = {i: class_image(n, i) for i in eu}
+        if len(set(img.values())) != len(img) or sorted(set(img.values())) != sorted(eh):
+            return False
+        return all(img[pgu.comp[a][b]] == pgh.comp[img[a]][img[b]]
+                   for a in eu for b in eu)
+
+    def class_bijection(n, u, v):
+        dom = pg_G[n].hom(u, v)
+        cod = set(pg_H[n].hom(morph.apply(n - 1, u), morph.apply(n - 1, v)))
+        img = {class_image(n, i) for i in dom}
+        return img == cod and len(img) == len(dom), img == cod
+
+    def parallel_pairs(n):
+        for u in range(G.carrier.count(n - 1)):
+            for v in range(G.carrier.count(n - 1)):
+                if parallel_cells(G, n - 1, u, v):
+                    yield u, v
+
+    # (1) pi_0 bijection and group isos at objects
+    cond1 = pi0_bijection() and all(
+        group_iso(n, iterated_unit(G, bundle, x, n - 1))
+        for n in range(1, top_n + 1) for x in range(G.carrier.count(0)))
+
+    # (2) pi_0 bijection and group isos at every cell
+    cond2 = pi0_bijection() and all(
+        group_iso(n, u)
+        for n in range(1, top_n + 1) for u in range(G.carrier.count(n - 1)))
+
+    # (3) the dimension-1 quotient is an equivalence, higher classes biject
+    def pi1_equivalence(full_only=False):
+        b_of = cls_H[0][0]
+        hit = {b_of[morph.apply(0, x)] for x in range(G.carrier.count(0))}
+        if any(b_of[y] not in hit for y in range(H.carrier.count(0))):
+            return False
+        for u in range(G.carrier.count(0)):
+            for v in range(G.carrier.count(0)):
+                bij, surj = class_bijection(1, u, v)
+                if full_only:
+                    if not surj:
+                        return False
+                elif not bij:
+                    return False
+        return True
+
+    cond3 = pi1_equivalence() and all(
+        class_bijection(n, u, v)[0]
+        for n in range(2, top_n + 1) for (u, v) in parallel_pairs(n))
+
+    # (4) dimension 1 full and essentially surjective, higher classes surject
+    cond4 = pi1_equivalence(full_only=True) and all(
+        class_bijection(n, u, v)[1]
+        for n in range(2, top_n + 1) for (u, v) in parallel_pairs(n))
+
+    return WeqReport(cond1, cond2, cond3, cond4)

@@ -179,6 +179,36 @@ def test_weq_verb(tmp_path, capsys):
     assert code == 0 and "weak equivalence: True" in out
 
 
+def test_weq_top_dimension_and_low_truncations(tmp_path, capsys):
+    """The projection XMod(Z2, Z2) -> KG1(Z2) kills pi_2, the top dimension of
+    a dimension-3 tower: four False verdicts.  At dimension 1 the verdicts are
+    the bijection on pi_0, and dimension 0 is refused with exit 1."""
+    path = str(tmp_path / "std.tower")
+    run(capsys, "stdlib", "--dim", "3", "--out", path)
+    xmod = {"base": "Z2", "fiber": "Z2", "boundary": [0, 0], "action": [[0, 1], [0, 1]]}
+    mpath = str(tmp_path / "m.json")
+    low = {}
+    for dim in (0, 1):
+        low[dim] = str(tmp_path / ("dim%d.tower" % dim))
+        with open(low[dim], "w") as fh:
+            fh.write("dim %d\n" % dim)
+    for tower, morph, verdict in (
+            (path, {"source": {"xmod": xmod}, "target": {"kg1": "Z2"},
+                    "map": [[0], [0, 1], [0, 0, 1, 1]]}, False),
+            (low[1], {"source": {"discrete": 2}, "target": {"discrete": 2},
+                      "map": [[1, 0]]}, True),
+            (low[1], {"source": {"discrete": 2}, "target": {"discrete": 1},
+                      "map": [[0, 0]]}, False)):
+        with open(mpath, "w") as fh:
+            json.dump(morph, fh)
+        code, out, err = run(capsys, "weq", tower, mpath, "--format", "json")
+        assert (code, err) == (0, ""), (morph, err)
+        assert json.loads(out) == {"conditions": [verdict] * 4, "weak_equivalence": verdict}
+    code, out, err = run(capsys, "weq", low[0], mpath)
+    assert (code, out) == (1, "")
+    assert err == "error: dimension 1 exceeds the represented range\n"
+
+
 def test_crossed_module_laws_are_checked_also_under_O(tmp_path, capsys):
     path = str(tmp_path / "std.tower")
     run(capsys, "stdlib", "--dim", "3", "--out", path)
@@ -573,11 +603,21 @@ def test_fuzzed_input_files_and_numeric_flags(tmp_path, capsys):
          lambda f: ["fundamental", f, "--dim", "3"]),
         ("xmod.json", xmod, lambda f: ["pi", path, "--xmod", f, "--n", "2"]),
     ]
+    # weq over towers too low for any pi-groupoid: at dimension 1 the four
+    # conditions are the bijection on pi_0, at dimension 0 pi_0 is refused
+    for dim in (0, 1):
+        low = str(tmp_path / ("dim%d.tower" % dim))
+        with open(low, "w") as fh:
+            fh.write("dim %d\n" % dim)
+        kinds.append(("morphism.json", {"source": {"discrete": 2}, "target": {"discrete": 1},
+                                        "map": [[0, 0]]},
+                      lambda f, low=low: ["weq", low, f]))
     rng = random.Random(0)
     runs = []
     for fname, good, argv in kinds:
-        fpath = str(tmp_path / fname)
         for _ in range(40):
+            # one file per run: the runs start after every file is written
+            fpath = str(tmp_path / ("%d-%s" % (len(runs), fname)))
             with open(fpath, "w") as fh:
                 json.dump(_mutate_json(rng, good), fh)
             runs.append(argv(fpath))

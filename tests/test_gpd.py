@@ -198,8 +198,8 @@ def test_endpoints_from_normal_forms_match_term_evaluation():
     assert checked == 476 + 12
 
 
-def names_term_nodes(tree):
-    """The term node classes of `coherator` that a syntax tree names."""
+def names_in(tree):
+    """Every name, attribute and imported name that a syntax tree names."""
     named = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -208,7 +208,12 @@ def names_term_nodes(tree):
             named.add(node.attr)
         elif isinstance(node, ast.alias):
             named.add(node.name.rpartition(".")[2])
-    return named & {"GMap", "TupleT", "Chain"}
+    return named
+
+
+def names_term_nodes(tree):
+    """The term node classes of `coherator` that a syntax tree names."""
+    return names_in(tree) & {"GMap", "TupleT", "Chain"}
 
 
 def test_gpd_does_not_evaluate_terms():
@@ -332,6 +337,27 @@ def test_quillen_pi1_values():
     # higher groups vanish: the loop object is discrete
     assert P.quillen_pi_n(P.one_object(G.cyclic(3)), 0, 2).order == 1
     assert P.quillen_pi_n(P.one_object(G.cyclic(3)), 0, 3).order == 1
+
+
+def test_one_vertex_group_order(std4, interp4):
+    """pi_1 of the fundamental model, Aut(x) and the cylinder classes list
+    the same loops in one order, the identity first and the others
+    ascending, here where the identity is the greatest loop."""
+    tower, bundle = std4
+    Y = P.connected_groupoid(2, G.symmetric(3))
+    last = Y.n_arrows - 1
+    X = P.build_groupoid(Y.n_objects, [(Y.src[last - a], Y.tgt[last - a])
+                                       for a in range(Y.n_arrows)],
+                         lambda g, f: last - Y.comp[last - g][last - f])
+    m = P.fundamental(X, tower, interp4)
+    for x in range(X.n_objects):
+        aut, loops = X.aut_group(x)
+        assert loops[0] == X.ident[x] == max(loops)
+        assert loops[1:] == sorted(loops[1:])
+        grp, elems, _ = H.pi_n(m, bundle, 1, x)
+        q_grp, q_loops, _ = P.quillen_pi1(X, x)
+        assert elems == q_loops == loops
+        assert grp.mult == q_grp.mult == aut.mult
 
 
 def test_cylinder_lemma():

@@ -1,15 +1,20 @@
 """Homotopy quotients, groups, division, base change, weak equivalences."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 
 from globkit import coherator as C
+from globkit import dsl
 from globkit import groups as G
 from globkit import homotopy as H
 from globkit import model as M
 from globkit.globe import GlobularSet
 from globkit.model import Discrete, KAn, KG1, XMod
+from oracles import old_weak_equiv
+from test_gpd import names_in
 
 
 def builtin_models(std4):
@@ -218,6 +223,21 @@ def test_pi_abelian_at_two_and_up(std4):
                 assert grp.is_abelian()
 
 
+def names_group_builders(tree):
+    """The group constructors and isomorphism searches a syntax tree names."""
+    return names_in(tree) & {"Group", "find_isomorphism"}
+
+
+def test_homotopy_builds_no_group_table():
+    """The vertex group is `Groupoid.aut_group`'s: homotopy constructs no
+    group of its own and searches for no isomorphism."""
+    assert names_group_builders(
+        ast.parse(pathlib.Path(H.__file__).read_text(encoding="utf-8"))) == set()
+    for text in ("groups.Group('pi_1', mult)", "from .groups import Group",
+                 "G.find_isomorphism(a, b)"):
+        assert names_group_builders(ast.parse(text)), text
+
+
 def test_pi_refused_at_top_dimension(std4):
     tower, bundle = std4
     m = M.build_strict(KG1(G.cyclic(2)), tower, bundle)
@@ -354,9 +374,9 @@ def test_one_arrow_transport(std4):
                 H.base_change_iso(m, bundle, n, ku)
 
 
-def test_weq_suite(std4):
-    tower, bundle = std4
-
+def weq_suite(tower, bundle):
+    """(morphism, verdict) pairs of strict models; the first six are
+    acceptance criterion 07's."""
     def kg1_morphism(ga, gb, hom):
         ma = M.build_strict(KG1(ga), tower, bundle)
         mb = M.build_strict(KG1(gb), tower, bundle)
@@ -378,11 +398,34 @@ def test_weq_suite(std4):
     cases.append((M.morphism_from_dims(d2, d2, [(1, 0)]), True))
     d1 = M.build_strict(Discrete(1), tower, bundle)
     cases.append((M.morphism_from_dims(d2, d1, [(0, 0)]), False))
+    return cases
+
+
+def test_weq_suite(std4):
+    tower, bundle = std4
+    cases = weq_suite(tower, bundle)
     assert len(cases) >= 6
     for morph, expected in cases:
         rep = H.weak_equiv(morph, bundle)
         assert rep.agree
         assert rep.is_weak_equivalence is expected
+
+
+def test_weq_at_truncation_one_is_the_pi0_bijection_and_refused_at_zero():
+    """At truncation 1 no pi-groupoid exists and all four conditions are the
+    bijection on pi_0; at truncation 0 there are no 1-cells to form pi_0."""
+    for dim in (0, 1):
+        tower = dsl.parse_tower("dim %d\n" % dim)
+        bundle = C.bundle_of(tower)
+        d2, d1 = (M.build_strict(Discrete(k), tower, bundle) for k in (2, 1))
+        swap = M.morphism_from_dims(d2, d2, [(1, 0)])
+        collapse = M.morphism_from_dims(d2, d1, [(0, 0)])
+        if dim == 0:
+            with pytest.raises(H.HomotopyError, match="dimension 1 exceeds the represented"):
+                H.weak_equiv(swap, bundle)
+            continue
+        assert H.weak_equiv(swap, bundle) == H.WeqReport(True, True, True, True)
+        assert H.weak_equiv(collapse, bundle) == H.WeqReport(False, False, False, False)
 
 
 def _quotient(grp, normal):
@@ -433,19 +476,66 @@ def test_crossed_module_homotopy_groups_against_table_oracles(std4):
         assert pis[2].order == 1
 
 
-def test_weq_on_crossed_modules(std4):
-    """The four conditions agree on morphisms of crossed modules: the identity
-    is a weak equivalence, the projection (g, a) -> g onto KG1(Z2) kills pi_2."""
-    tower, bundle = std4
+def xmod_morphisms(tower, bundle):
+    """The identity of XMod(trivial_xmod(Z2, Z2)) and its projection
+    (g, a) -> g onto KG1(Z2), which kills pi_2."""
     z2 = G.cyclic(2)
     mx = M.build_strict(XMod(G.trivial_xmod(z2, z2)), tower, bundle)
     mk = M.build_strict(KG1(z2), tower, bundle)
-    identity = M.morphism_from_dims(mx, mx, [(0,), (0, 1), (0, 1, 2, 3)])
-    projection = M.morphism_from_dims(mx, mk, [(0,), (0, 1), (0, 0, 1, 1)])
-    for morph, expected in ((identity, True), (projection, False)):
-        rep = H.weak_equiv(morph, bundle)
-        assert rep.agree
-        assert rep.is_weak_equivalence is expected
+    return (M.morphism_from_dims(mx, mx, [(0,), (0, 1), (0, 1, 2, 3)]),
+            M.morphism_from_dims(mx, mk, [(0,), (0, 1), (0, 0, 1, 1)]))
+
+
+def test_weq_on_crossed_modules(std3, std4):
+    """The four conditions agree on morphisms of crossed modules: the identity
+    is a weak equivalence, and the projection fails all four, also at
+    truncation 3, where pi_2 sits at the top dimension and condition 4 must
+    ask for injectivity there."""
+    for tower, bundle in (std3, std4):
+        identity, projection = xmod_morphisms(tower, bundle)
+        assert H.weak_equiv(identity, bundle) == H.WeqReport(True, True, True, True)
+        assert H.weak_equiv(projection, bundle) == H.WeqReport(False, False, False, False)
+
+
+def test_weak_equiv_matches_the_replaced_checker(std3, std4):
+    """The functor reading of the four conditions against the checker it
+    replaced, over the strict-model suite, the crossed-module morphisms, and
+    acceptance criterion 10's identities over the corpus and its seven
+    functors.  Where the old checker's four verdicts disagree, its known
+    defect at the top dimension, the new condition 4 follows condition 1."""
+    from globkit import gpd as P
+
+    tower, bundle = std4
+    interp = P.TowerGpdInterp(tower)
+
+    def fundamental_morphism(X, Y, objs, arrs):
+        P.GFunctor(X, Y, objs, arrs).validate()
+        return M.morphism_from_dims(P.fundamental(X, tower, interp),
+                                    P.fundamental(Y, tower, interp), [objs, arrs])
+
+    c1, c2, d1, d2 = P.point(), P.codiscrete(2), P.discrete(1), P.discrete(2)
+    tz2 = P.connected_groupoid(2, G.cyclic(2))
+    oz2, oz4 = P.one_object(G.cyclic(2)), P.one_object(G.cyclic(4))
+    functors = [(c2, c1, (0, 0), (0,) * 4),
+                (tz2, oz2, (0, 0), tuple(a % 2 for a in range(tz2.n_arrows))),
+                (d2, d2, (1, 0), (1, 0)), (oz2, c1, (0,), (0, 0)),
+                (d2, d1, (0, 0), (0, 0)), (oz2, oz4, (0,), (0, 2)), (c1, d2, (0,), (0,))]
+    cases = [(m, bundle) for m, _ in weq_suite(tower, bundle)]
+    cases += [(m, b) for t, b in (std3, std4) for m in xmod_morphisms(t, b)]
+    cases += [(fundamental_morphism(X, X, tuple(range(X.n_objects)),
+                                    tuple(range(X.n_arrows))), bundle)
+              for _, X in P.corpus()]
+    cases += [(fundamental_morphism(*f), bundle) for f in functors]
+    defects = 0
+    for morph, b in cases:
+        old, new = old_weak_equiv(morph, b), H.weak_equiv(morph, b)
+        if old.agree:
+            assert new == old
+        else:
+            defects += 1
+            assert (new.cond1, new.cond2, new.cond3) == (old.cond1, old.cond2, old.cond3)
+            assert new.cond4 == new.cond1
+    assert len(cases) > 60 and defects == 1
 
 
 def test_pi_groupoid_built_once_per_query(std4, monkeypatch):
