@@ -14,7 +14,12 @@ relations as rewrites:
     the declared f or g;
   * a tuple whose components are all concrete recombines into one concrete
     map, whose constructor checks its gluing; only a tuple with a
-    non-concrete component has its gluing checked here, term by term.
+    non-concrete component has its gluing checked here, term by term, and
+    only when `tuple_term` builds it from components it is handed;
+  * identities are units: every term is already a normal form, so composing
+    with an identity returns the other factor unchanged;
+  * post-composition keeps gluing: t ∘ (c_1, ..., c_n) is the tuple of the
+    t ∘ c_k, glued because the c_k are, so it is built without a check.
 
 `normalize` evaluates an arbitrary raw syntax tree through these
 constructors.  `comp_pair` and `inv_pair` state the two-case boundary
@@ -132,9 +137,9 @@ def _make_chain(tail, gen, arg):
 
 
 def tuple_term(comps, src_table):
-    """Tuple constructor: an all-concrete tuple recombines into the one
-    concrete map picking its components' cells, which checks its gluing;
-    any other tuple is checked here."""
+    """Tuple constructor, the one that validates: it checks the arity, the
+    components' spans and, for a tuple with a non-concrete component, the
+    gluing term by term, then builds the tuple with `_tuple`."""
     comps = tuple(comps)
     if len(comps) != src_table.width:
         raise TermError("expected %d components, got %d" % (src_table.width, len(comps)))
@@ -146,12 +151,20 @@ def tuple_term(comps, src_table):
         if c.target != target:
             raise TermError("component %d has target %s, expected %s"
                             % (k, c.target, target))
+    if not all(isinstance(c, GMap) for c in comps):
+        for k, j in enumerate(src_table.lower):
+            error = gluing_error(k, j, comps[k], comps[k + 1])
+            if error is not None:
+                raise error
+    return _tuple(comps, src_table)
+
+
+def _tuple(comps, src_table):
+    """The tuple of components that are known to span and glue: an
+    all-concrete tuple recombines into the one concrete map picking their
+    cells, whose constructor checks its gluing."""
     if all(isinstance(c, GMap) for c in comps):
-        return GMap(src_table, target, tuple(c.cells[0] for c in comps))
-    for k, j in enumerate(src_table.lower):
-        error = gluing_error(k, j, comps[k], comps[k + 1])
-        if error is not None:
-            raise error
+        return GMap(src_table, comps[0].target, tuple(c.cells[0] for c in comps))
     return TupleT(src_table, comps)
 
 
@@ -170,14 +183,20 @@ def compose(t2, t1):
     """Normal form of t2 ∘ t1 (t1 applied first)."""
     if t1.target != t2.source:
         raise TermError("cannot compose: %s then %s" % (t1.target, t2.source))
+    # every term is a normal form, and identities are units
+    if isinstance(t1, GMap) and t1.is_identity:
+        return t2
+    if isinstance(t2, GMap) and t2.is_identity:
+        return t1
     if isinstance(t2, GMap) and isinstance(t1, GMap):
         return theta0.compose(t2, t1)
+    # post-composition keeps a glued tuple glued
     if isinstance(t1, TupleT):
-        return tuple_term([compose(t2, c) for c in t1.comps], t1.src_table)
+        return _tuple(tuple([compose(t2, c) for c in t1.comps]), t1.src_table)
     if isinstance(t1, GMap):
         if t1.source.width > 1:
-            comps = [compose(t2, t1.leg(k)) for k in range(t1.source.width)]
-            return tuple_term(comps, t1.source)
+            comps = tuple([compose(t2, t1.leg(k)) for k in range(t1.source.width)])
+            return _tuple(comps, t1.source)
         if isinstance(t2, TupleT):
             k, w = theta0.decompose(t1)
             return compose(t2.comps[k], theta0.globe_functor(w))

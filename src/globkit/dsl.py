@@ -12,7 +12,7 @@ explicitly after each separator or inferred as the largest compatible one.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import coherator as coh
 from . import theta0
@@ -36,52 +36,53 @@ class CheckError(Exception):
         super().__init__("line %d: %s" % (line, msg))
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     value: str
     line: int
     col: int
 
 
+# Each match is one token and the blanks before it; `bad` is any character
+# that starts no token.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<nl>\n)
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_.]*)
-  | (?P<arrow>->)
-  | (?P<sym>[:;=*\[\]()+])
+    [ \t]*
+    (?: (?P<comment>\#[^\n]*)
+      | (?P<nl>\n)
+      | (?P<int>\d+)
+      | (?P<name>[A-Za-z_][A-Za-z0-9_.]*)
+      | (?P<arrow>->)
+      | (?P<sym>[:;=*\[\]()+])
+      | (?P<eof>\Z)
+      | (?P<bad>.))
 """, re.VERBOSE)
 
 
 def tokenize(text):
+    """The script's tokens, each with its line and column (both from 1);
+    a column counts characters from the start of its line."""
     out = []
-    line, col = 1, 1
+    line, line_start = 1, 0
     pos = 0
-    while pos < len(text):
+    kind = None
+    while kind != "eof":
         m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(line, col, "unexpected character %r" % text[pos])
         kind = m.lastgroup
-        value = m.group()
-        if kind == "nl":
-            out.append(Token("nl", value, line, col))
-            line += 1
-            col = 1
-        elif kind in ("ws", "comment"):
-            col += len(value)
-        else:
-            out.append(Token(kind, value, line, col))
-            col += len(value)
+        col = m.start(kind) - line_start + 1
+        if kind == "bad":
+            raise ParseError(line, col, "unexpected character %r" % m.group(kind))
+        if kind != "comment":
+            out.append(Token(kind, m.group(kind), line, col))
         pos = m.end()
-    out.append(Token("eof", "", line, col))
+        if kind == "nl":
+            line += 1
+            line_start = pos
     return out
 
 
 class _Parser:
     def __init__(self, text):
-        self.tokens = [t for t in tokenize(text)]
+        self.tokens = tokenize(text)
         self.pos = 0
 
     def peek(self):

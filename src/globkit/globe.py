@@ -12,6 +12,7 @@ strict model's carrier has more than `MAX_CELLS` cells.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,25 +90,60 @@ def compose_words(w2, w1):
     return Word(w1.src, w2.tgt, w1.kind)
 
 
-@dataclass(frozen=True)
+# The live tables by value: a table is built and checked once while any
+# reference to it is held, and dropped with the last one.
+_TABLES = weakref.WeakValueDictionary()
+
+
 class Table:
-    """A table of dimensions: upper row (i_1..i_n), lower row (i'_1..i'_{n-1})."""
+    """A table of dimensions: upper row (i_1..i_n), lower row (i'_1..i'_{n-1}).
 
-    upper: tuple[int, ...]
-    lower: tuple[int, ...]
+    Tables are interned: there is one live `Table` per (upper, lower) value,
+    so equality is identity, and the hash is computed once and stored.  Both
+    rows must be tuples of ints; every new value is checked before it is
+    interned.
+    """
 
-    def __post_init__(self):
-        if len(self.upper) < 1 or len(self.lower) != len(self.upper) - 1:
+    __slots__ = ("upper", "lower", "_hash", "__weakref__")
+
+    def __new__(cls, upper, lower):
+        key = (upper, lower)
+        try:
+            return _TABLES[key]
+        except (KeyError, TypeError):  # TypeError: an unhashable row
+            pass
+        if type(upper) is not tuple or type(lower) is not tuple:
+            raise GlobeError("table rows must be tuples, not %s and %s"
+                             % (type(upper).__name__, type(lower).__name__))
+        if len(upper) < 1 or len(lower) != len(upper) - 1:
             raise GlobeError("table rows have mismatched widths")
-        if any(i < 0 for i in self.upper) or any(i < 0 for i in self.lower):
+        if any(type(i) is not int or i < 0 for i in upper + lower):
             raise GlobeError("table entries must be naturals")
-        if max(self.upper) > MAX_DIM:
+        if max(upper) > MAX_DIM:
             raise GlobeError("table dimension %d exceeds the largest supported "
-                             "dimension %d" % (max(self.upper), MAX_DIM))
-        for k, j in enumerate(self.lower):
-            if not (self.upper[k] > j and self.upper[k + 1] > j):
+                             "dimension %d" % (max(upper), MAX_DIM))
+        for k, j in enumerate(lower):
+            if not (upper[k] > j and upper[k + 1] > j):
                 raise GlobeError(
                     "table entry %d not dominated by its neighbours" % j)
+        self = object.__new__(cls)
+        object.__setattr__(self, "upper", upper)
+        object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "_hash", hash(key))
+        _TABLES[key] = self
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Table is immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Table, (self.upper, self.lower)
+
+    def __repr__(self):
+        return "Table(upper=%r, lower=%r)" % (self.upper, self.lower)
 
     @property
     def width(self):

@@ -101,8 +101,13 @@ def pi_groupoid(model, bundle, n):
     """
     if n < 1:
         raise HomotopyError("pi groupoid needs n >= 1")
+    return _pi_groupoid(model, bundle, n, hom_classes(model, n))
+
+
+def _pi_groupoid(model, bundle, n, hom_cls):
+    """`pi_groupoid` on the classes `hom_cls = hom_classes(model, n)`."""
     tower, car = model.tower, model.carrier
-    class_of, classes = hom_classes(model, n)
+    class_of, classes = hom_cls
     arrows = [(car.source(n, cl[0]), car.target(n, cl[0])) for cl in classes]
     for i, cl in enumerate(classes):
         for c in cl[1:]:
@@ -434,10 +439,11 @@ def weak_equiv(morph, bundle):
     conds = [pi0_bijective] * 4
     top_n = G.trunc - 1
     for n in range(1, top_n + 1):
-        _, g_classes = hom_classes(G, n)
-        h_of, _ = hom_classes(H, n)
+        g_cls, h_cls = hom_classes(G, n), hom_classes(H, n)
+        g_classes, h_of = g_cls[1], h_cls[0]
         cells = range(G.carrier.count(n - 1))
-        F = gpd.GFunctor(pi_groupoid(G, bundle, n), pi_groupoid(H, bundle, n),
+        F = gpd.GFunctor(_pi_groupoid(G, bundle, n, g_cls),
+                         _pi_groupoid(H, bundle, n, h_cls),
                          tuple(morph.apply(n - 1, u) for u in cells),
                          tuple(h_of[morph.apply(n, cl[0])] for cl in g_classes)).validate()
         homs = {(u, v): F.on_homs(u, v) for u in cells for v in cells

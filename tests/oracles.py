@@ -1,11 +1,19 @@
 """Oracles that only the tests read: every small table, the filler of an
 admissible pair in the groupoid globe diagram found from object images
-alone, and the weak-equivalence checker that restated the functor
-properties of the induced pi-groupoid functors by hand."""
+alone, the weak-equivalence checker that restated the functor properties of
+the induced pi-groupoid functors by hand, the term composition that rebuilt
+every composite node by node and re-checked the gluing of every tuple it
+made, and the tokenizer that matched blanks as tokens of their own."""
 
 import itertools
+import re
+from dataclasses import dataclass
 
-from globkit.globe import Table
+from globkit import theta0
+from globkit.coherator import Chain, TermError, TupleT, _disk_dim, wordt
+from globkit.dsl import ParseError
+from globkit.globe import Table, Word, disk
+from globkit.theta0 import GMap
 from globkit.gpd import GroupoidError
 from globkit.homotopy import WeqReport, hom_classes, iterated_unit, parallel_cells, pi_groupoid
 
@@ -123,3 +131,124 @@ def old_weak_equiv(morph, bundle):
         for n in range(2, top_n + 1) for (u, v) in parallel_pairs(n))
 
     return WeqReport(cond1, cond2, cond3, cond4)
+
+
+# The term composition before identities short-circuited it and before a
+# post-composed tuple inherited its gluing: `compose`, `tuple_term`,
+# `gluing_error` and `_make_chain` as `coherator` stated them, renamed so
+# that they call one another.
+
+def old_make_chain(tail, gen, arg):
+    """Chain constructor applying the generator's boundary equations."""
+    if isinstance(arg, GMap) and not arg.is_identity:
+        w = theta0.decompose(arg)[1]
+        m = w.src
+        if m == gen.dim - 1:
+            side = gen.fsrc if w.kind == "s" else gen.gtgt
+            return old_compose(tail, side)
+        # peel the (canonicalized) top letter; lower letters keep the kind
+        rest = Word(m, gen.dim - 1, w.kind)
+        return old_compose(tail, old_compose(gen.fsrc, theta0.globe_functor(rest)))
+    return Chain(tail, gen, arg)
+
+
+def old_tuple_term(comps, src_table):
+    """Tuple constructor: an all-concrete tuple recombines into the one
+    concrete map picking its components' cells, which checks its gluing;
+    any other tuple is checked here."""
+    comps = tuple(comps)
+    if len(comps) != src_table.width:
+        raise TermError("expected %d components, got %d" % (src_table.width, len(comps)))
+    target = comps[0].target
+    for k, c in enumerate(comps):
+        if c.source != disk(src_table.upper[k]):
+            raise TermError("component %d has source %s, expected D%d"
+                            % (k, c.source, src_table.upper[k]))
+        if c.target != target:
+            raise TermError("component %d has target %s, expected %s"
+                            % (k, c.target, target))
+    if all(isinstance(c, GMap) for c in comps):
+        return GMap(src_table, target, tuple(c.cells[0] for c in comps))
+    for k, j in enumerate(src_table.lower):
+        error = old_gluing_error(k, j, comps[k], comps[k + 1])
+        if error is not None:
+            raise error
+    return TupleT(src_table, comps)
+
+
+def old_gluing_error(k, j, left, right):
+    """None if `right` glues after `left` over D_j, the source j-face of
+    `left` being the target j-face of `right`; otherwise the failure of
+    gluing k, at the lowest dimension where those faces differ."""
+    a = old_compose(left, wordt("s", j, _disk_dim(left)))
+    b = old_compose(right, wordt("t", j, _disk_dim(right)))
+    if a == b:
+        return None
+    return theta0.gluing_error(k, j, a, b, lambda w, x: old_compose(x, theta0.globe_functor(w)))
+
+
+def old_compose(t2, t1):
+    """Normal form of t2 ∘ t1 (t1 applied first)."""
+    if t1.target != t2.source:
+        raise TermError("cannot compose: %s then %s" % (t1.target, t2.source))
+    if isinstance(t2, GMap) and isinstance(t1, GMap):
+        return theta0.compose(t2, t1)
+    if isinstance(t1, TupleT):
+        return old_tuple_term([old_compose(t2, c) for c in t1.comps], t1.src_table)
+    if isinstance(t1, GMap):
+        if t1.source.width > 1:
+            comps = [old_compose(t2, t1.leg(k)) for k in range(t1.source.width)]
+            return old_tuple_term(comps, t1.source)
+        if isinstance(t2, TupleT):
+            k, w = theta0.decompose(t1)
+            return old_compose(t2.comps[k], theta0.globe_functor(w))
+        # t2 is a Chain
+        return old_make_chain(t2.tail, t2.gen, old_compose(t2.arg, t1))
+    # t1 is a Chain
+    return old_make_chain(old_compose(t2, t1.tail), t1.gen, t1.arg)
+
+
+# The tokenizer of tower scripts before tokens became named tuples and
+# blanks stopped being matched on their own.
+
+@dataclass(frozen=True)
+class OldToken:
+    kind: str
+    value: str
+    line: int
+    col: int
+
+
+_OLD_TOKEN_RE = re.compile(r"""
+    (?P<ws>[ \t]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<nl>\n)
+  | (?P<int>\d+)
+  | (?P<name>[A-Za-z_][A-Za-z0-9_.]*)
+  | (?P<arrow>->)
+  | (?P<sym>[:;=*\[\]()+])
+""", re.VERBOSE)
+
+
+def old_tokenize(text):
+    out = []
+    line, col = 1, 1
+    pos = 0
+    while pos < len(text):
+        m = _OLD_TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(line, col, "unexpected character %r" % text[pos])
+        kind = m.lastgroup
+        value = m.group()
+        if kind == "nl":
+            out.append(OldToken("nl", value, line, col))
+            line += 1
+            col = 1
+        elif kind in ("ws", "comment"):
+            col += len(value)
+        else:
+            out.append(OldToken(kind, value, line, col))
+            col += len(value)
+        pos = m.end()
+    out.append(OldToken("eof", "", line, col))
+    return out

@@ -12,6 +12,7 @@ import time
 import pytest
 
 from globkit import cli, coherator as C, dsl
+from oracles import old_tokenize
 
 
 def run(capsys, *argv):
@@ -516,6 +517,42 @@ def _mutate(rng, text):
     else:
         tokens[pos] = rng.choice(["?", "lift", ":", "*", "[", "dim", "eps0"])
     return " ".join(tokens)
+
+
+def test_token_stream_and_parse_error_positions_are_unchanged():
+    """The tokenizer against the one it replaced, on a long script, on every
+    malformed script below and on their prefixes; and the positions the
+    parser reports on the malformed ones."""
+    def tokens(tokenize, text):
+        try:
+            return [(t.kind, t.value, t.line, t.col) for t in tokenize(text)]
+        except dsl.ParseError as e:
+            return (e.line, e.col, str(e))
+
+    malformed = {
+        "dim 3\nlift foo : D1 -> D1 +0 D1 ; src = eps2 * s1 tgt = eps1 * t1\n":
+            "line 2, column 45: expected ;, found 'tgt'",
+        "dim 3\n  lift x : D1 -> D1 ; src = s1 @ t1\n":
+            "line 2, column 32: unexpected character '@'",
+        "dim 3\t# a comment\n\tlift x : D1 -> D0 ; src = id ; tgt = id ;\n":
+            "line 2, column 42: trailing input ';'",
+        "dim 3\nlift x : D1 -> D1 +0 D1 ; src = eps2 * s1 ; tgt =   ":
+            "line 2, column 53: expected a term, found 'eof'",
+        "dim 2\r\n": "line 1, column 6: unexpected character '\\r'",
+        "dim 3\n\n   -": "line 3, column 4: unexpected character '-'",
+        "# header\n  dim 3 4\n": "line 2, column 9: trailing input '4'",
+        "dim 3\nlift x : D2 -> D2 +0 D2 ; src = [eps1 ;1 eps2] ; tgt = eps1\n":
+            "line 2, column 33: bad tuple: matching condition fails at gluing 0, dimension 0",
+    }
+    long = dsl.emit_tower(C.stdlib(12)[0])
+    assert tokens(dsl.tokenize, long) == tokens(old_tokenize, long)
+    assert len(tokens(dsl.tokenize, long)) > 8000
+    for text, message in malformed.items():
+        for end in range(len(text) + 1):
+            assert tokens(dsl.tokenize, text[:end]) == tokens(old_tokenize, text[:end])
+        with pytest.raises(dsl.ParseError) as exc:
+            dsl.parse_tower(text)
+        assert str(exc.value) == message
 
 
 def test_stdlib_names_of_another_shape_are_not_structural(tmp_path, capsys):

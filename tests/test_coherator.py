@@ -17,6 +17,7 @@ from globkit.coherator import (
 )
 from globkit.globe import MAX_DIM, Table, Word, disk, idword
 from globkit.theta0 import MatchingError
+import oracles as O
 from test_theta0 import level_map
 
 
@@ -503,3 +504,80 @@ def test_tower_functor_rejects_non_lifting(std3):
     with pytest.raises(TermError) as exc:
         C.tower_functor(tower, {"unit0": target.term("inv1_0")}, target)
     assert "unit0" in str(exc.value)
+
+
+def test_composition_matches_the_replaced_calculus(monkeypatch):
+    """The identity and inherited-gluing short-circuits against the
+    composition that rebuilt every composite and re-checked the gluing of
+    every tuple it made: equal generator boundaries, globular faces, script
+    replays and normal forms, and not one of the old path's gluing checks
+    fails."""
+    check = O.old_gluing_error
+    runs, failures = [0], []
+
+    def recorded(k, j, left, right):
+        error = check(k, j, left, right)
+        runs[0] += 1
+        if error is not None:
+            failures.append((k, j, left, right))
+        return error
+
+    def under_old(build):
+        with monkeypatch.context() as patch:
+            patch.setattr(C, "compose", O.old_compose)
+            patch.setattr(C, "tuple_term", O.old_tuple_term)
+            patch.setattr(O, "old_gluing_error", recorded)
+            return build()
+
+    def boundaries(tower):
+        return [(g.name, g.level, g.fsrc, g.gtgt) for g in tower.gens()]
+
+    towers = {}
+    for d in range(2, 9):
+        tower = towers[d] = stdlib(d)[0]
+        assert boundaries(under_old(lambda: stdlib(d)[0])) == boundaries(tower)
+        text = dsl.emit_tower(tower)
+        assert boundaries(under_old(lambda: dsl.parse_tower(text))) == \
+            boundaries(dsl.parse_tower(text)) == boundaries(tower)
+        for gen in tower.gens():
+            h, n = tower.term(gen.name), gen.dim
+            assert glob_source(h) == O.old_compose(h, wordt("s", n - 1, n)) == gen.fsrc
+            assert glob_target(h) == O.old_compose(h, wordt("t", n - 1, n)) == gen.gtgt
+    for d in (3, 4, 6):
+        rng = random.Random(1500 + d)
+        for _ in range(300):
+            raw = R.random_raw(towers[d], rng, budget=8)
+            assert under_old(lambda: normalize(raw)) == normalize(raw)
+    assert runs[0] > 5000 and failures == []
+
+
+def test_tuple_term_refuses_what_the_replaced_one_refused():
+    """User tuples of random normal forms, glued over every dimension their
+    disks allow: `tuple_term` builds the replaced constructor's tuple or
+    raises its error, naming the same gluing and dimension."""
+    tower = stdlib(3)[0]
+    rng = random.Random(15)
+    pool = {}
+    for _ in range(400):
+        nf = normalize(R.random_raw(tower, rng, budget=5))
+        if nf.source.is_disk and nf.source.upper[0] >= 1:
+            pool.setdefault(nf.target, []).append(nf)
+
+    def outcome(build, comps, table):
+        try:
+            return build(comps, table)
+        except MatchingError as e:
+            return (e.k, e.dim, str(e))
+
+    built = refused = 0
+    for _ in range(300):
+        comps = rng.sample(rng.choice([p for p in pool.values() if len(p) > 1]), 2)
+        i0, i1 = (c.source.upper[0] for c in comps)
+        table = Table((i0, i1), (rng.randrange(min(i0, i1)),))
+        new = outcome(tuple_term, comps, table)
+        assert new == outcome(O.old_tuple_term, comps, table)
+        if isinstance(new, tuple):
+            refused += 1
+        elif isinstance(new, C.TupleT):
+            built += 1
+    assert built > 20 and refused > 100

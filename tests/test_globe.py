@@ -1,13 +1,17 @@
 """Words, tables, disks, and realized sums against brute-force oracles."""
 
 import ast
+import copy
+import gc
 import itertools
 import pathlib
+import pickle
 import random
 
 import pytest
 
 import globkit
+from globkit import coherator, globe
 from globkit.globe import (
     MAX_DIM, GlobeError, GlobularSet, Table, Word, compose_words, disk, idword, realize_sum,
     sword, tword,
@@ -361,10 +365,11 @@ def test_library_has_no_assert():
     assert asserts(ast.parse("def f(x):\n    assert x\n")) == [2]
 
 
-# The library's process-global caches.  Each is unbounded and lives as long
-# as the process, so adding one is a decision recorded here.
+# The library's process-global caches.  Each lives as long as the process,
+# so adding one is a decision recorded here.  The `lru_cache`s are unbounded;
+# the weak intern table of `Table`s holds each value while it is referenced.
 GLOBAL_CACHES = {
-    "globe.disk", "globe.realize_sum",
+    "globe.disk", "globe.realize_sum", "globe._TABLES",
     "theta0.compose", "theta0.enumerate_homs", "theta0.globe_functor",
     "theta0.identity_gmap", "theta0.leg_gmap",
 }
@@ -372,18 +377,53 @@ GLOBAL_CACHES = {
 
 def test_library_caches_are_the_allowlist():
     def cached(tree):
-        def is_cache(node):
+        def name_of(node):
             node = node.func if isinstance(node, ast.Call) else node
-            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
-            return name in ("lru_cache", "cache")
-        return sorted(node.name for node in ast.walk(tree)
-                      if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                      and any(map(is_cache, node.decorator_list)))
+            return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+        functions = [node.name for node in ast.walk(tree)
+                     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                     and any(name_of(d) in ("lru_cache", "cache") for d in node.decorator_list)]
+        tables = [target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Call)
+                  and name_of(node.value) in ("WeakValueDictionary", "WeakKeyDictionary")
+                  for target in node.targets if isinstance(target, ast.Name)]
+        return sorted(functions + tables)
 
     src = pathlib.Path(globkit.__file__).parent
     found = {"%s.%s" % (path.stem, name) for path in sorted(src.glob("*.py"))
              for name in cached(ast.parse(path.read_text(encoding="utf-8")))}
-    assert found == GLOBAL_CACHES and len(found) == 7
+    assert found == GLOBAL_CACHES and len(found) == 8
     assert cached(ast.parse("import functools\n@functools.lru_cache(maxsize=None)\n"
                             "def f(): pass\n@cache\ndef g(): pass\n"
-                            "@property\ndef h(): pass\n")) == ["f", "g"]
+                            "@property\ndef h(): pass\n"
+                            "T = weakref.WeakValueDictionary()\nU = dict()\n")) == ["T", "f", "g"]
+
+
+def test_tables_are_interned():
+    """One live `Table` per value: equal tables are one object with one
+    stored hash, copies and pickles included, and the intern table holds a
+    value only while something references it."""
+    t = Table((2, 1, 2), (0, 0))
+    assert Table((2, 1, 2), (0, 0)) is t and hash(t) == hash(((2, 1, 2), (0, 0)))
+    assert copy.deepcopy(t) is t and pickle.loads(pickle.dumps(t)) is t
+    assert repr(t) == "Table(upper=(2, 1, 2), lower=(0, 0))"
+    with pytest.raises(AttributeError):
+        t.upper = (1,)
+    for upper, lower in (([1, 1], (0,)), ((1, 1), [0]), ([1], [])):
+        with pytest.raises(GlobeError, match="table rows must be tuples"):
+            Table(upper, lower)
+    # a float row would otherwise be interned and handed out for the int one
+    for upper, lower in (((61.0,), ()), ((9, 2, 9), (1.0, 1)), ((True, 5, 3), (0, 2))):
+        with pytest.raises(GlobeError, match="table entries must be naturals"):
+            Table(upper, lower)
+    counts = []
+    for _ in range(4):
+        coherator.stdlib(8)
+        gc.collect()
+        counts.append(len(globe._TABLES))
+    assert len(set(counts)) == 1
+    key = ((3, 3, 3, 3, 3), (2, 1, 2, 0))
+    Table(*key)
+    gc.collect()
+    assert key not in globe._TABLES

@@ -497,6 +497,24 @@ def test_weq_on_crossed_modules(std3, std4):
         assert H.weak_equiv(projection, bundle) == H.WeqReport(False, False, False, False)
 
 
+def test_weak_equiv_computes_each_hom_classes_once(std4, monkeypatch):
+    """Over stdlib(4), one weak_equiv needs the classes of both models at
+    dimensions 0 to 3: eight quotients, each computed once and shared with
+    the pi-groupoids built from it."""
+    tower, bundle = std4
+    calls = []
+    hom_classes = H.hom_classes
+
+    def counted(model, n):
+        calls.append((id(model), n))
+        return hom_classes(model, n)
+
+    monkeypatch.setattr(H, "hom_classes", counted)
+    morph = weq_suite(tower, bundle)[0][0]
+    assert H.weak_equiv(morph, bundle).is_weak_equivalence
+    assert len(calls) == len(set(calls)) == 8
+
+
 def test_weak_equiv_matches_the_replaced_checker(std3, std4):
     """The functor reading of the four conditions against the checker it
     replaced, over the strict-model suite, the crossed-module morphisms, and
