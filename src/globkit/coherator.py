@@ -50,7 +50,11 @@ class InadmissibleError(TermError):
 
 @dataclass(frozen=True)
 class Gen:
-    """A declared lifting generator h : D_dim -> target with boundaries (fsrc, gtgt)."""
+    """A declared lifting generator h : D_dim -> target with boundaries (fsrc, gtgt).
+
+    Equality is by value; the hash is computed once, when the generator is
+    built, since hashing its boundaries walks the tower below it.
+    """
 
     name: str
     dim: int
@@ -58,6 +62,18 @@ class Gen:
     fsrc: "Term"
     gtgt: "Term"
     level: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash(self._fields()))
+
+    def _fields(self):
+        return (self.name, self.dim, self.target, self.fsrc, self.gtgt, self.level)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Gen, self._fields()
 
     def __repr__(self):
         return "Gen(%s)" % self.name

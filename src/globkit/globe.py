@@ -99,12 +99,15 @@ class Table:
     """A table of dimensions: upper row (i_1..i_n), lower row (i'_1..i'_{n-1}).
 
     Tables are interned: there is one live `Table` per (upper, lower) value,
-    so equality is identity, and the hash is computed once and stored.  Both
-    rows must be tuples of ints; every new value is checked before it is
-    interned.
+    so equality is identity, and the hash, `width`, `dimension` and
+    `is_disk` are computed once and stored.  Both rows must be tuples of
+    ints; every new value is checked before it is interned.  `_identity`
+    holds the identity map of the table's sum once `theta0.identity_gmap`
+    has built it, and dies with the table.
     """
 
-    __slots__ = ("upper", "lower", "_hash", "__weakref__")
+    __slots__ = ("upper", "lower", "width", "dimension", "is_disk", "_identity",
+                 "_hash", "__weakref__")
 
     def __new__(cls, upper, lower):
         key = (upper, lower)
@@ -129,6 +132,10 @@ class Table:
         self = object.__new__(cls)
         object.__setattr__(self, "upper", upper)
         object.__setattr__(self, "lower", lower)
+        object.__setattr__(self, "width", len(upper))
+        object.__setattr__(self, "dimension", max(upper))
+        object.__setattr__(self, "is_disk", len(upper) == 1)
+        object.__setattr__(self, "_identity", None)
         object.__setattr__(self, "_hash", hash(key))
         _TABLES[key] = self
         return self
@@ -144,18 +151,6 @@ class Table:
 
     def __repr__(self):
         return "Table(upper=%r, lower=%r)" % (self.upper, self.lower)
-
-    @property
-    def width(self):
-        return len(self.upper)
-
-    @property
-    def dimension(self):
-        return max(self.upper)
-
-    @property
-    def is_disk(self):
-        return self.width == 1
 
     def __str__(self):
         parts = ["D%d" % self.upper[0]]

@@ -8,14 +8,21 @@ where its owner (leg, word) sends it.  This gives composition, the cocone
 legs, and the embedding of globe-category words, all with decidable
 equality.  A `GMap` is also the concrete node of `coherator`'s term trees,
 and its constructor is the one check of a concrete tuple's gluing.
+
+Maps are hash-consed: one live `GMap` per value, checked once when that
+value is first built.  A memo keyed by a map or a table lives on that
+object, so it is dropped with it: a map keeps its legs and its composites
+after other maps, and a table keeps its identity map.  `globe_functor`
+(keyed by a word) and `enumerate_homs` (by a pair of tables) stay
+process-global.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+import weakref
+from functools import lru_cache
 
-from .globe import GlobeError, Table, disk, realize_sum, sword, tword
+from .globe import GlobeError, disk, realize_sum, sword, tword
 
 
 class MatchingError(GlobeError):
@@ -36,7 +43,11 @@ def gluing_error(k, j, a, b, face):
                                          for w in (sword, tword))), j))
 
 
-@dataclass(frozen=True)
+# The live maps by value: a map is built and checked once while any
+# reference to it is held, and dropped with the last one.
+_GMAPS = weakref.WeakValueDictionary()
+
+
 class GMap:
     """A map of realized sums: `cells[k]` is the target cell that the top
     cell of the source's k-th disk goes to.
@@ -44,49 +55,102 @@ class GMap:
     Building one checks the gluing condition alone: at each gluing k over
     dimension j, the s-face of `cells[k]` is the t-face of `cells[k + 1]`.
     A failure names k and the lowest dimension where the two faces differ.
+
+    Maps are interned as `Table`s are: there is one live `GMap` per
+    (source, target, cells) value, so equality is identity, and the hash
+    and `is_identity` are computed once and stored.  `cells` must be a
+    tuple of ints; every new value is checked before it is interned.  The
+    map's legs and its composites after other maps are kept on the map,
+    built on first use, and die with it.
     """
 
-    source: Table
-    target: Table
-    cells: tuple[int, ...]
+    __slots__ = ("source", "target", "cells", "is_identity", "_legs", "_composites",
+                 "_hash", "__weakref__")
 
-    def __post_init__(self):
-        carrier = realize_sum(self.target).carrier
-        upper = self.source.upper
-        if len(self.cells) != len(upper):
+    def __new__(cls, source, target, cells):
+        key = (source, target, cells)
+        try:
+            return _GMAPS[key]
+        except (KeyError, TypeError):  # TypeError: unhashable cells
+            pass
+        if type(cells) is not tuple or any(type(c) is not int for c in cells):
+            raise GlobeError("map cells must be a tuple of ints, not %r" % (cells,))
+        carrier = realize_sum(target).carrier
+        upper = source.upper
+        if len(cells) != len(upper):
             raise GlobeError("map picks %d cells for the %d disks of %s"
-                             % (len(self.cells), len(upper), self.source))
-        for k, (m, c) in enumerate(zip(upper, self.cells)):
+                             % (len(cells), len(upper), source))
+        for k, (m, c) in enumerate(zip(upper, cells)):
             if not 0 <= c < carrier.count(m):
                 raise GlobeError("map sends disk %d to %r, not one of the %d %d-cells "
-                                 "of %s" % (k, c, carrier.count(m), m, self.target))
-        for k, j in enumerate(self.source.lower):
-            a = carrier.boundary(sword(j, upper[k]), self.cells[k])
-            b = carrier.boundary(tword(j, upper[k + 1]), self.cells[k + 1])
+                                 "of %s" % (k, c, carrier.count(m), m, target))
+        for k, j in enumerate(source.lower):
+            a = carrier.boundary(sword(j, upper[k]), cells[k])
+            b = carrier.boundary(tword(j, upper[k + 1]), cells[k + 1])
             if a != b:
                 raise gluing_error(k, j, a, b, carrier.boundary)
+        self = object.__new__(cls)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "is_identity",
+                           source is target and cells == _identity_cells(source))
+        object.__setattr__(self, "_legs", None)
+        object.__setattr__(self, "_composites", None)
+        object.__setattr__(self, "_hash", hash(key))
+        _GMAPS[key] = self
+        return self
 
-    @cached_property
-    def is_identity(self):
-        return self.source == self.target and self == identity_gmap(self.source)
+    def __setattr__(self, name, value):
+        raise AttributeError("GMap is immutable")
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return GMap, (self.source, self.target, self.cells)
+
+    def __repr__(self):
+        return "GMap(source=%r, target=%r, cells=%r)" % (self.source, self.target, self.cells)
 
     def leg(self, k):
         """This map after the source's k-th cocone leg: the map out of the
         k-th disk picking `cells[k]`."""
-        return GMap(disk(self.source.upper[k]), self.target, (self.cells[k],))
+        legs = self._legs
+        if legs is None:
+            legs = tuple(GMap(disk(m), self.target, (c,))
+                         for m, c in zip(self.source.upper, self.cells))
+            object.__setattr__(self, "_legs", legs)
+        return legs[k]
 
 
-@lru_cache(maxsize=None)
+def _identity_cells(table):
+    """The top cells of a table's own disks in its realized sum."""
+    return tuple(leg[m][0] for leg, m in zip(realize_sum(table).legs, table.upper))
+
+
 def identity_gmap(table):
-    return GMap(table, table, tuple(leg[m][0] for leg, m in zip(realize_sum(table).legs, table.upper)))
+    """The identity of a table's sum, built once and kept on the table."""
+    gmap = table._identity
+    if gmap is None:
+        gmap = GMap(table, table, _identity_cells(table))
+        object.__setattr__(table, "_identity", gmap)
+    return gmap
 
 
-@lru_cache(maxsize=None)
 def compose(g, f):
     """g after f: each cell f picks has an owner (leg, word) in g's source,
     and goes to that word's face of the cell g's leg picks.  Each distinct
-    composite is built and checked once."""
-    if f.target != g.source:
+    composite is built and checked once, and kept on g."""
+    memo = g._composites
+    if memo is None:
+        memo = {}
+        object.__setattr__(g, "_composites", memo)
+    else:
+        h = memo.get(f)
+        if h is not None:
+            return h
+    if f.target is not g.source:
         raise GlobeError("object mismatch: cannot compose %s after %s"
                          % (g.source, f.target))
     owners = realize_sum(g.source).owners
@@ -95,10 +159,10 @@ def compose(g, f):
     for m, c in zip(f.source.upper, f.cells):
         leg, word = owners[m][c]
         cells.append(boundary(word, g.cells[leg]))
-    return GMap(f.source, g.target, tuple(cells))
+    h = memo[f] = GMap(f.source, g.target, tuple(cells))
+    return h
 
 
-@lru_cache(maxsize=None)
 def leg_gmap(table, k):
     """The k-th cocone leg D_{i_k} -> sum (0-indexed)."""
     return identity_gmap(table).leg(k)

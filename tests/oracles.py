@@ -3,16 +3,19 @@ admissible pair in the groupoid globe diagram found from object images
 alone, the weak-equivalence checker that restated the functor properties of
 the induced pi-groupoid functors by hand, the term composition that rebuilt
 every composite node by node and re-checked the gluing of every tuple it
-made, and the tokenizer that matched blanks as tokens of their own."""
+made, the concrete maps that were value-compared dataclasses with
+process-global memos, and the tokenizer that matched blanks as tokens of
+their own."""
 
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from globkit import theta0
 from globkit.coherator import Chain, TermError, TupleT, _disk_dim, wordt
 from globkit.dsl import ParseError
-from globkit.globe import Table, Word, disk
+from globkit.globe import GlobeError, Table, Word, disk, realize_sum, sword, tword
 from globkit.theta0 import GMap
 from globkit.gpd import GroupoidError
 from globkit.homotopy import WeqReport, hom_classes, iterated_unit, parallel_cells, pi_groupoid
@@ -131,6 +134,78 @@ def old_weak_equiv(morph, bundle):
         for n in range(2, top_n + 1) for (u, v) in parallel_pairs(n))
 
     return WeqReport(cond1, cond2, cond3, cond4)
+
+
+# The concrete maps before they were interned: `GMap`, `compose`,
+# `identity_gmap` and `leg_gmap` as `theta0` stated them, renamed so that
+# they call one another.
+
+@dataclass(frozen=True)
+class OldGMap:
+    """A map of realized sums: `cells[k]` is the target cell that the top
+    cell of the source's k-th disk goes to.
+
+    Building one checks the gluing condition alone: at each gluing k over
+    dimension j, the s-face of `cells[k]` is the t-face of `cells[k + 1]`.
+    A failure names k and the lowest dimension where the two faces differ.
+    """
+
+    source: Table
+    target: Table
+    cells: tuple[int, ...]
+
+    def __post_init__(self):
+        carrier = realize_sum(self.target).carrier
+        upper = self.source.upper
+        if len(self.cells) != len(upper):
+            raise GlobeError("map picks %d cells for the %d disks of %s"
+                             % (len(self.cells), len(upper), self.source))
+        for k, (m, c) in enumerate(zip(upper, self.cells)):
+            if not 0 <= c < carrier.count(m):
+                raise GlobeError("map sends disk %d to %r, not one of the %d %d-cells "
+                                 "of %s" % (k, c, carrier.count(m), m, self.target))
+        for k, j in enumerate(self.source.lower):
+            a = carrier.boundary(sword(j, upper[k]), self.cells[k])
+            b = carrier.boundary(tword(j, upper[k + 1]), self.cells[k + 1])
+            if a != b:
+                raise theta0.gluing_error(k, j, a, b, carrier.boundary)
+
+    @cached_property
+    def is_identity(self):
+        return self.source == self.target and self == old_identity_gmap(self.source)
+
+    def leg(self, k):
+        """This map after the source's k-th cocone leg: the map out of the
+        k-th disk picking `cells[k]`."""
+        return OldGMap(disk(self.source.upper[k]), self.target, (self.cells[k],))
+
+
+@lru_cache(maxsize=None)
+def old_identity_gmap(table):
+    return OldGMap(table, table, tuple(leg[m][0] for leg, m in zip(realize_sum(table).legs, table.upper)))
+
+
+@lru_cache(maxsize=None)
+def old_gmap_compose(g, f):
+    """g after f: each cell f picks has an owner (leg, word) in g's source,
+    and goes to that word's face of the cell g's leg picks.  Each distinct
+    composite is built and checked once."""
+    if f.target != g.source:
+        raise GlobeError("object mismatch: cannot compose %s after %s"
+                         % (g.source, f.target))
+    owners = realize_sum(g.source).owners
+    boundary = realize_sum(g.target).carrier.boundary
+    cells = []
+    for m, c in zip(f.source.upper, f.cells):
+        leg, word = owners[m][c]
+        cells.append(boundary(word, g.cells[leg]))
+    return OldGMap(f.source, g.target, tuple(cells))
+
+
+@lru_cache(maxsize=None)
+def old_leg_gmap(table, k):
+    """The k-th cocone leg D_{i_k} -> sum (0-indexed)."""
+    return old_identity_gmap(table).leg(k)
 
 
 # The term composition before identities short-circuited it and before a

@@ -1,6 +1,8 @@
 """The term kernel: normalization, admissibility, the structural library."""
 
+import copy
 import dataclasses
+import pickle
 import random
 import re
 
@@ -581,3 +583,24 @@ def test_tuple_term_refuses_what_the_replaced_one_refused():
         elif isinstance(new, C.TupleT):
             built += 1
     assert built > 20 and refused > 100
+
+
+def test_generators_store_their_value_hash():
+    """A `Gen` hashes as the tuple of its fields, computed once when it is
+    built; equal generators of separately built towers, a script replay
+    included, are equal and hash equal, and a copy or pickle recomputes
+    the hash."""
+    for d in range(2, 9):
+        gens = stdlib(d)[0].gens()
+        again = stdlib(d)[0].gens()
+        replayed = dsl.parse_tower(dsl.emit_tower(stdlib(d)[0])).gens()
+        assert again == gens and replayed == gens
+        for g, h, r in zip(gens, again, replayed):
+            assert g is not h and g is not r
+            assert hash(g) == hash(h) == hash(r) == \
+                hash((g.name, g.dim, g.target, g.fsrc, g.gtgt, g.level))
+    g = gens[-1]
+    for twin in (copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert twin == g and hash(twin) == hash(g)
+    other = C.Gen(g.name + "'", g.dim, g.target, g.fsrc, g.gtgt, g.level)
+    assert other != g and {g: 1}.get(other) is None

@@ -8,8 +8,11 @@ old Yoneda maps and the old pairing check; the other test modules read a
 map's lower cells through it.
 """
 
+import copy
 import functools
+import gc
 import itertools
+import pickle
 import random
 from dataclasses import dataclass
 
@@ -22,7 +25,9 @@ from globkit.globe import (
     GlobeError, Table, Word, disk, disk_cell_word, realize_sum, sword, tword,
 )
 from globkit.theta0 import MatchingError
-from oracles import all_tables
+from oracles import (
+    OldGMap, all_tables, old_gmap_compose, old_identity_gmap, old_leg_gmap,
+)
 
 
 @dataclass(frozen=True)
@@ -370,3 +375,123 @@ def test_malformed_maps_raise_globe_error():
             LevelMap(disk(1), tab, maps)
     with pytest.raises(GlobeError):
         theta0.decompose(theta0.identity_gmap(tab))
+
+
+def test_gmaps_are_interned():
+    """One live `GMap` per value: equal maps are one object with one stored
+    hash, copies and pickles included; refused cells never reach the intern
+    table; and its composites live on the map, so building and dropping a
+    tower leaves the live maps and their memos as they were."""
+    tab = Table((1, 1), (0,))
+    f = theta0.GMap(tab, tab, theta0.identity_gmap(tab).cells)
+    assert f is theta0.identity_gmap(tab) and f.is_identity
+    assert theta0.GMap(disk(1), tab, (0,)) is theta0.leg_gmap(tab, 0)
+    assert hash(f) == hash((tab, tab, f.cells))
+    assert copy.copy(f) is f and copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
+    assert repr(theta0.leg_gmap(tab, 1)) == \
+        "GMap(source=Table(upper=(1,), lower=()), target=Table(upper=(1, 1), lower=(0,)), " \
+        "cells=(1,))"
+    for name in ("cells", "is_identity", "other"):
+        with pytest.raises(AttributeError):
+            setattr(f, name, None)
+    # a float or bool cell would otherwise be interned and handed out for
+    # the equal int value; this target is used nowhere else
+    target = Table((5, 6, 5), (2, 4))
+    assert (disk(0), target, (0,)) not in theta0._GMAPS
+    for cells in ((0.0,), (False,), [0], (0, 1.0)):
+        with pytest.raises(GlobeError, match="map cells must be a tuple of ints"):
+            theta0.GMap(disk(0), target, cells)
+    assert (disk(0), target, (0,)) not in theta0._GMAPS
+
+    def memo_size():
+        return sum(len(g._composites or ()) for g in list(theta0._GMAPS.values()))
+
+    counts = []
+    for _ in range(4):
+        C.stdlib(8)
+        gc.collect()
+        counts.append((len(theta0._GMAPS), memo_size()))
+    assert len(set(counts)) == 1 and counts[0][1] > 0
+
+
+def old_of(gm):
+    return OldGMap(gm.source, gm.target, gm.cells)
+
+
+def same_value(new, old):
+    return (new.source, new.target, new.cells) == (old.source, old.target, old.cells)
+
+
+def test_interned_maps_match_the_dataclass_maps(monkeypatch):
+    """Every composite, leg and identity that building `stdlib(2..8)` asks
+    for, and every map `enumerate_homs` lists into its generators' targets,
+    has the value the replaced dataclass maps give; and a tuple of cells
+    the replaced constructor refused is refused with the same error."""
+    seen = {"compose": 0, "leg": 0, "identity": 0}
+    compose, identity, leg = theta0.compose, theta0.identity_gmap, theta0.GMap.leg
+
+    def checked_compose(g, f):
+        h = compose(g, f)
+        assert same_value(h, old_gmap_compose(old_of(g), old_of(f))), (g, f)
+        seen["compose"] += 1
+        return h
+
+    def checked_identity(table):
+        gm = identity(table)
+        assert same_value(gm, old_identity_gmap(table)) and gm.is_identity
+        seen["identity"] += 1
+        return gm
+
+    def checked_leg(self, k):
+        gm = leg(self, k)
+        assert same_value(gm, old_of(self).leg(k)) and \
+            gm.is_identity == old_of(gm).is_identity, (self, k)
+        seen["leg"] += 1
+        return gm
+
+    monkeypatch.setattr(theta0, "compose", checked_compose)
+    monkeypatch.setattr(theta0, "identity_gmap", checked_identity)
+    monkeypatch.setattr(theta0.GMap, "leg", checked_leg)
+    targets = set()
+    for d in range(2, 9):
+        tower, _ = C.stdlib(d)
+        targets.update(gen.target for gen in tower.gens())
+    assert min(seen.values()) > 100, seen
+    monkeypatch.undo()
+    homs = 0
+    for table in sorted(targets, key=repr):
+        for k in range(table.width):
+            assert same_value(theta0.leg_gmap(table, k), old_leg_gmap(table, k))
+        for source in [disk(m) for m in range(table.dimension + 1)] + [table]:
+            new = theta0.enumerate_homs(source, table)
+            old = [OldGMap(source, table, x)
+                   for x in realize_sum(table).carrier.fiber_product(source)]
+            assert len(new) == len(old)
+            for gm, want in zip(new, old):
+                assert same_value(gm, want) and gm.is_identity == want.is_identity, gm
+            homs += len(new)
+    assert homs > 1000
+
+    rng = random.Random(16)
+    tables = small_tables(3, 3)
+    refused, built, unglued = 0, 0, 0
+    while refused < 1000:
+        a, b = rng.choice(tables), rng.choice(tables)
+        carrier = realize_sum(b).carrier
+        width = a.width + rng.choice((0, 0, 0, 0, 0, 0, -1, 1))
+        cells = tuple(rng.randrange(-1, carrier.count(m) + 1)
+                      for m in (a.upper * 2)[:width])
+        try:
+            want = OldGMap(a, b, cells)
+        except GlobeError as e:
+            with pytest.raises(GlobeError) as got:
+                theta0.GMap(a, b, cells)
+            assert type(got.value) is type(e) and str(got.value) == str(e), (a, b, cells)
+            assert (getattr(got.value, "k", None), getattr(got.value, "dim", None)) == \
+                (getattr(e, "k", None), getattr(e, "dim", None))
+            refused += 1
+            unglued += isinstance(e, MatchingError)
+        else:
+            assert same_value(theta0.GMap(a, b, cells), want)
+            built += 1
+    assert built > 20 and unglued > 100
