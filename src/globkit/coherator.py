@@ -21,6 +21,12 @@ relations as rewrites:
   * post-composition keeps gluing: t ∘ (c_1, ..., c_n) is the tuple of the
     t ∘ c_k, glued because the c_k are, so it is built without a check.
 
+Chains and tuples are hash-consed as concrete maps are: one live node per
+(class, children) value, so equality is identity and a hash is stored.
+`compose` keeps each composite whose outer factor is a chain or a tuple on
+that factor, so the memo dies with its term; a tower keeps each
+generator's term.
+
 `normalize` evaluates an arbitrary raw syntax tree through these
 constructors.  `comp_pair` and `inv_pair` state the two-case boundary
 formulas of composition and inverse once; `stdlib` declares its generators
@@ -31,10 +37,11 @@ oracle for `normalize`, lives in `globkit.rewrite`.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 from . import theta0
-from .globe import DEFAULT_TRUNC, MAX_DIM, Table, Word, disk
+from .globe import DEFAULT_TRUNC, MAX_DIM, Table, disk
 from .theta0 import GMap
 
 
@@ -79,37 +86,86 @@ class Gen:
         return "Gen(%s)" % self.name
 
 
-@dataclass(frozen=True)
-class Chain:
-    """tail ∘ gen ∘ arg with arg a disk-to-disk morphism in normal form."""
-
-    tail: "Term"
-    gen: Gen
-    arg: "Term"
-
-    @property
-    def source(self):
-        return self.arg.source
-
-    @property
-    def target(self):
-        return self.tail.target
+# The live chains and tuples by (class, children): a node is built once while
+# any reference to it is held, and dropped with the last one.
+_TERMS = weakref.WeakValueDictionary()
 
 
-@dataclass(frozen=True)
-class TupleT:
-    """A morphism out of a sum, by its tuple of disk-sourced components."""
+class _Node:
+    """The state that chains and tuples share, as interned nodes.
 
-    src_table: Table
-    comps: tuple
+    There is one live node per (class, children) value, held in `_TERMS`, so
+    equality is identity; the hash of the children, `source` and `target`
+    are computed once and stored.  `compose` keeps the composites it makes
+    with the node as outer factor on it, and they die with it.
+    """
 
-    @property
-    def source(self):
-        return self.src_table
+    __slots__ = ("source", "target", "_composites", "_hash", "__weakref__")
+    is_identity = False
 
-    @property
-    def target(self):
-        return self.comps[0].target
+    def _intern(self, key, source, target):
+        fields = key[1:]
+        for name, value in zip(type(self).__slots__, fields):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_composites", None)
+        object.__setattr__(self, "_hash", hash(fields))
+        _TERMS[key] = self
+        return self
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in type(self).__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in zip(type(self).__slots__, self._fields())))
+
+
+class Chain(_Node):
+    """tail ∘ gen ∘ arg with arg a disk-to-disk morphism in normal form.
+
+    Chains are interned: one live `Chain` per (tail, gen, arg) value, with
+    its hash, `source` (arg's) and `target` (tail's) stored.  The chain
+    keeps its composites after other terms.
+    """
+
+    __slots__ = ("tail", "gen", "arg")
+
+    def __new__(cls, tail, gen, arg):
+        key = (cls, tail, gen, arg)
+        self = _TERMS.get(key)
+        if self is None:
+            self = object.__new__(cls)._intern(key, arg.source, tail.target)
+        return self
+
+
+class TupleT(_Node):
+    """A morphism out of a sum, by its tuple of disk-sourced components.
+
+    Tuples are interned: one live `TupleT` per (src_table, comps) value,
+    `comps` being a tuple, with its hash, `source` (src_table) and `target`
+    (its components') stored.  The tuple keeps its composites after other
+    terms.
+    """
+
+    __slots__ = ("src_table", "comps")
+
+    def __new__(cls, src_table, comps):
+        key = (cls, src_table, comps)
+        self = _TERMS.get(key)
+        if self is None:
+            self = object.__new__(cls)._intern(key, src_table, comps[0].target)
+        return self
 
 
 Term = (GMap, Chain, TupleT)
@@ -121,7 +177,7 @@ def identity(table):
 
 def wordt(kind, j, i):
     """The word map s/t from D_j to D_i as a term."""
-    return theta0.globe_functor(Word(j, i, None if i == j else kind))
+    return theta0.word_gmap(j, i, None if i == j else kind)
 
 
 def eps(table, k):
@@ -147,8 +203,7 @@ def _make_chain(tail, gen, arg):
             side = gen.fsrc if w.kind == "s" else gen.gtgt
             return compose(tail, side)
         # peel the (canonicalized) top letter; lower letters keep the kind
-        rest = Word(m, gen.dim - 1, w.kind)
-        return compose(tail, compose(gen.fsrc, theta0.globe_functor(rest)))
+        return compose(tail, compose(gen.fsrc, theta0.word_gmap(m, gen.dim - 1, w.kind)))
     return Chain(tail, gen, arg)
 
 
@@ -196,16 +251,34 @@ def gluing_error(k, j, left, right):
 
 
 def compose(t2, t1):
-    """Normal form of t2 ∘ t1 (t1 applied first)."""
-    if t1.target != t2.source:
+    """Normal form of t2 ∘ t1 (t1 applied first).  Each distinct composite
+    whose outer factor is a chain or a tuple is built once, and kept on it."""
+    if t1.target is not t2.source:
         raise TermError("cannot compose: %s then %s" % (t1.target, t2.source))
     # every term is a normal form, and identities are units
-    if isinstance(t1, GMap) and t1.is_identity:
+    if t1.is_identity:
         return t2
-    if isinstance(t2, GMap) and t2.is_identity:
+    if t2.is_identity:
         return t1
-    if isinstance(t2, GMap) and isinstance(t1, GMap):
-        return theta0.compose(t2, t1)
+    if isinstance(t2, GMap):
+        if isinstance(t1, GMap):
+            return theta0.compose(t2, t1)
+        return _compose(t2, t1)
+    memo = t2._composites
+    if memo is None:
+        memo = {}
+        object.__setattr__(t2, "_composites", memo)
+    else:
+        t = memo.get(t1)
+        if t is not None:
+            return t
+    t = memo[t1] = _compose(t2, t1)
+    return t
+
+
+def _compose(t2, t1):
+    """`compose` of two terms that are not both concrete and neither an
+    identity, built afresh."""
     # post-composition keeps a glued tuple glued
     if isinstance(t1, TupleT):
         return _tuple(tuple([compose(t2, c) for c in t1.comps]), t1.src_table)
@@ -304,6 +377,7 @@ class Tower:
                             % (trunc, MAX_DIM))
         self.trunc = trunc
         self._gens = {}     # name -> generator, in declaration order
+        self._terms = {}    # name -> the generator as a term
         self._sealed = False
         self.div_cache = {}
 
@@ -342,10 +416,12 @@ class Tower:
         level = 1 + max(_top_level(fsrc), _top_level(gtgt))
         gen = Gen(name, dim, fsrc.target, fsrc, gtgt, level)
         self._gens[name] = gen
+        self._terms[name] = gen_term(gen)
         return gen
 
     def term(self, name):
-        return gen_term(self._gens[name])
+        """The generator as a term, built once when it is declared."""
+        return self._terms[name]
 
 
 # ---------------------------------------------------------------------------

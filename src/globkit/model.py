@@ -441,6 +441,29 @@ def _json_field(obj, key, kind, where, file="model file", error=ModelError):
     return value
 
 
+def _interp_rows(name, rows, dim, count):
+    """The table of one generator's rows.  The rows are checked in bulk
+    first, and only if that fails one at a time, in order, so that the
+    first bad row is named as before."""
+    ins = [r.get("in") if type(r) is dict else None for r in rows]
+    outs = [r.get("out") if type(r) is dict else None for r in rows]
+    if all(type(x) is list for x in ins) and \
+            all(type(c) is int for x in ins for c in x) and \
+            all(type(v) is int and 0 <= v < count for v in outs):
+        return dict(zip(map(tuple, ins), outs))
+    table = {}
+    for r in rows:
+        ins = _json_field(r, "in", list, "a row of %r" % name)
+        out = _json_field(r, "out", int, "a row of %r" % name)
+        if not all(_is_int(c) for c in ins):
+            raise ModelError("model file: %r has a non-integer input %r" % (name, ins))
+        if not _is_index(out, count):
+            raise ModelError("model file: %r sends %s to %d, not one of the %d %d-cells"
+                             % (name, ins, out, count, dim))
+        table[tuple(ins)] = out
+    return table
+
+
 def model_from_json(data, tower):
     trunc = _json_field(data, "dimension", int, "the top level")
     if trunc != tower.trunc:
@@ -468,16 +491,7 @@ def model_from_json(data, tower):
         if not isinstance(rows, list):
             raise ModelError("model file: the interpretation of %r is not a list" % name)
         dim = tower[name].dim
-        table = interp[name] = {}
-        for r in rows:
-            ins = _json_field(r, "in", list, "a row of %r" % name)
-            out = _json_field(r, "out", int, "a row of %r" % name)
-            if not all(_is_int(c) for c in ins):
-                raise ModelError("model file: %r has a non-integer input %r" % (name, ins))
-            if not _is_index(out, carrier.count(dim)):
-                raise ModelError("model file: %r sends %s to %d, not one of the %d %d-cells"
-                                 % (name, ins, out, carrier.count(dim), dim))
-            table[tuple(ins)] = out
+        interp[name] = _interp_rows(name, rows, dim, carrier.count(dim))
     model = Model(tower, carrier, interp, None, None, data.get("label", "file"))
     for gen in tower.gens():
         if gen.name not in interp:

@@ -12,9 +12,9 @@ and its constructor is the one check of a concrete tuple's gluing.
 Maps are hash-consed: one live `GMap` per value, checked once when that
 value is first built.  A memo keyed by a map or a table lives on that
 object, so it is dropped with it: a map keeps its legs and its composites
-after other maps, and a table keeps its identity map.  `globe_functor`
-(keyed by a word) and `enumerate_homs` (by a pair of tables) stay
-process-global.
+after other maps, and a table keeps its identity map.  `word_gmap`, which
+`globe_functor` reads (keyed by a word's three fields), and
+`enumerate_homs` (by a pair of tables) stay process-global.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import weakref
 from functools import lru_cache
 
-from .globe import GlobeError, disk, realize_sum, sword, tword
+from .globe import GlobeError, Word, disk, realize_sum, sword, tword
 
 
 class MatchingError(GlobeError):
@@ -168,10 +168,17 @@ def leg_gmap(table, k):
     return identity_gmap(table).leg(k)
 
 
-@lru_cache(maxsize=None)
 def globe_functor(word):
     """The map of representables induced by a globe-category word."""
-    return GMap(disk(word.src), disk(word.tgt), (realize_sum(disk(word.tgt)).carrier.boundary(word, 0),))
+    return word_gmap(word.src, word.tgt, word.kind)
+
+
+@lru_cache(maxsize=None)
+def word_gmap(src, tgt, kind):
+    """`globe_functor` of the word (src, tgt, kind), cached on the three
+    fields: the `Word` is built, and checked, only on a miss."""
+    word = Word(src, tgt, kind)
+    return GMap(disk(src), disk(tgt), (realize_sum(disk(tgt)).carrier.boundary(word, 0),))
 
 
 def decompose(gmap):

@@ -4,7 +4,8 @@ alone, the weak-equivalence checker that restated the functor properties of
 the induced pi-groupoid functors by hand, the term composition that rebuilt
 every composite node by node and re-checked the gluing of every tuple it
 made, the concrete maps that were value-compared dataclasses with
-process-global memos, and the tokenizer that matched blanks as tokens of
+process-global memos, the term nodes that were value-compared dataclasses
+built afresh by every composition, and the tokenizer that matched blanks as tokens of
 their own."""
 
 import itertools
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from globkit import theta0
-from globkit.coherator import Chain, TermError, TupleT, _disk_dim, wordt
+from globkit.coherator import Chain, Gen, TermError, TupleT, _disk_dim, identity, wordt
 from globkit.dsl import ParseError
 from globkit.globe import GlobeError, Table, Word, disk, realize_sum, sword, tword
 from globkit.theta0 import GMap
@@ -281,6 +282,134 @@ def old_compose(t2, t1):
         return old_make_chain(t2.tail, t2.gen, old_compose(t2.arg, t1))
     # t1 is a Chain
     return old_make_chain(old_compose(t2, t1.tail), t1.gen, t1.arg)
+
+
+# The term nodes before they were interned: `Chain` and `TupleT` as
+# value-compared frozen dataclasses, and `gen_term`, `_make_chain`,
+# `tuple_term`, `_tuple`, `gluing_error` and `compose` as `coherator` stated
+# them, with the identity and inherited-gluing short-circuits but without a
+# memo, renamed so that they call one another.
+
+@dataclass(frozen=True)
+class OldChain:
+    """tail ∘ gen ∘ arg with arg a disk-to-disk morphism in normal form."""
+
+    tail: "Term"
+    gen: Gen
+    arg: "Term"
+
+    @property
+    def source(self):
+        return self.arg.source
+
+    @property
+    def target(self):
+        return self.tail.target
+
+
+@dataclass(frozen=True)
+class OldTupleT:
+    """A morphism out of a sum, by its tuple of disk-sourced components."""
+
+    src_table: Table
+    comps: tuple
+
+    @property
+    def source(self):
+        return self.src_table
+
+    @property
+    def target(self):
+        return self.comps[0].target
+
+
+def old_gen_term(gen):
+    return OldChain(identity(gen.target), gen, identity(disk(gen.dim)))
+
+
+def old_term_make_chain(tail, gen, arg):
+    """Chain constructor applying the generator's boundary equations."""
+    if isinstance(arg, GMap) and not arg.is_identity:
+        w = theta0.decompose(arg)[1]
+        m = w.src
+        if m == gen.dim - 1:
+            side = gen.fsrc if w.kind == "s" else gen.gtgt
+            return old_term_compose(tail, side)
+        # peel the (canonicalized) top letter; lower letters keep the kind
+        rest = Word(m, gen.dim - 1, w.kind)
+        return old_term_compose(tail, old_term_compose(gen.fsrc, theta0.globe_functor(rest)))
+    return OldChain(tail, gen, arg)
+
+
+def old_term_tuple_term(comps, src_table):
+    """Tuple constructor, the one that validates: it checks the arity, the
+    components' spans and, for a tuple with a non-concrete component, the
+    gluing term by term, then builds the tuple with `_tuple`."""
+    comps = tuple(comps)
+    if len(comps) != src_table.width:
+        raise TermError("expected %d components, got %d" % (src_table.width, len(comps)))
+    target = comps[0].target
+    for k, c in enumerate(comps):
+        if c.source != disk(src_table.upper[k]):
+            raise TermError("component %d has source %s, expected D%d"
+                            % (k, c.source, src_table.upper[k]))
+        if c.target != target:
+            raise TermError("component %d has target %s, expected %s"
+                            % (k, c.target, target))
+    if not all(isinstance(c, GMap) for c in comps):
+        for k, j in enumerate(src_table.lower):
+            error = old_term_gluing_error(k, j, comps[k], comps[k + 1])
+            if error is not None:
+                raise error
+    return old_term_tuple(comps, src_table)
+
+
+def old_term_tuple(comps, src_table):
+    """The tuple of components that are known to span and glue: an
+    all-concrete tuple recombines into the one concrete map picking their
+    cells, whose constructor checks its gluing."""
+    if all(isinstance(c, GMap) for c in comps):
+        return GMap(src_table, comps[0].target, tuple(c.cells[0] for c in comps))
+    return OldTupleT(src_table, comps)
+
+
+def old_term_gluing_error(k, j, left, right):
+    """None if `right` glues after `left` over D_j, the source j-face of
+    `left` being the target j-face of `right`; otherwise the failure of
+    gluing k, at the lowest dimension where those faces differ."""
+    a = old_term_compose(left, wordt("s", j, _disk_dim(left)))
+    b = old_term_compose(right, wordt("t", j, _disk_dim(right)))
+    if a == b:
+        return None
+    return theta0.gluing_error(k, j, a, b,
+                               lambda w, x: old_term_compose(x, theta0.globe_functor(w)))
+
+
+def old_term_compose(t2, t1):
+    """Normal form of t2 ∘ t1 (t1 applied first)."""
+    if t1.target != t2.source:
+        raise TermError("cannot compose: %s then %s" % (t1.target, t2.source))
+    # every term is a normal form, and identities are units
+    if isinstance(t1, GMap) and t1.is_identity:
+        return t2
+    if isinstance(t2, GMap) and t2.is_identity:
+        return t1
+    if isinstance(t2, GMap) and isinstance(t1, GMap):
+        return theta0.compose(t2, t1)
+    # post-composition keeps a glued tuple glued
+    if isinstance(t1, OldTupleT):
+        return old_term_tuple(tuple([old_term_compose(t2, c) for c in t1.comps]), t1.src_table)
+    if isinstance(t1, GMap):
+        if t1.source.width > 1:
+            comps = tuple([old_term_compose(t2, t1.leg(k)) for k in range(t1.source.width)])
+            return old_term_tuple(comps, t1.source)
+        if isinstance(t2, OldTupleT):
+            k, w = theta0.decompose(t1)
+            return old_term_compose(t2.comps[k], theta0.globe_functor(w))
+        # t2 is a Chain
+        return old_term_make_chain(t2.tail, t2.gen, old_term_compose(t2.arg, t1))
+    # t1 is a Chain
+    return old_term_make_chain(old_term_compose(t2, t1.tail), t1.gen, t1.arg)
 
 
 # The tokenizer of tower scripts before tokens became named tuples and

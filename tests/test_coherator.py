@@ -2,6 +2,7 @@
 
 import copy
 import dataclasses
+import gc
 import pickle
 import random
 import re
@@ -17,8 +18,8 @@ from globkit.coherator import (
     glob_source, glob_target, identity, legs_base, normalize, parallel,
     stdlib, term_to_raw, tuple_term, verify_bundle, wordt,
 )
-from globkit.globe import MAX_DIM, Table, Word, disk, idword
-from globkit.theta0 import MatchingError
+from globkit.globe import GlobeError, MAX_DIM, Table, Word, disk, idword
+from globkit.theta0 import GMap, MatchingError
 import oracles as O
 from test_theta0 import level_map
 
@@ -604,3 +605,161 @@ def test_generators_store_their_value_hash():
         assert twin == g and hash(twin) == hash(g)
     other = C.Gen(g.name + "'", g.dim, g.target, g.fsrc, g.gtgt, g.level)
     assert other != g and {g: 1}.get(other) is None
+
+
+def _term_on(t, chain, tuple_, tower):
+    """A term rebuilt node by node with the node classes `chain` and
+    `tuple_`, its generators read off `tower` by name."""
+    if isinstance(t, GMap):
+        return t
+    if hasattr(t, "comps"):
+        return tuple_(t.src_table, tuple(_term_on(c, chain, tuple_, tower) for c in t.comps))
+    return chain(_term_on(t.tail, chain, tuple_, tower), tower[t.gen.name],
+                 _term_on(t.arg, chain, tuple_, tower))
+
+
+def as_old(t, tower):
+    return _term_on(t, O.OldChain, O.OldTupleT, tower)
+
+
+def as_new(t, tower):
+    return _term_on(t, C.Chain, C.TupleT, tower)
+
+
+def _raw_on(raw, tower):
+    """A raw tree with its generators read off `tower` by name."""
+    if isinstance(raw, C.RGen):
+        return C.RGen(tower[raw.gen.name])
+    if isinstance(raw, C.RTuple):
+        return C.RTuple(raw.src_table, tuple(_raw_on(c, tower) for c in raw.comps))
+    if isinstance(raw, C.RComp):
+        return C.RComp(_raw_on(raw.outer, tower), _raw_on(raw.inner, tower))
+    return raw
+
+
+def test_interned_terms_match_the_dataclass_terms(monkeypatch):
+    """Interned nodes and the composites kept on them against the
+    value-compared dataclass nodes that every composition built afresh:
+    every composite that building stdlib(2..8) asks for, every generator
+    boundary, script round trips, and 1,000 normal forms are the same term
+    node for node."""
+    old = {"Chain": O.OldChain, "TupleT": O.OldTupleT, "gen_term": O.old_gen_term,
+           "compose": O.old_term_compose, "_make_chain": O.old_term_make_chain,
+           "tuple_term": O.old_term_tuple_term, "_tuple": O.old_term_tuple,
+           "gluing_error": O.old_term_gluing_error}
+
+    def under_old(build):
+        with monkeypatch.context() as patch:
+            for name, value in old.items():
+                patch.setattr(C, name, value)
+            return build()
+
+    def same_tower(old_tower, tower):
+        assert old_tower.names() == tower.names()
+        for g, h in zip(old_tower.gens(), tower.gens()):
+            assert (g.dim, g.target, g.level) == (h.dim, h.target, h.level), h.name
+            assert as_new(g.fsrc, tower) is h.fsrc and as_new(g.gtgt, tower) is h.gtgt, h.name
+            assert old_tower.term(h.name) == as_old(tower.term(h.name), old_tower)
+
+    new_compose, asked = C.compose, {}
+
+    def recorded(t2, t1):
+        result = new_compose(t2, t1)
+        asked[t2, t1] = result
+        return result
+
+    towers, old_towers, total = {}, {}, 0
+    for d in range(2, 9):
+        old_tower = old_towers[d] = under_old(lambda: stdlib(d)[0])
+        assert isinstance(old_tower.term("comp1_0"), O.OldChain)
+        asked.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(C, "compose", recorded)
+            tower = towers[d] = stdlib(d)[0]
+        total += len(asked)
+        for (t2, t1), result in asked.items():
+            want = O.old_term_compose(as_old(t2, old_tower), as_old(t1, old_tower))
+            assert as_new(want, tower) is result, (t2, t1)
+        same_tower(old_tower, tower)
+        text = dsl.emit_tower(tower)
+        replayed = under_old(lambda: dsl.parse_tower(text))
+        same_tower(replayed, dsl.parse_tower(text))
+        assert under_old(lambda: dsl.emit_tower(replayed)) == text
+        assert dsl.emit_tower(dsl.parse_tower(text)) == text
+    assert total > 4000
+    rng = random.Random(1700)
+    for k in range(1000):
+        d = (3, 4, 6, 8)[k % 4]
+        raw = R.random_raw(towers[d], rng, budget=8)
+        want = under_old(lambda: normalize(_raw_on(raw, old_towers[d])))
+        tower = towers[d]
+        assert as_new(want, tower) is normalize(raw), raw
+
+
+def test_term_nodes_are_interned():
+    """One live `Chain` or `TupleT` per value, keyed by class and children:
+    equal nodes are one object with one stored hash, copies and pickles
+    included; the repr is the dataclass's, and a node is immutable."""
+    tower = stdlib(4)[0]
+    h = tower.term("assoc1")
+    tup = tower["assoc1"].fsrc.tail
+    assert isinstance(tup, C.TupleT)
+    twin = stdlib(4)[0]["assoc1"]
+    assert twin is not h.gen and C.Chain(h.tail, twin, h.arg) is h
+    assert C.TupleT(tup.src_table, tuple(tup.comps)) is tup
+    assert C._TERMS[(C.Chain, h.tail, h.gen, h.arg)] is h
+    assert C._TERMS[(C.TupleT, tup.src_table, tup.comps)] is tup
+    assert hash(h) == hash((h.tail, h.gen, h.arg)) and hash(tup) == hash((tup.src_table, tup.comps))
+    assert h.source is h.arg.source is disk(2) and h.target is h.tail.target
+    assert tup.source is tup.src_table and tup.target is tup.comps[0].target
+    for t in (h, tup):
+        assert copy.copy(t) is t and copy.deepcopy(t) is t and pickle.loads(pickle.dumps(t)) is t
+        assert repr(t) == repr(as_old(t, tower)).replace("OldChain", "Chain").replace(
+            "OldTupleT", "TupleT") and not t.is_identity
+        with pytest.raises(AttributeError):
+            t.source = t.target
+    assert repr(tower.term("unit0")) == (
+        "Chain(tail=GMap(source=Table(upper=(0,), lower=()), target=Table(upper=(0,), "
+        "lower=()), cells=(0,)), gen=Gen(unit0), arg=GMap(source=Table(upper=(1,), "
+        "lower=()), target=Table(upper=(1,), lower=()), cells=(0,)))")
+    # the generator's term is stored once, and a composite kept on its outer term
+    assert tower.term("comp1_0") is tower.term("comp1_0") is gen_term(tower["comp1_0"])
+    face = compose(h, wordt("s", 1, 2))
+    assert h._composites[wordt("s", 1, 2)] is face is tower["assoc1"].fsrc
+
+
+def test_term_nodes_and_their_composites_die_with_their_last_reference():
+    """Building and dropping stdlib(8) leaves the live nodes and the
+    composites kept on them as they were; a node nothing holds is gone."""
+    counts = []
+    for _ in range(4):
+        stdlib(8)
+        gc.collect()
+        nodes = list(C._TERMS.values())
+        counts.append((len(nodes), sum(len(t._composites or ()) for t in nodes)))
+        del nodes
+    assert len(set(counts)) == 1
+    tower = Tower(2)
+    tower.declare("lonely", identity(disk(0)), identity(disk(0)))
+    t = tower.term("lonely")
+    key = (C.Chain, t.tail, t.gen, t.arg)
+    assert C._TERMS[key] is t
+    del tower, t
+    gc.collect()
+    assert key not in C._TERMS
+
+
+def test_word_maps_are_cached_on_their_fields():
+    """`wordt` and `globe_functor` read one cache keyed by (src, tgt, kind);
+    a word is checked when its map is first built, and a bad one is never
+    cached."""
+    assert wordt("t", 1, 3) is theta0.globe_functor(Word(1, 3, "t")) is \
+        theta0.word_gmap(1, 3, "t")
+    assert wordt("s", 2, 2) is theta0.globe_functor(idword(2)) is identity(disk(2))
+    for args in (("x", 1, 3), ("s", 3, 1), ("t", -1, 0)):
+        with pytest.raises(GlobeError):
+            wordt(*args)
+    with pytest.raises(GlobeError, match="kind 'x'"):
+        theta0.word_gmap(1, 3, "x")
+    with pytest.raises(GlobeError, match="has kind 's'"):
+        theta0.word_gmap(2, 2, "s")

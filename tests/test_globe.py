@@ -367,11 +367,13 @@ def test_library_has_no_assert():
 
 # The library's process-global caches.  Each lives as long as the process,
 # so adding one is a decision recorded here.  The `lru_cache`s are unbounded;
-# the weak intern tables of `Table`s and `GMap`s hold each value while it is
-# referenced.  Memos keyed by one table or map live on that object instead.
+# the weak intern tables of `Table`s, `GMap`s and term nodes hold each value
+# while it is referenced.  Memos keyed by one table, map or term node live on
+# that object instead.
 GLOBAL_CACHES = {
     "globe.disk", "globe.realize_sum", "globe._TABLES",
-    "theta0._GMAPS", "theta0.enumerate_homs", "theta0.globe_functor",
+    "theta0._GMAPS", "theta0.enumerate_homs", "theta0.word_gmap",
+    "coherator._TERMS",
 }
 
 
@@ -393,7 +395,7 @@ def test_library_caches_are_the_allowlist():
     src = pathlib.Path(globkit.__file__).parent
     found = {"%s.%s" % (path.stem, name) for path in sorted(src.glob("*.py"))
              for name in cached(ast.parse(path.read_text(encoding="utf-8")))}
-    assert found == GLOBAL_CACHES and len(found) == 6
+    assert found == GLOBAL_CACHES and len(found) == 7
     assert cached(ast.parse("import functools\n@functools.lru_cache(maxsize=None)\n"
                             "def f(): pass\n@cache\ndef g(): pass\n"
                             "@property\ndef h(): pass\n"

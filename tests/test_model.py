@@ -2,7 +2,9 @@
 
 import dataclasses
 import itertools
+import json
 import random
+import re
 import types
 
 import pytest
@@ -620,6 +622,32 @@ def test_model_json_round_trip(std3):
     assert back.check() == []
     for gen in tower.gens():
         assert back.interp_for(gen) == model.interp_for(gen)
+
+
+def test_model_json_names_the_first_bad_row(std3):
+    """Rows are checked in bulk, but a file with bad rows is refused with
+    the message of the first one, as a row-by-row check names it."""
+    tower, bundle = std3
+    data = M.model_to_json(M.build_strict(KG1(G.cyclic(3)), tower, bundle))
+    rows = data["interp"]["comp1_0"]
+    cases = [
+        ({2: {"in": [0, True]}}, "'comp1_0' has a non-integer input [0, True]"),
+        ({2: {"out": 7}}, "'comp1_0' sends [0, 2] to 7, not one of the 3 1-cells"),
+        ({2: {"out": True}}, "a row of 'comp1_0' needs a int field 'out'"),
+        ({1: {"in": (0, 1)}}, "a row of 'comp1_0' needs a list field 'in'"),
+        ({5: {"out": -1}, 7: {"in": ["0"]}}, "sends [1, 2] to -1, not one of"),
+        ({5: {"in": [1.0, 2]}, 7: {"out": 9}}, "has a non-integer input [1.0, 2]"),
+    ]
+    for changes, message in cases:
+        bad = json.loads(json.dumps(data))
+        for k, fields in changes.items():
+            bad["interp"]["comp1_0"][k] = dict(rows[k], **fields)
+        with pytest.raises(M.ModelError, match=re.escape(message)):
+            M.model_from_json(bad, tower)
+    bad = json.loads(json.dumps(data))
+    bad["interp"]["comp1_0"][4] = [0, 1]
+    with pytest.raises(M.ModelError, match="a row of 'comp1_0' needs a list field 'in'"):
+        M.model_from_json(bad, tower)
 
 
 def test_model_json_rejects_missing_interp(std3):
