@@ -21,11 +21,12 @@ relations as rewrites:
   * post-composition keeps gluing: t ∘ (c_1, ..., c_n) is the tuple of the
     t ∘ c_k, glued because the c_k are, so it is built without a check.
 
-Chains and tuples are hash-consed as concrete maps are: one live node per
-(class, children) value, so equality is identity and a hash is stored.
-`compose` keeps each composite whose outer factor is a chain or a tuple on
-that factor, so the memo dies with its term; a tower keeps each
-generator's term.
+Chains and tuples are hash-consed as tables and concrete maps are, by
+`globe.Interned`: one live node per (class, children) value, so equality is
+identity, and the node's hash and the highest level of a generator it
+names are stored.  `compose` keeps each composite whose outer factor is a
+chain or a tuple on that factor (`Interned.memo`), so the memo dies with
+its term; a tower keeps each generator's term.
 
 `normalize` evaluates an arbitrary raw syntax tree through these
 constructors.  `comp_pair` and `inv_pair` state the two-case boundary
@@ -37,11 +38,10 @@ oracle for `normalize`, lives in `globkit.rewrite`.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 
 from . import theta0
-from .globe import DEFAULT_TRUNC, MAX_DIM, Table, disk
+from .globe import DEFAULT_TRUNC, MAX_DIM, Interned, Table, disk
 from .theta0 import GMap
 
 
@@ -86,86 +86,43 @@ class Gen:
         return "Gen(%s)" % self.name
 
 
-# The live chains and tuples by (class, children): a node is built once while
-# any reference to it is held, and dropped with the last one.
-_TERMS = weakref.WeakValueDictionary()
-
-
-class _Node:
-    """The state that chains and tuples share, as interned nodes.
-
-    There is one live node per (class, children) value, held in `_TERMS`, so
-    equality is identity; the hash of the children, `source` and `target`
-    are computed once and stored.  `compose` keeps the composites it makes
-    with the node as outer factor on it, and they die with it.
-    """
-
-    __slots__ = ("source", "target", "_composites", "_hash", "__weakref__")
-    is_identity = False
-
-    def _intern(self, key, source, target):
-        fields = key[1:]
-        for name, value in zip(type(self).__slots__, fields):
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "_composites", None)
-        object.__setattr__(self, "_hash", hash(fields))
-        _TERMS[key] = self
-        return self
-
-    def _fields(self):
-        return tuple(getattr(self, name) for name in type(self).__slots__)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("%s is immutable" % type(self).__name__)
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return type(self), self._fields()
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % item for item in zip(type(self).__slots__, self._fields())))
-
-
-class Chain(_Node):
+class Chain(Interned):
     """tail ∘ gen ∘ arg with arg a disk-to-disk morphism in normal form.
 
-    Chains are interned: one live `Chain` per (tail, gen, arg) value, with
-    its hash, `source` (arg's) and `target` (tail's) stored.  The chain
-    keeps its composites after other terms.
+    Chains are interned (`globe.Interned`), with `source` (arg's), `target`
+    (tail's) and `level` stored: the highest level of a generator the term
+    names, 0 for a concrete map.  Only the generators named directly are
+    read: `Tower.declare` gives each generator a level above every
+    generator its boundaries name, so their boundaries cannot raise it.
     """
 
-    __slots__ = ("tail", "gen", "arg")
+    __slots__ = ("tail", "gen", "arg", "source", "target", "level")
+    _fields = __slots__[:3]
+    is_identity = False
 
-    def __new__(cls, tail, gen, arg):
-        key = (cls, tail, gen, arg)
-        self = _TERMS.get(key)
-        if self is None:
-            self = object.__new__(cls)._intern(key, arg.source, tail.target)
-        return self
+    def _build(self):
+        object.__setattr__(self, "source", self.arg.source)
+        object.__setattr__(self, "target", self.tail.target)
+        object.__setattr__(self, "level", max(self.gen.level, self.tail.level,
+                                              self.arg.level))
 
 
-class TupleT(_Node):
+class TupleT(Interned):
     """A morphism out of a sum, by its tuple of disk-sourced components.
 
-    Tuples are interned: one live `TupleT` per (src_table, comps) value,
-    `comps` being a tuple, with its hash, `source` (src_table) and `target`
-    (its components') stored.  The tuple keeps its composites after other
-    terms.
+    Tuples are interned (`globe.Interned`), `comps` being a tuple, with
+    `source` (src_table), `target` (its components') and `level` (theirs,
+    the highest) stored.
     """
 
-    __slots__ = ("src_table", "comps")
+    __slots__ = ("src_table", "comps", "source", "target", "level")
+    _fields = __slots__[:2]
+    is_identity = False
 
-    def __new__(cls, src_table, comps):
-        key = (cls, src_table, comps)
-        self = _TERMS.get(key)
-        if self is None:
-            self = object.__new__(cls)._intern(key, src_table, comps[0].target)
-        return self
+    def _build(self):
+        object.__setattr__(self, "source", self.src_table)
+        object.__setattr__(self, "target", self.comps[0].target)
+        object.__setattr__(self, "level", max(c.level for c in self.comps))
 
 
 Term = (GMap, Chain, TupleT)
@@ -264,15 +221,10 @@ def compose(t2, t1):
         if isinstance(t1, GMap):
             return theta0.compose(t2, t1)
         return _compose(t2, t1)
-    memo = t2._composites
-    if memo is None:
-        memo = {}
-        object.__setattr__(t2, "_composites", memo)
-    else:
-        t = memo.get(t1)
-        if t is not None:
-            return t
-    t = memo[t1] = _compose(t2, t1)
+    memo = t2.memo()
+    t = memo.get(t1)
+    if t is None:
+        t = memo[t1] = _compose(t2, t1)
     return t
 
 
@@ -354,20 +306,6 @@ def admissible(f, g):
     return Verdict(True)
 
 
-def _top_level(t):
-    """The highest level of a generator the term names, 0 if it names none.
-
-    Only the generators named directly are read: `Tower.declare` gives each
-    generator a level above every generator its boundaries name, so their
-    boundaries cannot raise the maximum.
-    """
-    if isinstance(t, Chain):
-        return max(t.gen.level, _top_level(t.tail), _top_level(t.arg))
-    if isinstance(t, TupleT):
-        return max(_top_level(c) for c in t.comps)
-    return 0
-
-
 class Tower:
     """An append-only, level-stratified list of lifting generators."""
 
@@ -413,7 +351,7 @@ class Tower:
         if dim > self.trunc:
             raise TermError("generator dimension %d exceeds truncation %d"
                             % (dim, self.trunc))
-        level = 1 + max(_top_level(fsrc), _top_level(gtgt))
+        level = 1 + max(fsrc.level, gtgt.level)
         gen = Gen(name, dim, fsrc.target, fsrc, gtgt, level)
         self._gens[name] = gen
         self._terms[name] = gen_term(gen)

@@ -90,31 +90,83 @@ def compose_words(w2, w1):
     return Word(w1.src, w2.tgt, w1.kind)
 
 
-# The live tables by value: a table is built and checked once while any
-# reference to it is held, and dropped with the last one.
-_TABLES = weakref.WeakValueDictionary()
+# The live interned values by (class,) + fields: each is built and checked
+# once while any reference to it is held, and dropped with the last one.
+_INTERNED = weakref.WeakValueDictionary()
 
 
-class Table:
-    """A table of dimensions: upper row (i_1..i_n), lower row (i'_1..i'_{n-1}).
+class Interned:
+    """A hash-consed immutable value: one live object per (class, fields).
 
-    Tables are interned: there is one live `Table` per (upper, lower) value,
-    so equality is identity, and the hash, `width`, `dimension` and
-    `is_disk` are computed once and stored.  Both rows must be tuples of
-    ints; every new value is checked before it is interned.  `_identity`
-    holds the identity map of the table's sum once `theta0.identity_gmap`
-    has built it, and dies with the table.
+    A subclass lists its fields in `_fields`, which open its `__slots__`,
+    and its derived slots after them.  A new value is checked, and its
+    derived slots set, by the subclass's `_build()` before it is interned,
+    so a refused value never enters the table.  Equality is identity, the
+    hash of the fields is stored, copies and pickles are the interned
+    object, and `memo()` is the dict of composites with this object as
+    outer factor, built on first use, which dies with it.
     """
 
-    __slots__ = ("upper", "lower", "width", "dimension", "is_disk", "_identity",
-                 "_hash", "__weakref__")
+    __slots__ = ("_hash", "_memo", "__weakref__")
+    _fields = ()
 
-    def __new__(cls, upper, lower):
-        key = (upper, lower)
+    def __new__(cls, *fields):
+        key = (cls,) + fields
         try:
-            return _TABLES[key]
-        except (KeyError, TypeError):  # TypeError: an unhashable row
+            return _INTERNED[key]
+        except (KeyError, TypeError):  # TypeError: an unhashable field
             pass
+        if len(fields) != len(cls._fields):
+            raise TypeError("%s takes the %d fields %s" % (cls.__name__, len(cls._fields),
+                                                           ", ".join(cls._fields)))
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, fields):
+            object.__setattr__(self, name, value)
+        self._build()
+        object.__setattr__(self, "_hash", hash(fields))
+        object.__setattr__(self, "_memo", None)
+        _INTERNED[key] = self
+        return self
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in zip(self._fields, self._values())))
+
+    def memo(self):
+        """The composites with this object as outer factor, by inner factor."""
+        memo = self._memo
+        if memo is None:
+            memo = {}
+            object.__setattr__(self, "_memo", memo)
+        return memo
+
+
+class Table(Interned):
+    """A table of dimensions: upper row (i_1..i_n), lower row (i'_1..i'_{n-1}).
+
+    Tables are interned: `width`, `dimension` and `is_disk` are stored.
+    Both rows must be tuples of ints; every new value is checked before it
+    is interned.  `_identity` holds the identity map of the table's sum
+    once `theta0.identity_gmap` has built it, and dies with the table.
+    """
+
+    __slots__ = ("upper", "lower", "width", "dimension", "is_disk", "_identity")
+    _fields = __slots__[:2]
+
+    def _build(self):
+        upper, lower = self.upper, self.lower
         if type(upper) is not tuple or type(lower) is not tuple:
             raise GlobeError("table rows must be tuples, not %s and %s"
                              % (type(upper).__name__, type(lower).__name__))
@@ -129,28 +181,10 @@ class Table:
             if not (upper[k] > j and upper[k + 1] > j):
                 raise GlobeError(
                     "table entry %d not dominated by its neighbours" % j)
-        self = object.__new__(cls)
-        object.__setattr__(self, "upper", upper)
-        object.__setattr__(self, "lower", lower)
         object.__setattr__(self, "width", len(upper))
         object.__setattr__(self, "dimension", max(upper))
         object.__setattr__(self, "is_disk", len(upper) == 1)
         object.__setattr__(self, "_identity", None)
-        object.__setattr__(self, "_hash", hash(key))
-        _TABLES[key] = self
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Table is immutable")
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return Table, (self.upper, self.lower)
-
-    def __repr__(self):
-        return "Table(upper=%r, lower=%r)" % (self.upper, self.lower)
 
     def __str__(self):
         parts = ["D%d" % self.upper[0]]

@@ -442,15 +442,17 @@ def _json_field(obj, key, kind, where, file="model file", error=ModelError):
 
 
 def _interp_rows(name, rows, dim, count):
-    """The table of one generator's rows.  The rows are checked in bulk
-    first, and only if that fails one at a time, in order, so that the
-    first bad row is named as before."""
+    """The table of one generator's rows, each input listed once.  The rows
+    are checked in bulk first, and only if that fails one at a time, in
+    order, so that the first bad row is named as before."""
     ins = [r.get("in") if type(r) is dict else None for r in rows]
     outs = [r.get("out") if type(r) is dict else None for r in rows]
     if all(type(x) is list for x in ins) and \
             all(type(c) is int for x in ins for c in x) and \
             all(type(v) is int and 0 <= v < count for v in outs):
-        return dict(zip(map(tuple, ins), outs))
+        table = dict(zip(map(tuple, ins), outs))
+        if len(table) == len(rows):
+            return table
     table = {}
     for r in rows:
         ins = _json_field(r, "in", list, "a row of %r" % name)
@@ -460,6 +462,9 @@ def _interp_rows(name, rows, dim, count):
         if not _is_index(out, count):
             raise ModelError("model file: %r sends %s to %d, not one of the %d %d-cells"
                              % (name, ins, out, count, dim))
+        if tuple(ins) in table:
+            raise ModelError("model file: %r lists the input %s more than once"
+                             % (name, ins))
         table[tuple(ins)] = out
     return table
 
@@ -533,18 +538,39 @@ class ModelMorphism:
                 if not _is_index(v, mt.carrier.count(d)):
                     raise ModelError("morphism sends %d-cell %d to %r, not one of the "
                                      "target's %d cells" % (d, c, v, mt.carrier.count(d)))
+        maps = self.maps
         for d in range(1, ms.trunc + 1):
-            for c in range(ms.carrier.count(d)):
-                if mt.carrier.source(d, self.maps[d][c]) != self.maps[d - 1][ms.carrier.source(d, c)]:
-                    raise ModelError("morphism does not commute with src at dim %d" % d)
-                if mt.carrier.target(d, self.maps[d][c]) != self.maps[d - 1][ms.carrier.target(d, c)]:
-                    raise ModelError("morphism does not commute with tgt at dim %d" % d)
+            # the first cell, src before tgt, where a face fails to commute
+            bad = []
+            for side, here, there in (("src", ms.carrier.src, mt.carrier.src),
+                                      ("tgt", ms.carrier.tgt, mt.carrier.tgt)):
+                got = tuple(map(there[d].__getitem__, maps[d]))
+                want = tuple(map(maps[d - 1].__getitem__, here[d]))
+                if got != want:
+                    bad.append((next(c for c, (a, b) in enumerate(zip(got, want)) if a != b),
+                                side))
+            if bad:
+                raise ModelError("morphism does not commute with %s at dim %d"
+                                 % (min(bad)[1], d))
         for gen in ms.tower.gens():
             fsrc = ms.interp_for(gen)
             ftgt = mt.interp_for(gen)
+            cells = ms.cells(gen.target)
+            # every input at once, through the columns of the fiber product
+            # when they are exactly the table's inputs; the first failing
+            # input is then found in the table's own order
+            if len(fsrc) == len(cells):
+                images = zip(*[tuple(map(maps[m].__getitem__, col))
+                               for m, col in zip(gen.target.upper, ms.columns(gen.target))])
+                try:
+                    if tuple(map(ftgt.__getitem__, images)) == \
+                            tuple(map(maps[gen.dim].__getitem__, map(fsrc.__getitem__, cells))):
+                        continue
+                except KeyError:
+                    pass
             for x, v in fsrc.items():
-                fx = tuple(self.maps[gen.target.upper[k]][x[k]] for k in range(len(x)))
-                if ftgt[fx] != self.maps[gen.dim][v]:
+                fx = tuple(maps[gen.target.upper[k]][x[k]] for k in range(len(x)))
+                if ftgt[fx] != maps[gen.dim][v]:
                     raise ModelError("morphism does not commute with %r at %s"
                                      % (gen.name, (x,)))
         return self

@@ -9,20 +9,20 @@ legs, and the embedding of globe-category words, all with decidable
 equality.  A `GMap` is also the concrete node of `coherator`'s term trees,
 and its constructor is the one check of a concrete tuple's gluing.
 
-Maps are hash-consed: one live `GMap` per value, checked once when that
-value is first built.  A memo keyed by a map or a table lives on that
-object, so it is dropped with it: a map keeps its legs and its composites
-after other maps, and a table keeps its identity map.  `word_gmap`, which
-`globe_functor` reads (keyed by a word's three fields), and
-`enumerate_homs` (by a pair of tables) stay process-global.
+Maps are hash-consed as tables are, by `globe.Interned`: one live `GMap`
+per value, checked once when that value is first built.  A memo keyed by a
+map or a table lives on that object, so it is dropped with it: a map keeps
+its legs and its composites after other maps (`Interned.memo`), and a
+table keeps its identity map.  `word_gmap`, which `globe_functor` reads
+(keyed by a word's three fields), and `enumerate_homs` (by a pair of
+tables) stay process-global.
 """
 
 from __future__ import annotations
 
-import weakref
 from functools import lru_cache
 
-from .globe import GlobeError, Word, disk, realize_sum, sword, tword
+from .globe import GlobeError, Interned, Word, disk, realize_sum, sword, tword
 
 
 class MatchingError(GlobeError):
@@ -43,12 +43,7 @@ def gluing_error(k, j, a, b, face):
                                          for w in (sword, tword))), j))
 
 
-# The live maps by value: a map is built and checked once while any
-# reference to it is held, and dropped with the last one.
-_GMAPS = weakref.WeakValueDictionary()
-
-
-class GMap:
+class GMap(Interned):
     """A map of realized sums: `cells[k]` is the target cell that the top
     cell of the source's k-th disk goes to.
 
@@ -56,23 +51,18 @@ class GMap:
     dimension j, the s-face of `cells[k]` is the t-face of `cells[k + 1]`.
     A failure names k and the lowest dimension where the two faces differ.
 
-    Maps are interned as `Table`s are: there is one live `GMap` per
-    (source, target, cells) value, so equality is identity, and the hash
-    and `is_identity` are computed once and stored.  `cells` must be a
-    tuple of ints; every new value is checked before it is interned.  The
-    map's legs and its composites after other maps are kept on the map,
-    built on first use, and die with it.
+    Maps are interned (`globe.Interned`), with `is_identity` stored.
+    `cells` must be a tuple of ints; every new value is checked before it
+    is interned.  The map's legs are kept on the map, built on first use,
+    and die with it.
     """
 
-    __slots__ = ("source", "target", "cells", "is_identity", "_legs", "_composites",
-                 "_hash", "__weakref__")
+    __slots__ = ("source", "target", "cells", "is_identity", "_legs")
+    _fields = __slots__[:3]
+    level = 0   # the highest generator level a term names (`coherator.Chain`)
 
-    def __new__(cls, source, target, cells):
-        key = (source, target, cells)
-        try:
-            return _GMAPS[key]
-        except (KeyError, TypeError):  # TypeError: unhashable cells
-            pass
+    def _build(self):
+        source, target, cells = self.source, self.target, self.cells
         if type(cells) is not tuple or any(type(c) is not int for c in cells):
             raise GlobeError("map cells must be a tuple of ints, not %r" % (cells,))
         carrier = realize_sum(target).carrier
@@ -89,29 +79,9 @@ class GMap:
             b = carrier.boundary(tword(j, upper[k + 1]), cells[k + 1])
             if a != b:
                 raise gluing_error(k, j, a, b, carrier.boundary)
-        self = object.__new__(cls)
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "is_identity",
                            source is target and cells == _identity_cells(source))
         object.__setattr__(self, "_legs", None)
-        object.__setattr__(self, "_composites", None)
-        object.__setattr__(self, "_hash", hash(key))
-        _GMAPS[key] = self
-        return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GMap is immutable")
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return GMap, (self.source, self.target, self.cells)
-
-    def __repr__(self):
-        return "GMap(source=%r, target=%r, cells=%r)" % (self.source, self.target, self.cells)
 
     def leg(self, k):
         """This map after the source's k-th cocone leg: the map out of the
@@ -142,14 +112,10 @@ def compose(g, f):
     """g after f: each cell f picks has an owner (leg, word) in g's source,
     and goes to that word's face of the cell g's leg picks.  Each distinct
     composite is built and checked once, and kept on g."""
-    memo = g._composites
-    if memo is None:
-        memo = {}
-        object.__setattr__(g, "_composites", memo)
-    else:
-        h = memo.get(f)
-        if h is not None:
-            return h
+    memo = g.memo()
+    h = memo.get(f)
+    if h is not None:
+        return h
     if f.target is not g.source:
         raise GlobeError("object mismatch: cannot compose %s after %s"
                          % (g.source, f.target))

@@ -5,7 +5,9 @@ the induced pi-groupoid functors by hand, the term composition that rebuilt
 every composite node by node and re-checked the gluing of every tuple it
 made, the concrete maps that were value-compared dataclasses with
 process-global memos, the term nodes that were value-compared dataclasses
-built afresh by every composition, and the tokenizer that matched blanks as tokens of
+built afresh by every composition, the walk that found a term's highest
+generator level before nodes stored it, the model-morphism check that went
+one input at a time, and the tokenizer that matched blanks as tokens of
 their own."""
 
 import itertools
@@ -20,6 +22,7 @@ from globkit.globe import GlobeError, Table, Word, disk, realize_sum, sword, two
 from globkit.theta0 import GMap
 from globkit.gpd import GroupoidError
 from globkit.homotopy import WeqReport, hom_classes, iterated_unit, parallel_cells, pi_groupoid
+from globkit.model import ModelError, _is_index
 
 
 def all_tables(max_width, max_dim):
@@ -290,6 +293,22 @@ def old_compose(t2, t1):
 # them, with the identity and inherited-gluing short-circuits but without a
 # memo, renamed so that they call one another.
 
+def old_top_level(t):
+    """The highest level of a generator the term names, 0 if it names none,
+    found by walking the term: `Tower.declare`'s rule before chains and
+    tuples stored it.
+
+    Only the generators named directly are read: `Tower.declare` gives each
+    generator a level above every generator its boundaries name, so their
+    boundaries cannot raise the maximum.
+    """
+    if isinstance(t, (Chain, OldChain)):
+        return max(t.gen.level, old_top_level(t.tail), old_top_level(t.arg))
+    if isinstance(t, (TupleT, OldTupleT)):
+        return max(old_top_level(c) for c in t.comps)
+    return 0
+
+
 @dataclass(frozen=True)
 class OldChain:
     """tail ∘ gen ∘ arg with arg a disk-to-disk morphism in normal form."""
@@ -306,6 +325,10 @@ class OldChain:
     def target(self):
         return self.tail.target
 
+    @property
+    def level(self):
+        return old_top_level(self)
+
 
 @dataclass(frozen=True)
 class OldTupleT:
@@ -321,6 +344,10 @@ class OldTupleT:
     @property
     def target(self):
         return self.comps[0].target
+
+    @property
+    def level(self):
+        return old_top_level(self)
 
 
 def old_gen_term(gen):
@@ -456,3 +483,37 @@ def old_tokenize(text):
         pos = m.end()
     out.append(OldToken("eof", "", line, col))
     return out
+
+
+def old_validate(morph):
+    """`ModelMorphism.validate` as it checked boundaries cell by cell and
+    each generator one input at a time, in the order of its table."""
+    ms, mt = morph.source, morph.target
+    if ms.tower is not mt.tower:
+        raise ModelError("morphisms require a common tower")
+    if len(morph.maps) != ms.trunc + 1:
+        raise ModelError("morphism has maps for %d dimensions, expected %d"
+                         % (len(morph.maps), ms.trunc + 1))
+    for d in range(ms.trunc + 1):
+        if len(morph.maps[d]) != ms.carrier.count(d):
+            raise ModelError("morphism map at dim %d has %d entries, expected %d"
+                             % (d, len(morph.maps[d]), ms.carrier.count(d)))
+        for c, v in enumerate(morph.maps[d]):
+            if not _is_index(v, mt.carrier.count(d)):
+                raise ModelError("morphism sends %d-cell %d to %r, not one of the "
+                                 "target's %d cells" % (d, c, v, mt.carrier.count(d)))
+    for d in range(1, ms.trunc + 1):
+        for c in range(ms.carrier.count(d)):
+            if mt.carrier.source(d, morph.maps[d][c]) != morph.maps[d - 1][ms.carrier.source(d, c)]:
+                raise ModelError("morphism does not commute with src at dim %d" % d)
+            if mt.carrier.target(d, morph.maps[d][c]) != morph.maps[d - 1][ms.carrier.target(d, c)]:
+                raise ModelError("morphism does not commute with tgt at dim %d" % d)
+    for gen in ms.tower.gens():
+        fsrc = ms.interp_for(gen)
+        ftgt = mt.interp_for(gen)
+        for x, v in fsrc.items():
+            fx = tuple(morph.maps[gen.target.upper[k]][x[k]] for k in range(len(x)))
+            if ftgt[fx] != morph.maps[gen.dim][v]:
+                raise ModelError("morphism does not commute with %r at %s"
+                                 % (gen.name, (x,)))
+    return morph

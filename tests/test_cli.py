@@ -273,8 +273,15 @@ def test_malformed_model_and_morphism_files_exit_1(tmp_path, capsys):
     bool_src["cells"][1]["src"] = [False] * len(bool_src["cells"][1]["src"])
     bool_in = json.loads(json.dumps(good))
     bool_in["interp"]["comp1_0"][0]["in"] = [0, True]
+    # a conflicting copy of a row, after it or before it
+    twice, twice_first = json.loads(json.dumps(good)), json.loads(json.dumps(good))
+    (row,) = [r for r in good["interp"]["comp1_0"] if r["in"] == [0, 1]]
+    twice["interp"]["comp1_0"].append(dict(row, out=1 - row["out"]))
+    twice_first["interp"]["comp1_0"].insert(0, dict(row, out=1 - row["out"]))
     mpath = str(tmp_path / "model.json")
     for data, words in ((no_cells, "field 'cells'"),
+                        (twice, "'comp1_0' lists the input [0, 1] more than once"),
+                        (twice_first, "'comp1_0' lists the input [0, 1] more than once"),
                         (bad_src, "src of 2-cell 0 is 7"),
                         (huge, "interpretation of 'unit0' does not cover"),
                         (bool_src, "src of 1-cell 0 is False, not one of the 1 0-cells"),

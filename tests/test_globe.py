@@ -11,7 +11,7 @@ import random
 import pytest
 
 import globkit
-from globkit import coherator, globe
+from globkit import coherator, globe, theta0
 from globkit.globe import (
     MAX_DIM, GlobeError, GlobularSet, Table, Word, compose_words, disk, idword, realize_sum,
     sword, tword,
@@ -367,13 +367,12 @@ def test_library_has_no_assert():
 
 # The library's process-global caches.  Each lives as long as the process,
 # so adding one is a decision recorded here.  The `lru_cache`s are unbounded;
-# the weak intern tables of `Table`s, `GMap`s and term nodes hold each value
-# while it is referenced.  Memos keyed by one table, map or term node live on
-# that object instead.
+# the one weak intern table of `Table`s, `GMap`s and term nodes holds each
+# value while it is referenced.  Memos keyed by one table, map or term node
+# live on that object instead.
 GLOBAL_CACHES = {
-    "globe.disk", "globe.realize_sum", "globe._TABLES",
-    "theta0._GMAPS", "theta0.enumerate_homs", "theta0.word_gmap",
-    "coherator._TERMS",
+    "globe.disk", "globe.realize_sum", "globe._INTERNED",
+    "theta0.enumerate_homs", "theta0.word_gmap",
 }
 
 
@@ -395,7 +394,7 @@ def test_library_caches_are_the_allowlist():
     src = pathlib.Path(globkit.__file__).parent
     found = {"%s.%s" % (path.stem, name) for path in sorted(src.glob("*.py"))
              for name in cached(ast.parse(path.read_text(encoding="utf-8")))}
-    assert found == GLOBAL_CACHES and len(found) == 7
+    assert found == GLOBAL_CACHES and len(found) == 5
     assert cached(ast.parse("import functools\n@functools.lru_cache(maxsize=None)\n"
                             "def f(): pass\n@cache\ndef g(): pass\n"
                             "@property\ndef h(): pass\n"
@@ -403,15 +402,10 @@ def test_library_caches_are_the_allowlist():
 
 
 def test_tables_are_interned():
-    """One live `Table` per value: equal tables are one object with one
-    stored hash, copies and pickles included, and the intern table holds a
-    value only while something references it."""
-    t = Table((2, 1, 2), (0, 0))
-    assert Table((2, 1, 2), (0, 0)) is t and hash(t) == hash(((2, 1, 2), (0, 0)))
-    assert copy.deepcopy(t) is t and pickle.loads(pickle.dumps(t)) is t
-    assert repr(t) == "Table(upper=(2, 1, 2), lower=(0, 0))"
-    with pytest.raises(AttributeError):
-        t.upper = (1,)
+    """A table's repr is pinned; its rows must be tuples of naturals, refused
+    rows never reach the intern table, and building and dropping a tower leaves the live
+    tables as they were."""
+    assert repr(Table((2, 1, 2), (0, 0))) == "Table(upper=(2, 1, 2), lower=(0, 0))"
     for upper, lower in (([1, 1], (0,)), ((1, 1), [0]), ([1], [])):
         with pytest.raises(GlobeError, match="table rows must be tuples"):
             Table(upper, lower)
@@ -419,13 +413,65 @@ def test_tables_are_interned():
     for upper, lower in (((61.0,), ()), ((9, 2, 9), (1.0, 1)), ((True, 5, 3), (0, 2))):
         with pytest.raises(GlobeError, match="table entries must be naturals"):
             Table(upper, lower)
+        assert (Table, upper, lower) not in globe._INTERNED
     counts = []
     for _ in range(4):
         coherator.stdlib(8)
         gc.collect()
-        counts.append(len(globe._TABLES))
+        counts.append(sum(1 for key in list(globe._INTERNED.keys()) if key[0] is Table))
     assert len(set(counts)) == 1
-    key = ((3, 3, 3, 3, 3), (2, 1, 2, 0))
-    Table(*key)
+
+
+def _interned_cases():
+    """Per class of `globe.Interned`: a live value, the fields of a fresh
+    value with what else holds it, and arguments it refuses with the error
+    they raise."""
+    tower = coherator.stdlib(4)[0]
+    chain = tower.term("assoc1")
+    tup = tower["assoc1"].fsrc.tail
+    tab = Table((1, 1), (0,))
+    lonely = coherator.Tower(2)
+    lonely.declare("lonely", coherator.identity(disk(0)), coherator.identity(disk(0)))
+    fresh = lonely.term("lonely")
+    return {
+        "Table": (Table((2, 1, 2), (0, 0)), ((3, 3, 3, 3, 3), (2, 1, 2, 0)), (),
+                  ((2, 1, 2), [0, 0]), GlobeError),
+        "GMap": (theta0.leg_gmap(tab, 1), (disk(0), Table((4, 5, 4), (3, 2)), (0,)), (),
+                 (disk(0), Table((5, 7, 5), (2, 4)), (0.0,)), GlobeError),
+        "Chain": (chain, (fresh.tail, fresh.gen, fresh.arg), (lonely, fresh),
+                  (chain.tail, chain.gen), TypeError),
+        "TupleT": (tup, (tab, (fresh, fresh)), (), (tup.src_table, list(tup.comps)),
+                   TypeError),
+    }
+
+
+@pytest.mark.parametrize("name", ["Table", "GMap", "Chain", "TupleT"])
+def test_interned_values_share_one_contract(name):
+    """`Table`, `GMap`, `Chain` and `TupleT` are interned by `globe.Interned`
+    in one weak table keyed by (class,) + fields: equal values are one
+    object with the stored hash of its fields, copies and pickles included;
+    it is immutable and its repr is `Class(field=value, ...)`; a refused
+    value never enters the table; and a value lives while it is referenced."""
+    value, fresh, holders, refused, error = _interned_cases()[name]
+    cls = type(value)
+    assert cls.__name__ == name and issubclass(cls, globe.Interned)
+    fields = tuple(getattr(value, f) for f in cls._fields)
+    assert cls(*fields) is value and globe._INTERNED[(cls,) + fields] is value
+    assert hash(value) == hash(fields)
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert twin is value
+    for attr in cls._fields + ("other",):
+        with pytest.raises(AttributeError, match="^%s is immutable$" % name):
+            setattr(value, attr, None)
+    assert repr(value) == "%s(%s)" % (name, ", ".join(
+        "%s=%r" % (f, getattr(value, f)) for f in cls._fields))
+    live = {id(v) for v in list(globe._INTERNED.values())}
+    with pytest.raises(error):
+        cls(*refused)
+    assert {id(v) for v in list(globe._INTERNED.values())} <= live
+    key = (cls,) + fresh
+    made = cls(*fresh)
+    assert globe._INTERNED[key] is made
+    del made, holders
     gc.collect()
-    assert key not in globe._TABLES
+    assert key not in globe._INTERNED

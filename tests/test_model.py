@@ -17,7 +17,7 @@ from globkit import rewrite as R
 from globkit.globe import MAX_CELLS, GlobeError, GlobularSet, Table, disk, realize_sum
 from globkit.model import Discrete, FillerError, KAn, KG1, XMod
 from globkit.theta0 import GMap
-from oracles import all_tables
+from oracles import all_tables, old_validate
 from test_theta0 import level_map
 
 
@@ -650,6 +650,33 @@ def test_model_json_names_the_first_bad_row(std3):
         M.model_from_json(bad, tower)
 
 
+def test_model_json_refuses_a_repeated_input(std3):
+    """Each input of a generator appears once in a model file: a repeated
+    one is refused, naming the generator and the input, wherever it
+    stands, whether its outputs differ or agree, and in the row-by-row
+    check as in the bulk one."""
+    tower, bundle = std3
+    data = M.model_to_json(M.build_strict(KG1(G.cyclic(2)), tower, bundle))
+    rows = data["interp"]["comp1_0"]
+    (row,) = [r for r in rows if r["in"] == [0, 1]]
+    message = "model file: 'comp1_0' lists the input [0, 1] more than once"
+    for copy in (dict(row, out=1 - row["out"]), dict(row)):
+        for place in (len(rows), 0):
+            bad = json.loads(json.dumps(data))
+            bad["interp"]["comp1_0"].insert(place, copy)
+            with pytest.raises(M.ModelError, match=re.escape(message)):
+                M.model_from_json(bad, tower)
+            # a bad row after the repeat sends the check row by row
+            bad["interp"]["comp1_0"].append({"in": [0, 0], "out": 9})
+            with pytest.raises(M.ModelError, match=re.escape(message)):
+                M.model_from_json(bad, tower)
+    # before the repeat, the bad row is named
+    bad = json.loads(json.dumps(data))
+    bad["interp"]["comp1_0"][:0] = [{"in": [0, 0], "out": 9}, dict(row)]
+    with pytest.raises(M.ModelError, match="sends \\[0, 0\\] to 9"):
+        M.model_from_json(bad, tower)
+
+
 def test_model_json_rejects_missing_interp(std3):
     tower, _ = std3
     model = M.build_strict(Discrete(1), tower, std3[1])
@@ -691,3 +718,62 @@ def test_restrict_swapped_composition(std3):
     for g in range(3):
         for h in range(3):
             assert restricted.eval1(nab, (g, h)) == z3.op(g, h)
+
+
+def test_morphism_validate_matches_the_per_input_check(std4):
+    """`ModelMorphism.validate` compares boundaries a row at a time and
+    each generator a column at a time; it accepts and refuses what the old
+    check, one cell and one input at a time, did, with the same message,
+    on criterion 07's morphisms, a two-object groupoid's identity and a
+    model file whose rows are shuffled, and on seeded broken copies."""
+    tower, bundle = std4
+    s3, z2, z3, z4 = G.symmetric(3), G.cyclic(2), G.cyclic(3), G.cyclic(4)
+    kg = {g: M.build_strict(KG1(g), tower, bundle) for g in (s3, z2, z3, z4)}
+    mpt = M.build_strict(Discrete(1), tower, bundle)
+    m42 = M.build_strict(KAn(z4, 2), tower, bundle)
+    mx = gpd.fundamental(gpd.connected_groupoid(2, z2), tower, gpd.TowerGpdInterp(tower))
+    data = M.model_to_json(kg[z3])
+    rng = random.Random(1800)
+    for rows in data["interp"].values():
+        rng.shuffle(rows)
+    shuffled = M.model_from_json(data, tower)
+    cases = [(kg[s3], kg[s3], [(0,), range(6)]), (kg[z3], kg[z3], [(0,), (0, 2, 1)]),
+             (kg[z2], kg[z4], [(0,), (0, 2)]), (kg[z4], kg[z2], [(0,), (0, 1, 0, 1)]),
+             (kg[s3], mpt, [(0,), (0,) * 6]), (m42, m42, [(0,), (0,), (0, 3, 2, 1)]),
+             (mx, mx, [range(mx.carrier.count(d)) for d in range(mx.trunc + 1)]),
+             (shuffled, kg[z3], [(0,), (0, 2, 1)])]
+
+    def outcome(check, morph):
+        try:
+            check(morph)
+            return "ok"
+        except (M.ModelError, KeyError) as e:
+            return "%s: %s" % (type(e).__name__, e)
+
+    morphs = []
+    for ms, mt, dims in cases:
+        maps = [list(dims[min(d, len(dims) - 1)]) for d in range(ms.trunc + 1)]
+        morphs.append(M.ModelMorphism(ms, mt, maps))
+        assert outcome(M.ModelMorphism.validate, morphs[-1]) == "ok"
+    seen = set()
+    for k in range(400):
+        if k % 2:   # break a map cell by cell
+            morph = rng.choice(morphs)
+            ms, mt, maps = morph.source, morph.target, [list(row) for row in morph.maps]
+            for _ in range(rng.choice((1, 1, 2, 3))):
+                d = rng.randrange(len(maps))
+                if maps[d]:
+                    maps[d][rng.randrange(len(maps[d]))] = rng.randrange(mt.carrier.count(d))
+        else:       # any function of groups commutes with the faces of KG1
+            g, h = rng.choice(list(kg)), rng.choice(list(kg))
+            ms, mt = rng.choice((kg[g], shuffled)) if g is z3 else kg[g], kg[h]
+            f = [rng.randrange(h.order) for _ in range(g.order)]
+            maps = [[0]] + [f] * ms.trunc
+        broken = M.ModelMorphism(ms, mt, maps)
+        want = outcome(old_validate, broken)
+        assert outcome(M.ModelMorphism.validate, broken) == want, maps
+        seen.add(re.sub(r"dim \d+|'\w+' at .*", "", want))
+    assert seen >= {"ok", "ModelError: morphism does not commute with src at ",
+                    "ModelError: morphism does not commute with tgt at ",
+                    "ModelError: morphism does not commute with "}, seen
+

@@ -8,18 +8,16 @@ old Yoneda maps and the old pairing check; the other test modules read a
 map's lower cells through it.
 """
 
-import copy
 import functools
 import gc
 import itertools
-import pickle
 import random
 from dataclasses import dataclass
 
 import pytest
 
 from globkit import coherator as C
-from globkit import theta0
+from globkit import globe, theta0
 from globkit.coherator import TermError, tuple_term
 from globkit.globe import (
     GlobeError, Table, Word, disk, disk_cell_word, realize_sum, sword, tword,
@@ -378,39 +376,40 @@ def test_malformed_maps_raise_globe_error():
 
 
 def test_gmaps_are_interned():
-    """One live `GMap` per value: equal maps are one object with one stored
-    hash, copies and pickles included; refused cells never reach the intern
-    table; and its composites live on the map, so building and dropping a
-    tower leaves the live maps and their memos as they were."""
+    """Equal maps are one object (`globe.Interned`, whose shared contract
+    `test_globe` checks); refused cells never reach the intern table; and
+    a map's composites live on the map, so building and dropping a tower
+    leaves the live maps and their memos as they were."""
     tab = Table((1, 1), (0,))
     f = theta0.GMap(tab, tab, theta0.identity_gmap(tab).cells)
     assert f is theta0.identity_gmap(tab) and f.is_identity
     assert theta0.GMap(disk(1), tab, (0,)) is theta0.leg_gmap(tab, 0)
-    assert hash(f) == hash((tab, tab, f.cells))
-    assert copy.copy(f) is f and copy.deepcopy(f) is f and pickle.loads(pickle.dumps(f)) is f
     assert repr(theta0.leg_gmap(tab, 1)) == \
         "GMap(source=Table(upper=(1,), lower=()), target=Table(upper=(1, 1), lower=(0,)), " \
         "cells=(1,))"
     for name in ("cells", "is_identity", "other"):
-        with pytest.raises(AttributeError):
+        with pytest.raises(AttributeError, match="GMap is immutable"):
             setattr(f, name, None)
     # a float or bool cell would otherwise be interned and handed out for
     # the equal int value; this target is used nowhere else
     target = Table((5, 6, 5), (2, 4))
-    assert (disk(0), target, (0,)) not in theta0._GMAPS
+    key = (theta0.GMap, disk(0), target, (0,))
+    assert key not in globe._INTERNED
     for cells in ((0.0,), (False,), [0], (0, 1.0)):
         with pytest.raises(GlobeError, match="map cells must be a tuple of ints"):
             theta0.GMap(disk(0), target, cells)
-    assert (disk(0), target, (0,)) not in theta0._GMAPS
+    assert key not in globe._INTERNED
 
-    def memo_size():
-        return sum(len(g._composites or ()) for g in list(theta0._GMAPS.values()))
+    def live_maps():
+        return [g for g in list(globe._INTERNED.values()) if type(g) is theta0.GMap]
 
     counts = []
     for _ in range(4):
         C.stdlib(8)
         gc.collect()
-        counts.append((len(theta0._GMAPS), memo_size()))
+        maps = live_maps()
+        counts.append((len(maps), sum(len(g._memo or ()) for g in maps)))
+        del maps
     assert len(set(counts)) == 1 and counts[0][1] > 0
 
 
