@@ -19,7 +19,7 @@ from . import groups
 from . import homotopy as hmt
 from . import model as mdl
 from .coherator import InadmissibleError, TermError
-from .globe import GlobeError, disk
+from .globe import GlobeError
 from .theta0 import MatchingError
 
 
@@ -134,18 +134,13 @@ def _parse_term_arg(tower, text, target_text=None):
 
 
 def _infer_target(tower, text):
-    for t in dsl.tokenize(text):
-        if t.kind == "name":
-            if t.value in tower:
-                return tower[t.value].target
-            m = dsl._WORD_RE.match(t.value)
-            if m:
-                try:
-                    return disk(int(m.group(2)))
-                except GlobeError as e:
-                    raise CliError(2, "bad term %r: %s" % (text, e))
-        break
-    raise CliError(2, "cannot infer the term's target; pass --target")
+    try:
+        target = dsl.implied_target(text, tower)
+    except GlobeError as e:
+        raise CliError(2, "bad term %r: %s" % (text, e))
+    if target is None:
+        raise CliError(2, "cannot infer the term's target; pass --target")
+    return target
 
 
 def _emit(args, report, text):

@@ -7,19 +7,21 @@ made, the concrete maps that were value-compared dataclasses with
 process-global memos, the term nodes that were value-compared dataclasses
 built afresh by every composition, the walk that found a term's highest
 generator level before nodes stored it, the model-morphism check that went
-one input at a time, and the tokenizer that matched blanks as tokens of
-their own."""
+one input at a time, the tokenizer that matched blanks as tokens of their
+own, and the parser whose every token carried its position."""
 
 import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from globkit import theta0
-from globkit.coherator import Chain, Gen, TermError, TupleT, _disk_dim, identity, wordt
-from globkit.dsl import ParseError
-from globkit.globe import GlobeError, Table, Word, disk, realize_sum, sword, tword
-from globkit.theta0 import GMap
+from globkit import coherator as coh, theta0
+from globkit.coherator import (Chain, Gen, InadmissibleError, TermError, Tower, TupleT,
+                               _disk_dim, identity, wordt)
+from globkit.dsl import _DISK_RE, _EPS_RE, _WORD_RE, CheckError, ParseError
+from globkit.globe import (DEFAULT_TRUNC, MAX_DIM, GlobeError, Table, Word, disk, realize_sum,
+                           sword, tword)
+from globkit.theta0 import GMap, MatchingError
 from globkit.gpd import GroupoidError
 from globkit.homotopy import WeqReport, hom_classes, iterated_unit, parallel_cells, pi_groupoid
 from globkit.model import ModelError, _is_index
@@ -483,6 +485,257 @@ def old_tokenize(text):
         pos = m.end()
     out.append(OldToken("eof", "", line, col))
     return out
+
+
+# The parser of tower scripts before it scanned a script once into lists of
+# token kinds and values and computed positions only for errors: every token
+# carried its line and column, and each name atom was elaborated afresh.  It
+# reads `old_tokenize`'s tokens, which the tests hold equal to
+# `dsl.tokenize`'s.
+
+class OldParser:
+    def __init__(self, text):
+        self.tokens = old_tokenize(text)
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        t = self.tokens[self.pos]
+        self.pos += 1
+        return t
+
+    def expect(self, kind, value=None):
+        t = self.next()
+        if t.kind != kind or (value is not None and t.value != value):
+            raise ParseError(t.line, t.col,
+                             "expected %s, found %r" % (value or kind, t.value or t.kind))
+        return t
+
+    def skip_newlines(self):
+        while self.peek().kind == "nl":
+            self.next()
+
+
+def old_parse_tower(text, trunc=None):
+    """Parse and replay a tower script; returns the declared Tower."""
+    p = OldParser(text)
+    tower = None
+    declared_dim = None
+    p.skip_newlines()
+    while p.peek().kind != "eof":
+        t = p.peek()
+        if t.kind == "name" and t.value == "dim":
+            p.next()
+            n = p.expect("int")
+            if tower is not None and len(tower):
+                raise ParseError(n.line, n.col, "dim must precede all lifts")
+            declared_dim = int(n.value)
+            tower = Tower(declared_dim if trunc is None else trunc)
+        elif t.kind == "name" and t.value == "lift":
+            if tower is None:
+                tower = Tower(trunc if trunc is not None else DEFAULT_TRUNC)
+            _old_parse_lift(p, tower)
+        else:
+            raise ParseError(t.line, t.col, "expected 'dim' or 'lift', found %r"
+                             % (t.value or t.kind))
+        if p.peek().kind not in ("nl", "eof"):
+            t = p.peek()
+            raise ParseError(t.line, t.col, "trailing input %r" % t.value)
+        p.skip_newlines()
+    if tower is None:
+        tower = Tower(trunc if trunc is not None else DEFAULT_TRUNC)
+    return tower
+
+
+def _old_parse_lift(p, tower):
+    kw = p.expect("name", "lift")
+    name_tok = p.next()
+    if name_tok.kind != "name":
+        raise ParseError(name_tok.line, name_tok.col, "expected a generator name")
+    name = name_tok.value
+    for pat in (_DISK_RE, _WORD_RE, _EPS_RE):
+        if pat.match(name) or name == "id":
+            raise ParseError(name_tok.line, name_tok.col,
+                             "name %r shadows built-in syntax" % name)
+    p.expect("sym", ":")
+    dtok = p.next()
+    md = _DISK_RE.match(dtok.value) if dtok.kind == "name" else None
+    if md is None:
+        raise ParseError(dtok.line, dtok.col, "expected a disk D<n>")
+    gdim = int(md.group(1))
+    if not 1 <= gdim <= MAX_DIM:
+        raise ParseError(dtok.line, dtok.col, "a lift starts at D1 to D%d, not D%d"
+                         % (MAX_DIM, gdim))
+    source = disk(gdim - 1)
+    p.expect("arrow")
+    table = _old_parse_table(p)
+    p.expect("sym", ";")
+    p.expect("name", "src")
+    p.expect("sym", "=")
+    fsrc = _old_elab_chain(_old_read_chain(p), tower, table)
+    p.expect("sym", ";")
+    p.expect("name", "tgt")
+    p.expect("sym", "=")
+    gtgt = _old_elab_chain(_old_read_chain(p), tower, table)
+    if fsrc.source != source:
+        raise ParseError(kw.line, kw.col,
+                         "src term starts at %s, expected %s" % (fsrc.source, source))
+    if gtgt.source != source:
+        raise ParseError(kw.line, kw.col,
+                         "tgt term starts at %s, expected %s" % (gtgt.source, source))
+    try:
+        tower.declare(name, fsrc, gtgt)
+    except (InadmissibleError, TermError) as e:
+        raise CheckError(kw.line, "lift %s: %s" % (name, e))
+
+
+def _old_parse_table(p):
+    t = p.next()
+    m = _DISK_RE.match(t.value) if t.kind == "name" else None
+    if m is None:
+        raise ParseError(t.line, t.col, "expected a disk D<n>")
+    upper = [int(m.group(1))]
+    lower = []
+    while p.peek().kind == "sym" and p.peek().value == "+":
+        p.next()
+        j = p.expect("int")
+        d = p.next()
+        m = _DISK_RE.match(d.value) if d.kind == "name" else None
+        if m is None:
+            raise ParseError(d.line, d.col, "expected a disk D<n>")
+        lower.append(int(j.value))
+        upper.append(int(m.group(1)))
+    try:
+        return Table(tuple(upper), tuple(lower))
+    except Exception as e:
+        raise ParseError(t.line, t.col, "invalid table: %s" % e)
+
+
+def old_parse_table(text):
+    """Parse a whole text as one table of dimensions, e.g. `D1 +0 D1`."""
+    p = OldParser(text)
+    table = _old_parse_table(p)
+    _old_expect_end(p)
+    return table
+
+
+def old_parse_term(text, tower, target):
+    """Parse a whole text as one term into the table `target`."""
+    p = OldParser(text)
+    term = _old_elab_chain(_old_read_chain(p), tower, target)
+    _old_expect_end(p)
+    return term
+
+
+def _old_expect_end(p):
+    t = p.peek()
+    if t.kind != "eof":
+        raise ParseError(t.line, t.col, "trailing input %r" % (t.value or t.kind))
+
+
+def _old_read_chain(p):
+    """The atoms of a `*`-chain, read but not yet elaborated."""
+    atoms = [_old_parse_atom(p)]
+    while p.peek().kind == "sym" and p.peek().value == "*":
+        p.next()
+        atoms.append(_old_parse_atom(p))
+    return atoms
+
+
+def _old_parse_atom(p):
+    t = p.peek()
+    if t.kind == "sym" and t.value == "(":
+        p.next()
+        inner = _old_read_chain(p)
+        p.expect("sym", ")")
+        return ("group", inner, t)
+    if t.kind == "sym" and t.value == "[":
+        p.next()
+        comps = []
+        glues = []
+        comps.append(_old_read_chain(p))
+        while p.peek().value == ";":
+            p.next()
+            if p.peek().kind == "int":
+                glues.append(int(p.next().value))
+            else:
+                glues.append(None)
+            comps.append(_old_read_chain(p))
+        p.expect("sym", "]")
+        return ("tuple", (comps, glues), t)
+    if t.kind == "name":
+        p.next()
+        return ("name", t.value, t)
+    raise ParseError(t.line, t.col, "expected a term, found %r" % (t.value or t.kind))
+
+
+def _old_elab_chain(atoms, tower, target):
+    """Elaborate a `*`-chain left to right: each atom maps into the source
+    of the one before it, the first into `target`."""
+    term = None
+    for atom in atoms:
+        t = _old_elab_atom(atom, tower, target)
+        term = t if term is None else coh.compose(term, t)
+        target = t.source
+    return term
+
+
+def _old_elab_atom(atom, tower, target):
+    kind, val, tok = atom
+    if kind == "group":
+        return _old_elab_chain(val, tower, target)
+    if kind == "tuple":
+        comps_atoms, glues = val
+        comps = [_old_elab_chain(a, tower, target) for a in comps_atoms]
+        for c in comps:
+            if not c.source.is_disk:
+                raise ParseError(tok.line, tok.col, "tuple components must start at disks")
+        upper = tuple(c.source.upper[0] for c in comps)
+        lower = []
+        for k, g in enumerate(glues):
+            if g is not None:
+                lower.append(g)
+                continue
+            found = next((j for j in range(min(upper[k], upper[k + 1]) - 1, -1, -1)
+                          if coh.gluing_error(k, j, comps[k], comps[k + 1]) is None), None)
+            if found is None:
+                raise ParseError(tok.line, tok.col,
+                                 "no gluing dimension matches tuple components %d, %d"
+                                 % (k + 1, k + 2))
+            lower.append(found)
+        try:
+            return coh.tuple_term(comps, Table(upper, tuple(lower)))
+        except (MatchingError, TermError) as e:
+            raise ParseError(tok.line, tok.col, "bad tuple: %s" % e)
+    name = val
+    if name == "id":
+        return coh.identity(target)
+    m = _WORD_RE.match(name)
+    if m is not None:
+        k = int(m.group(2))
+        if k < 1:
+            raise ParseError(tok.line, tok.col, "boundary words start at s1/t1")
+        if not (target.is_disk and target.dimension == k):
+            raise ParseError(tok.line, tok.col,
+                             "%s maps into D%d, but %s is expected here" % (name, k, target))
+        return coh.wordt(m.group(1), k - 1, k)
+    m = _EPS_RE.match(name)
+    if m is not None:
+        k = int(m.group(1))
+        if not (1 <= k <= target.width):
+            raise ParseError(tok.line, tok.col,
+                             "leg %d out of range for %s" % (k, target))
+        return coh.eps(target, k - 1)
+    if name in tower:
+        gen = tower[name]
+        if gen.target != target:
+            raise ParseError(tok.line, tok.col,
+                             "%s maps into %s, but %s is expected here"
+                             % (name, gen.target, target))
+        return tower.term(name)
+    raise ParseError(tok.line, tok.col, "unknown name %r" % name)
 
 
 def old_validate(morph):

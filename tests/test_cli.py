@@ -11,8 +11,8 @@ import time
 
 import pytest
 
-from globkit import cli, coherator as C, dsl
-from oracles import old_tokenize
+from globkit import cli, coherator as C, dsl, rewrite as R
+from oracles import all_tables, old_parse_table, old_parse_term, old_parse_tower, old_tokenize
 
 
 def run(capsys, *argv):
@@ -105,6 +105,21 @@ def test_normalize_verb(tmp_path, capsys):
     assert out.strip() == "eps1 * s2 * s1"
     code, out, _ = run(capsys, "normalize", path, "--term", "unit0 * s1")
     assert code == 0 and out.strip() == "id"
+    # without --target, a term's first token names its target: a
+    # generator's target, or the disk of a boundary word
+    for term, code, text in (
+            ("t2 * t1", 0, "s2 * t1"),
+            ("s1 # a comment", 0, "s1"),
+            ("eps1 * s1", 2, "error: cannot infer the term's target; pass --target"),
+            ("(s1)", 2, "error: cannot infer the term's target; pass --target"),
+            ("# a comment", 2, "error: cannot infer the term's target; pass --target"),
+            ("x * s1", 2, "error: cannot infer the term's target; pass --target"),
+            ("s1 @", 2, "error: line 1, column 4: unexpected character '@'"),
+            ("s0", 2, "error: line 1, column 1: boundary words start at s1/t1"),
+            ("s99", 2, "error: bad term 's99': table dimension 99 exceeds the largest "
+                       "supported dimension 64")):
+        got = run(capsys, "normalize", path, "--term", term)
+        assert got[0] == code and (got[1] if code == 0 else got[2]).strip() == text, (term, got)
 
 
 def test_target_flag_reads_the_script_table_syntax(tmp_path, capsys):
@@ -508,6 +523,16 @@ def test_malformed_scripts_exit_2_with_position(tmp_path, capsys):
     code, _, err = run(capsys, "check", path)
     assert code == 2
     assert re.search(r"line \d+, column \d+", err)
+    # a second `dim` line is refused; a `dim` past the largest dimension
+    # fails the check at its line
+    for text, want, message in (
+            ("dim 3\ndim 4\n", 2, "line 2, column 1: dim may be given only once"),
+            ("# big\ndim 65\n", 1,
+             "line 2: truncation 65 exceeds the largest supported dimension 64")):
+        with open(path, "w") as fh:
+            fh.write(text)
+        code, _, err = run(capsys, "check", path)
+        assert (code, err) == (want, "error: %s: %s\n" % (path, message))
 
 
 def _mutate(rng, text):
@@ -527,14 +552,31 @@ def _mutate(rng, text):
 
 
 def test_token_stream_and_parse_error_positions_are_unchanged():
-    """The tokenizer against the one it replaced, on a long script, on every
-    malformed script below and on their prefixes; and the positions the
-    parser reports on the malformed ones."""
+    """The tokenizer against the one it replaced, on a long script, on the
+    edge cases and every malformed script below and on their prefixes; the
+    parser's one scan against the tokenizer; and the positions the parser
+    reports on the malformed scripts."""
     def tokens(tokenize, text):
         try:
             return [(t.kind, t.value, t.line, t.col) for t in tokenize(text)]
         except dsl.ParseError as e:
             return (e.line, e.col, str(e))
+
+    def scanned(text):
+        p = dsl._Parser(text)
+        return list(zip(p.kinds, p.values))
+
+    edges = [
+        "", "# only a comment", "# only a comment\n",
+        "dim 3 \t", "dim 3 \t\n", "dim 3\n\t ",          # trailing blanks
+        "lift x : D1 -> D1 ; src = s1", "lift x : D1 - > D1", "dim 3 -",
+        "dim 2\r\n", "dim 3\nlift \u00e9",             # `\r`, a non-ASCII letter
+        "dim \u0663\n",                                 # ARABIC-INDIC DIGIT THREE
+    ]
+    for text in edges:
+        assert tokens(dsl.tokenize, text) == tokens(old_tokenize, text), text
+    assert tokens(dsl.tokenize, "dim \u0663")[1] == ("int", "\u0663", 1, 5)
+    assert dsl.parse_tower("dim \u0663\n").trunc == 3
 
     malformed = {
         "dim 3\nlift foo : D1 -> D1 +0 D1 ; src = eps2 * s1 tgt = eps1 * t1\n":
@@ -554,12 +596,71 @@ def test_token_stream_and_parse_error_positions_are_unchanged():
     long = dsl.emit_tower(C.stdlib(12)[0])
     assert tokens(dsl.tokenize, long) == tokens(old_tokenize, long)
     assert len(tokens(dsl.tokenize, long)) > 8000
+    for text in [long, "dim 3 # a comment\n# another\n"] + edges:
+        stream = tokens(dsl.tokenize, text)
+        if isinstance(stream, list):
+            assert scanned(text) == [t[:2] for t in stream], text
+        else:
+            with pytest.raises(dsl.ParseError, match=re.escape(stream[2])):
+                dsl._Parser(text)
     for text, message in malformed.items():
         for end in range(len(text) + 1):
             assert tokens(dsl.tokenize, text[:end]) == tokens(old_tokenize, text[:end])
         with pytest.raises(dsl.ParseError) as exc:
             dsl.parse_tower(text)
         assert str(exc.value) == message
+
+
+def _outcome(parse, *args):
+    """What a parse gives: the emitted script of a tower, or the term or
+    table; or the exception's class, message, line and column."""
+    try:
+        out = parse(*args)
+    except Exception as e:
+        return type(e), str(e), getattr(e, "line", None), getattr(e, "col", None)
+    return dsl.emit_tower(out) if isinstance(out, C.Tower) else out
+
+
+def test_parser_agrees_with_the_one_it_replaced():
+    """`parse_tower`, `parse_term` and `parse_table` against the parser
+    whose every token carried its position: the same tower (by its emitted
+    script), term or table, or the same exception, message and position,
+    on the stdlib scripts, near-misses of stdlib(4)'s, printed normal forms
+    and every small table.  The two `dim` lines it now refuses differ."""
+    towers = [C.stdlib(d)[0] for d in range(2, 13)]  # alive: their terms stay interned
+    scripts = [dsl.emit_tower(tower) for tower in towers]
+    rng = random.Random(19)
+    near = [_mutate(rng, scripts[2]) for _ in range(1000)]
+    refused = 0
+    for text in scripts + near:
+        new = _outcome(dsl.parse_tower, text)
+        assert new == _outcome(old_parse_tower, text), text
+        refused += not isinstance(new, str)
+    assert refused > 800
+    for text in scripts[:3]:
+        assert _outcome(dsl.parse_tower, text, 3) == _outcome(old_parse_tower, text, 3)
+
+    tower = C.stdlib(6)[0]
+    rng = random.Random(23)
+    for _ in range(300):
+        nf = C.normalize(R.random_raw(tower, rng, budget=8))
+        text = dsl.term_str(nf)
+        new = _outcome(dsl.parse_term, text, tower, nf.target)
+        assert new is nf
+        assert new == _outcome(old_parse_term, text, tower, nf.target), text
+    for table in all_tables(3, 3):
+        for text in (str(table), str(table) + " +", str(table).replace("+", "-")):
+            assert _outcome(dsl.parse_table, text) == _outcome(old_parse_table, text), text
+
+    # a second `dim` line was taken silently, and a `dim` past the largest
+    # dimension escaped as a bare TermError with no line
+    assert _outcome(old_parse_tower, "dim 3\ndim 4\n") == "dim 4\n"
+    assert _outcome(dsl.parse_tower, "dim 3\ndim 4\n") == (
+        dsl.ParseError, "line 2, column 1: dim may be given only once", 2, 1)
+    message = "truncation 65 exceeds the largest supported dimension 64"
+    assert _outcome(old_parse_tower, "dim 65\n") == (C.TermError, message, None, None)
+    assert _outcome(dsl.parse_tower, "dim 65\n") == (dsl.CheckError, "line 1: " + message, 1, None)
+    assert _outcome(dsl.parse_tower, "# big\ndim 65\n", 4) == "dim 4\n"
 
 
 def test_stdlib_names_of_another_shape_are_not_structural(tmp_path, capsys):
