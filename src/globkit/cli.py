@@ -187,9 +187,9 @@ def cmd_stdlib(args):
 
 def cmd_normalize(args):
     tower = _load_tower(args.tower)
-    term = _parse_term_arg(tower, args.term, args.target)
-    nf = coh.normalize(term)
-    _emit(args, {"normal_form": dsl.term_str(nf)}, dsl.term_str(nf))
+    # the parser elaborates through `compose`: a parsed term is its normal form
+    nf = dsl.term_str(_parse_term_arg(tower, args.term, args.target))
+    _emit(args, {"normal_form": nf}, nf)
     return 0
 
 

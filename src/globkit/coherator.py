@@ -21,12 +21,12 @@ relations as rewrites:
   * post-composition keeps gluing: t ∘ (c_1, ..., c_n) is the tuple of the
     t ∘ c_k, glued because the c_k are, so it is built without a check.
 
-Chains and tuples are hash-consed as tables and concrete maps are, by
-`globe.Interned`: one live node per (class, children) value, so equality is
-identity, and the node's hash and the highest level of a generator it
-names are stored.  `compose` keeps each composite whose outer factor is a
-chain or a tuple on that factor (`Interned.memo`), so the memo dies with
-its term; a tower keeps each generator's term.
+Generators, chains and tuples are hash-consed as tables and concrete maps
+are, by `globe.Interned`: one live object per (class, fields) value, so
+equality is identity, and the hash and, for a term node, the highest level
+of a generator it names are stored.  `compose` keeps each composite whose
+outer factor is a chain or a tuple on that factor (`Interned.memo`), so the
+memo dies with its term; a tower keeps each generator's term.
 
 `normalize` evaluates an arbitrary raw syntax tree through these
 constructors.  `comp_pair` and `inv_pair` state the two-case boundary
@@ -55,32 +55,15 @@ class InadmissibleError(TermError):
         super().__init__(verdict.reason)
 
 
-@dataclass(frozen=True)
-class Gen:
+class Gen(Interned):
     """A declared lifting generator h : D_dim -> target with boundaries (fsrc, gtgt).
 
-    Equality is by value; the hash is computed once, when the generator is
-    built, since hashing its boundaries walks the tower below it.
+    Generators are interned (`globe.Interned`): equal generators of two
+    towers are one object, whose hash of its fields is stored.
     """
 
-    name: str
-    dim: int
-    target: Table
-    fsrc: "Term"
-    gtgt: "Term"
-    level: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash", hash(self._fields()))
-
-    def _fields(self):
-        return (self.name, self.dim, self.target, self.fsrc, self.gtgt, self.level)
-
-    def __hash__(self):
-        return self._hash
-
-    def __reduce__(self):
-        return Gen, self._fields()
+    __slots__ = ("name", "dim", "target", "fsrc", "gtgt", "level")
+    _fields = __slots__
 
     def __repr__(self):
         return "Gen(%s)" % self.name
@@ -123,9 +106,6 @@ class TupleT(Interned):
         object.__setattr__(self, "source", self.src_table)
         object.__setattr__(self, "target", self.comps[0].target)
         object.__setattr__(self, "level", max(c.level for c in self.comps))
-
-
-Term = (GMap, Chain, TupleT)
 
 
 def identity(table):
@@ -723,9 +703,7 @@ def term_to_raw(t):
 
 
 def normalize(raw):
-    """Normal form of a raw syntax tree (or of an already-normal term)."""
-    if isinstance(raw, Term):
-        raw = term_to_raw(raw)
+    """Normal form of a raw syntax tree."""
     return _eval_raw(raw)
 
 

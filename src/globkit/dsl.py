@@ -50,7 +50,7 @@ class Token(NamedTuple):
 # Each match is one token and the blanks before it: a comment, a newline,
 # an int, a name, an arrow, a symbol, the end of the text (the empty token)
 # or, last, any one character that starts no token.
-_TOKEN_RE = re.compile(r"[ \t]*(#[^\n]*|\n|\d+|[A-Za-z_][A-Za-z0-9_.]*|->|[:;=*\[\]()+]|\Z|.)")
+_TOKEN_RE = re.compile(r"[ \t]*(#[^\n]*|\n|[0-9]+|[A-Za-z_][A-Za-z0-9_.]*|->|[:;=*\[\]()+]|\Z|.)")
 
 # A token's kind, read off its first character; `_kind` reads the rest.
 _FIRST = dict.fromkeys("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_", "name")
@@ -61,10 +61,7 @@ _FIRST.update({"#": "comment", "\n": "nl", "": "eof"})
 
 def _kind(value):
     """The kind of a token whose first character `_FIRST` does not list."""
-    if value == "->":
-        return "arrow"
-    # `\d` is Unicode: any decimal digit starts an int
-    return "int" if value[:1].isdecimal() else "bad"
+    return "arrow" if value == "->" else "bad"
 
 
 def tokenize(text):
@@ -146,9 +143,9 @@ class _Parser:
             self.pos += 1
 
 
-_DISK_RE = re.compile(r"^D(\d+)$")
-_WORD_RE = re.compile(r"^([st])(\d+)$")
-_EPS_RE = re.compile(r"^eps(\d+)$")
+_DISK_RE = re.compile(r"^D([0-9]+)$")
+_WORD_RE = re.compile(r"^([st])([0-9]+)$")
+_EPS_RE = re.compile(r"^eps([0-9]+)$")
 
 
 def parse_tower(text, trunc=None):

@@ -13,7 +13,7 @@ strict model's carrier has more than `MAX_CELLS` cells.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 DEFAULT_TRUNC = 6
@@ -128,6 +128,10 @@ class Interned:
         _INTERNED[key] = self
         return self
 
+    def _build(self):
+        """Check a new value and set its derived slots; a value of fields
+        alone has nothing to do."""
+
     def _values(self):
         return tuple(getattr(self, name) for name in self._fields)
 
@@ -201,11 +205,17 @@ def disk(m):
 
 @dataclass(frozen=True)
 class GlobularSet:
-    """A finite globular set: cell counts per dimension plus boundary maps."""
+    """A finite globular set: cell counts per dimension plus boundary maps.
+
+    A set keeps what it alone determines, each computed on first use: the
+    faces of its cells along a word and its fiber product over a table, in
+    one memo keyed by word or by table that takes no part in equality, hash
+    or repr."""
 
     cells: tuple[int, ...]
     src: tuple[tuple[int, ...], ...]
     tgt: tuple[tuple[int, ...], ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.cells or len(self.src) != len(self.cells) or \
@@ -256,21 +266,47 @@ class GlobularSet:
             d -= 1
         return self.src[d][c] if word.kind == "s" else self.tgt[d][c]
 
+    def faces(self, word):
+        """The word applied to every cell of dimension word.tgt, computed
+        once per set."""
+        faces = self._memo.get(word)
+        if faces is None:
+            faces = self._memo[word] = tuple(self.boundary(word, c)
+                                             for c in range(self.count(word.tgt)))
+        return faces
+
     def fiber_product(self, table):
         """The maps from a table's sum of disks into this set, as the tuples
         of cells the disks pick whose glued faces agree, in lexicographic
-        order."""
-        def faces(word):
-            return [self.boundary(word, c) for c in range(self.count(word.tgt))]
+        order; computed once per set."""
+        combos = self._memo.get(table)
+        if combos is None:
+            upper = table.upper
+            combos = [(c,) for c in range(self.count(upper[0]))]
+            for k, j in enumerate(table.lower):
+                lo = self.faces(sword(j, upper[k]))
+                over = {}
+                for c, face in enumerate(self.faces(tword(j, upper[k + 1]))):
+                    over.setdefault(face, []).append(c)
+                combos = [t + (c,) for t in combos for c in over.get(lo[t[-1]], ())]
+            combos = self._memo[table] = tuple(combos)
+        return combos
 
-        combos = [(c,) for c in range(self.count(table.upper[0]))]
+    def fiber_count(self, table):
+        """The size of `fiber_product(table)`, without building the product:
+        one pass per gluing counts the tuples so far by their glued face.  A
+        disk's is its dimension's cell count, which a model file gives for
+        its 0-cells without listing them."""
+        upper = table.upper
+        if table.is_disk:
+            return self.count(upper[0])
+        ends = None   # ends[c]: the tuples so far ending at cell c; None: one each
         for k, j in enumerate(table.lower):
-            lo = faces(sword(j, table.upper[k]))
             over = {}
-            for c, face in enumerate(faces(tword(j, table.upper[k + 1]))):
-                over.setdefault(face, []).append(c)
-            combos = [t + (c,) for t in combos for c in over.get(lo[t[-1]], ())]
-        return tuple(combos)
+            for c, face in enumerate(self.faces(sword(j, upper[k]))):
+                over[face] = over.get(face, 0) + (1 if ends is None else ends[c])
+            ends = [over.get(face, 0) for face in self.faces(tword(j, upper[k + 1]))]
+        return sum(ends)
 
 
 def disk_cell_word(m, d, c):

@@ -253,8 +253,6 @@ class DivideResult:
     backward: dict         # cell -> cell
     fwd_classes: dict      # class index -> class index
     bwd_classes: dict
-    dom: tuple             # (u, v)
-    cod: tuple              # (u*u'-side pair)
 
 
 def divide(model, bundle, n, i, gamma, u, v, side="left"):
@@ -350,7 +348,7 @@ def divide(model, bundle, n, i, gamma, u, v, side="left"):
     for b in hom_uv2:
         if class_of[forward[backward[b]]] != class_of[b]:
             raise HomotopyError("forward . backward is not the identity on classes")
-    return DivideResult(forward, backward, fwd_cls, bwd_cls, (u, v), (u2, v2))
+    return DivideResult(forward, backward, fwd_cls, bwd_cls)
 
 
 def base_change_iso(model, bundle, n, u):

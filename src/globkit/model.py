@@ -50,11 +50,7 @@ class Model:
     filler: object = None  # callable (model, gen) -> dict, for missing generators
     units: tuple = None    # units[d][c] = degenerate (d+1)-cell over cell c
     label: str = ""
-
-    def __post_init__(self):
-        self._fibers = {}
-        self._words = {}     # word -> boundary of each carrier cell of dim word.tgt
-        self._programs = {}  # term -> compiled program
+    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def trunc(self):
@@ -62,28 +58,13 @@ class Model:
 
     def cells(self, table):
         """The carrier's fiber product over a table of dimensions
-        (`GlobularSet.fiber_product`), computed once per model."""
-        combos = self._fibers.get(table)
-        if combos is None:
-            combos = self._fibers[table] = self.carrier.fiber_product(table)
-        return combos
+        (`GlobularSet.fiber_product`), kept on the carrier."""
+        return self.carrier.fiber_product(table)
 
     def columns(self, table):
         """The fiber product over a table as one column per slot of the
         table, built anew on each call."""
         return tuple(zip(*self.cells(table))) or ((),) * len(table.upper)
-
-    def _word_table(self, word):
-        """The word applied to every carrier cell of its top dimension, or
-        None for an identity word."""
-        if word.is_identity:
-            return None
-        table = self._words.get(word)
-        if table is None:
-            table = tuple(self.carrier.boundary(word, c)
-                          for c in range(self.carrier.count(word.tgt)))
-            self._words[word] = table
-        return table
 
     def interp_for(self, gen):
         if gen.name not in self.interp:
@@ -124,12 +105,14 @@ class Model:
 
     def _plan(self, gm):
         """Per leg of the source: (input slot, word table) of its top cell's
-        image, through the owner the target's realization records for it."""
+        image, through the owner the target's realization records for it;
+        the word table is the carrier's faces along the word, None for an
+        identity word."""
         owners = realize_sum(gm.target).owners
         plan = []
         for m, c in zip(gm.source.upper, gm.cells):
             slot, word = owners[m][c]
-            plan.append((slot, self._word_table(word)))
+            plan.append((slot, None if word.is_identity else self.carrier.faces(word)))
         return tuple(plan)
 
     def eval(self, term, x):
@@ -502,9 +485,9 @@ def model_from_json(data, tower):
         if gen.name not in interp:
             raise ModelError("missing interpretation for generator %r" % gen.name)
         rows, target = interp[gen.name], gen.target
-        # a disk's fiber product is one dimension's cells, and the file
-        # counts its 0-cells without listing them: compare sizes first
-        if target.is_disk and len(rows) != carrier.count(target.upper[0]) or \
+        # sizes first, so that no product is built larger than the rows
+        # the file lists
+        if len(rows) != carrier.fiber_count(target) or \
                 set(rows) != set(model.cells(target)):
             raise ModelError("interpretation of %r does not cover the fiber product"
                              % gen.name)

@@ -113,14 +113,14 @@ def _redexes(raw, path=()):
     return out
 
 
-def reduce_steps(raw, strategy="inner", max_steps=None):
+def reduce_steps(raw, strategy="inner"):
     """Drive single-step reduction to normal form; returns (term, steps).
 
     strategy 'inner' picks the last redex in depth-first order (innermost),
     'outer' picks the first.  The step count is checked against ten times
     the weighted size of the input.
     """
-    bound = max_steps if max_steps is not None else 10 * raw_size(raw)
+    bound = 10 * raw_size(raw)
     steps = 0
     while True:
         reds = _redexes(raw)

@@ -14,8 +14,8 @@ per value, checked once when that value is first built.  A memo keyed by a
 map or a table lives on that object, so it is dropped with it: a map keeps
 its legs and its composites after other maps (`Interned.memo`), and a
 table keeps its identity map.  `word_gmap`, which `globe_functor` reads
-(keyed by a word's three fields), and `enumerate_homs` (by a pair of
-tables) stay process-global.
+(keyed by a word's three fields), stays process-global.  A hom-set is read
+off the fiber product that the target's realized carrier keeps.
 """
 
 from __future__ import annotations
@@ -164,7 +164,6 @@ def legs_pair_gmap(target_table, ks, source_table):
     return GMap(source_table, target_table, tuple(cells[k] for k in ks))
 
 
-@lru_cache(maxsize=None)
 def enumerate_homs(source_table, target_table):
     """All maps source -> target, one per element of the target carrier's
     fiber product over the source table, in its lexicographic order."""

@@ -367,12 +367,12 @@ def test_library_has_no_assert():
 
 # The library's process-global caches.  Each lives as long as the process,
 # so adding one is a decision recorded here.  The `lru_cache`s are unbounded;
-# the one weak intern table of `Table`s, `GMap`s and term nodes holds each
-# value while it is referenced.  Memos keyed by one table, map or term node
-# live on that object instead.
+# the one weak intern table of `Table`s, `GMap`s, generators and term nodes
+# holds each value while it is referenced.  Memos keyed by one table, map or
+# term node live on that object instead, and what a globular set alone
+# determines (faces along a word, fiber products) lives on the set.
 GLOBAL_CACHES = {
-    "globe.disk", "globe.realize_sum", "globe._INTERNED",
-    "theta0.enumerate_homs", "theta0.word_gmap",
+    "globe.disk", "globe.realize_sum", "globe._INTERNED", "theta0.word_gmap",
 }
 
 
@@ -394,7 +394,7 @@ def test_library_caches_are_the_allowlist():
     src = pathlib.Path(globkit.__file__).parent
     found = {"%s.%s" % (path.stem, name) for path in sorted(src.glob("*.py"))
              for name in cached(ast.parse(path.read_text(encoding="utf-8")))}
-    assert found == GLOBAL_CACHES and len(found) == 5
+    assert found == GLOBAL_CACHES and len(found) == 4
     assert cached(ast.parse("import functools\n@functools.lru_cache(maxsize=None)\n"
                             "def f(): pass\n@cache\ndef g(): pass\n"
                             "@property\ndef h(): pass\n"
@@ -442,15 +442,18 @@ def _interned_cases():
                   (chain.tail, chain.gen), TypeError),
         "TupleT": (tup, (tab, (fresh, fresh)), (), (tup.src_table, list(tup.comps)),
                    TypeError),
+        "Gen": (tower["assoc1"], ("fresh", 1, disk(0), fresh.tail, fresh.tail, 1), (),
+                ("fresh", 1, disk(0)), TypeError),
     }
 
 
-@pytest.mark.parametrize("name", ["Table", "GMap", "Chain", "TupleT"])
+@pytest.mark.parametrize("name", ["Table", "GMap", "Chain", "TupleT", "Gen"])
 def test_interned_values_share_one_contract(name):
-    """`Table`, `GMap`, `Chain` and `TupleT` are interned by `globe.Interned`
-    in one weak table keyed by (class,) + fields: equal values are one
-    object with the stored hash of its fields, copies and pickles included;
-    it is immutable and its repr is `Class(field=value, ...)`; a refused
+    """`Table`, `GMap`, `Chain`, `TupleT` and `coherator.Gen` are interned by
+    `globe.Interned` in one weak table keyed by (class,) + fields: equal
+    values are one object with the stored hash of its fields, copies and
+    pickles included; it is immutable and its repr is
+    `Class(field=value, ...)`, except a generator's, `Gen(name)`; a refused
     value never enters the table; and a value lives while it is referenced."""
     value, fresh, holders, refused, error = _interned_cases()[name]
     cls = type(value)
@@ -463,8 +466,8 @@ def test_interned_values_share_one_contract(name):
     for attr in cls._fields + ("other",):
         with pytest.raises(AttributeError, match="^%s is immutable$" % name):
             setattr(value, attr, None)
-    assert repr(value) == "%s(%s)" % (name, ", ".join(
-        "%s=%r" % (f, getattr(value, f)) for f in cls._fields))
+    assert repr(value) == ("Gen(%s)" % value.name if name == "Gen" else "%s(%s)" % (
+        name, ", ".join("%s=%r" % (f, getattr(value, f)) for f in cls._fields)))
     live = {id(v) for v in list(globe._INTERNED.values())}
     with pytest.raises(error):
         cls(*refused)

@@ -14,9 +14,9 @@ from globkit import gpd
 from globkit import groups as G
 from globkit import model as M
 from globkit import rewrite as R
-from globkit.globe import MAX_CELLS, GlobeError, GlobularSet, Table, disk, realize_sum
+from globkit.globe import MAX_CELLS, GlobeError, GlobularSet, Table, Word, disk, realize_sum
 from globkit.model import Discrete, FillerError, KAn, KG1, XMod
-from globkit.theta0 import GMap
+from globkit.theta0 import GMap, enumerate_homs
 from oracles import all_tables, old_validate
 from test_theta0 import level_map
 
@@ -558,6 +558,42 @@ def test_column_programs_match_per_element_programs(std4, strict_models):
         for gen in tower.gens():
             for term in (gen.fsrc, gen.gtgt):
                 assert_columns_match_per_element(model, term, gen.target)
+
+
+def test_carriers_own_faces_fiber_products_and_their_sizes(std4):
+    """What a carrier alone determines is kept on it: `faces(w)` is
+    `boundary` on each cell for every word up to the truncation; the fiber
+    product is built once per carrier, is what `Model.cells` returns, and a
+    restricted model shares its source's; and `fiber_count` is the
+    product's size, on every table of width up to 3 and dimension up to 4
+    and on the carriers of realized sums."""
+    tower, bundle = std4
+    models = [M.build_strict(spec, tower, bundle) for spec in (
+        KG1(G.symmetric(3)), KAn(G.cyclic(2), 2), Discrete(3),
+        XMod(G.trivial_xmod(G.cyclic(2), G.cyclic(2))))]
+    models.append(gpd.fundamental(gpd.connected_groupoid(2, G.cyclic(2)), tower))
+    tables = all_tables(3, 4)
+    for model in models:
+        car = model.carrier
+        for tgt in range(car.dim + 1):
+            for src in range(tgt + 1):
+                for kind in ("st" if src < tgt else (None,)):
+                    word = Word(src, tgt, kind)
+                    want = tuple(car.boundary(word, c) for c in range(car.count(tgt)))
+                    assert car.faces(word) == want and car.faces(word) is car.faces(word)
+        for table in tables:
+            assert car.fiber_count(table) == len(car.fiber_product(table)), \
+                (model.label, table)
+            assert model.cells(table) is car.fiber_product(table)
+    restricted = M.restrict(models[0], C.tower_functor(tower, {}, tower))
+    assert restricted.check() == []
+    for table in tables:
+        assert restricted.cells(table) is models[0].cells(table)
+    small = all_tables(2, 3)
+    for target in small:
+        car = realize_sum(target).carrier
+        for source in small:
+            assert car.fiber_count(source) == len(enumerate_homs(source, target))
 
 
 def test_empty_fiber_products(std3):
