@@ -7,11 +7,12 @@ computes that colimit concretely, in one pass over the disks, as a finite
 globular set together with its cocone legs and, for each cell, the lowest leg
 that hits it and the word presenting it there.  No dimension exceeds
 `MAX_DIM`, so nothing sized by a dimension grows without bound, and no
-strict model's carrier has more than `MAX_CELLS` cells.
+strict model's carrier or fiber product has more than `MAX_CELLS` elements.
 """
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -19,9 +20,9 @@ from functools import lru_cache
 DEFAULT_TRUNC = 6
 # the largest dimension of a table or truncation of a tower
 MAX_DIM = 64
-# the most cells, over all dimensions, of a strict model's carrier; its
-# fiber products and tables grow with it: Discrete(25000) at truncation 3,
-# 10^5 cells, builds and checks in 1.5 s and 114 MB
+# the most cells, over all dimensions, of a strict model's carrier, and the
+# most elements of a fiber product: Discrete(25000) at truncation 3, 10^5
+# cells, builds and checks in 1.5 s and 114 MB
 MAX_CELLS = 10 ** 6
 
 
@@ -278,10 +279,18 @@ class GlobularSet:
     def fiber_product(self, table):
         """The maps from a table's sum of disks into this set, as the tuples
         of cells the disks pick whose glued faces agree, in lexicographic
-        order; computed once per set."""
+        order; computed once per set, and refused when it has more than
+        `MAX_CELLS` elements."""
         combos = self._memo.get(table)
         if combos is None:
             upper = table.upper
+            # the disks' cell counts multiplied bound the size; a table is
+            # counted only when that bound does not keep it within the limit
+            if math.prod(map(self.count, upper)) > MAX_CELLS:
+                size = self.fiber_count(table)
+                if size > MAX_CELLS:
+                    raise GlobeError("the fiber product over %s has %d elements, more "
+                                     "than the %d supported" % (table, size, MAX_CELLS))
             combos = [(c,) for c in range(self.count(upper[0]))]
             for k, j in enumerate(table.lower):
                 lo = self.faces(sword(j, upper[k]))

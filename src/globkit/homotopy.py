@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from . import coherator as coh
 from . import gpd
-from .coherator import compose, eps, gen_term, identity, tuple_term, wordt
-from .globe import Table, disk, sword, tword
+from .coherator import compose, eps, gen_term, tuple_term, wordt
+from .globe import Table, sword, tword
 
 
 class HomotopyError(Exception):
@@ -50,10 +50,13 @@ def homotopic(model, n, a, b):
         raise HomotopyError("cells are not parallel")
     if n + 1 > model.trunc:
         raise HomotopyError("dimension %d exceeds the represented range" % (n + 1))
-    for e in range(model.carrier.count(n + 1)):
-        if model.carrier.source(n + 1, e) == a and model.carrier.target(n + 1, e) == b:
-            return True
-    return False
+    return bool(hom(model, n + 1, a, b))
+
+
+def hom(model, n, x, y):
+    """The n-cells from the (n-1)-cell x to the (n-1)-cell y, ascending."""
+    car = model.carrier
+    return [c for c, ends in enumerate(zip(car.src[n], car.tgt[n])) if ends == (x, y)]
 
 
 def hom_classes(model, n):
@@ -183,68 +186,51 @@ def _pair_table(n, i):
     return Table((n - 1, n - 1), (i,))
 
 
-def _kappa_chain(tower, bundle, j, n):
-    """The unit word D_n -> D_j as a term (iterated units from dim j to n)."""
-    t = identity(disk(j))
-    for d in range(j, n):
-        t = compose(t, gen_term(tower[bundle.unit_name(d)]))
-    return t
+def _corrections(tower, bundle, n, i, side):
+    """The correction liftings of the division scheme, one level at a time:
+    yields (j, c_j, d_j) for j = i+2 .. n, declaring each lifting on first
+    use as the next `auto.<k>` and caching it per tower.
 
-
-def _s_hat(tower, bundle, n, i, j, side):
-    """Terms S_j (or T_j) : D_{n-1} -> D_{n-1} +_i D_{n-1} of the correction scheme."""
+    The level-j liftings lift the scheme term S_j : D_{n-1} -> D_{n-1} +_i
+    D_{n-1}.  S_{i+2} whiskers by the inverse; each later S_j wraps S_{j-1}
+    in the level-(j-1) corrections.  A lifting at level j is admissible only
+    when j >= n-1, so for i <= n-4 the first declaration is refused, and
+    otherwise the one wrap (j = n) takes corrections already of dimension
+    n-1."""
     tab = _pair_table(n, i)
-    nab = gen_term(tower[bundle.comp_name(n - 1, i)])
-    om = gen_term(tower[bundle.inv_name(n - 1, i)])
+    nab = tower.term(bundle.comp_name(n - 1, i))
+    om = tower.term(bundle.inv_name(n - 1, i))
     if side == "left":
-        out = compose(tuple_term([compose(eps(tab, 0), om), nab], tab), nab)
+        s = compose(tuple_term([compose(eps(tab, 0), om), nab], tab), nab)
     else:
-        out = compose(tuple_term([nab, compose(eps(tab, 1), om)], tab), nab)
-    for j2 in range(i + 3, j + 1):
-        c_gen = _correction_gen(tower, bundle, n, i, j2 - 1, "c", side)
-        d_gen = _correction_gen(tower, bundle, n, i, j2 - 1, "d", side)
-        lo = _pair_table(n, j2 - 2)
-        nab_lo = gen_term(tower[bundle.comp_name(n - 1, j2 - 2)])
-        wrap = tuple_term(
-            [_with_kappa(tower, bundle, d_gen, j2 - 1, n - 1),
-             compose(tuple_term([out, _with_kappa(tower, bundle, c_gen, j2 - 1, n - 1)],
-                                lo), nab_lo)],
-            lo)
-        out = compose(wrap, nab_lo)
-    return out
-
-
-def _with_kappa(tower, bundle, gen, j, n):
-    """kappa^{n}_{j} of a correction generator, as a term D_n -> its target."""
-    return compose(gen_term(gen), _kappa_chain(tower, bundle, j, n))
-
-
-def _correction_gen(tower, bundle, n, i, j, which, side):
-    """Get or declare the level-j correction lifting (cached per tower)."""
-    key = (n, i, j, which, side)
-    if key in tower.div_cache:
-        return tower[tower.div_cache[key]]
-    tab = _pair_table(n, i)
-    u_leg = eps(tab, 1) if side == "left" else eps(tab, 0)
-    v_leg = u_leg
-    sj = _s_hat(tower, bundle, n, i, j, side)
-    if which == "c":
-        lo = compose(u_leg, wordt("s", j - 1, n - 1))
-        hi = compose(sj, wordt("s", j - 1, n - 1))
-    else:
-        # the target-side correction runs from the iterated *target* of the
-        # scheme term: the level-(j+1) wrapping is ill-typed otherwise
-        lo = compose(sj, wordt("t", j - 1, n - 1))
-        hi = compose(v_leg, wordt("t", j - 1, n - 1))
-    name = "auto.%d" % len(tower.div_cache)
-    try:
-        gen = tower.declare(name, lo, hi, auto=True)
-    except coh.InadmissibleError as e:
-        raise HomotopyError(
-            "correction lifting at level %d is not admissible (%s); the "
-            "construction is limited to corrections at levels >= n-1" % (j, e))
-    tower.div_cache[key] = name
-    return gen
+        s = compose(tuple_term([nab, compose(eps(tab, 1), om)], tab), nab)
+    leg = eps(tab, 1) if side == "left" else eps(tab, 0)
+    for j in range(i + 2, n + 1):
+        if j > i + 2:
+            tab_lo = _pair_table(n, j - 2)
+            nab_lo = tower.term(bundle.comp_name(n - 1, j - 2))
+            s = compose(tuple_term([gen_term(d_gen), compose(
+                tuple_term([s, gen_term(c_gen)], tab_lo), nab_lo)], tab_lo), nab_lo)
+        sw, tw = wordt("s", j - 1, n - 1), wordt("t", j - 1, n - 1)
+        gens = []
+        for which, lo, hi in (("c", compose(leg, sw), compose(s, sw)),
+                              # the target-side correction runs from the iterated
+                              # *target* of the scheme term: the level-(j+1)
+                              # wrapping is ill-typed otherwise
+                              ("d", compose(s, tw), compose(leg, tw))):
+            key = (n, i, j, which, side)
+            if key not in tower.div_cache:
+                name = "auto.%d" % len(tower.div_cache)
+                try:
+                    tower.declare(name, lo, hi, auto=True)
+                except coh.InadmissibleError as e:
+                    raise HomotopyError(
+                        "correction lifting at level %d is not admissible (%s); the "
+                        "construction is limited to corrections at levels >= n-1" % (j, e))
+                tower.div_cache[key] = name
+            gens.append(tower[tower.div_cache[key]])
+        c_gen, d_gen = gens
+        yield j, c_gen, d_gen
 
 
 @dataclass
@@ -282,41 +268,23 @@ def divide(model, bundle, n, i, gamma, u, v, side="left"):
     nab = model.interp_for(tower[bundle.comp_name(n - 1, i)])
     om_n = model.interp_for(tower[bundle.inv_name(n, i)])
 
-    def star_n(a, b):
-        return nab_n[(a, b)]
+    def w(table, a, b):
+        return table[(a, b)] if side == "left" else table[(b, a)]
 
-    def star(a, b):
-        return nab[(a, b)]
-
-    def w(a, b):
-        return star_n(a, b) if side == "left" else star_n(b, a)
-
-    def w_lo(a, b):
-        return star(a, b) if side == "left" else star(b, a)
-
-    hom_uv = [a for a in range(car.count(n))
-              if car.source(n, a) == u and car.target(n, a) == v]
-    u2, v2 = w_lo(up, u), w_lo(vp, v)
-    hom_uv2 = [b for b in range(car.count(n))
-               if car.source(n, b) == u2 and car.target(n, b) == v2]
-
-    forward = {a: w(gamma, a) for a in hom_uv}
-    for a, b in forward.items():
-        if car.source(n, b) != u2 or car.target(n, b) != v2:
-            raise HomotopyError("whiskering left the expected hom-set")
+    hom_uv = hom(model, n, u, v)
+    hom_uv2 = hom(model, n, w(nab, up, u), w(nab, vp, v))
+    forward = {a: w(nab_n, gamma, a) for a in hom_uv}
+    if not set(forward.values()) <= set(hom_uv2):
+        raise HomotopyError("whiskering left the expected hom-set")
 
     # corrections (levels i+2 .. n), evaluated on (u', u) and (v', v)
-    pair_uv = (up, u) if side == "left" else (u, up)
-    pair_vv = (vp, v) if side == "left" else (v, vp)
     cs, ds = {}, {}
-    for j in range(i + 2, n + 1):
-        cg = _correction_gen(tower, bundle, n, i, j, "c", side)
-        dg = _correction_gen(tower, bundle, n, i, j, "d", side)
-        cs[j] = model.interp_for(cg)[pair_uv]
-        ds[j] = model.interp_for(dg)[pair_vv]
+    for j, c_gen, d_gen in _corrections(tower, bundle, n, i, side):
+        cs[j] = w(model.interp_for(c_gen), up, u)
+        ds[j] = w(model.interp_for(d_gen), vp, v)
 
     def backward_of(b):
-        alpha = w(om_n[(gamma,)], b)
+        alpha = w(nab_n, om_n[(gamma,)], b)
         for j in range(i + 2, n + 1):
             nab_j = model.interp_for(tower[bundle.comp_name(n, j - 1)])
             cj = iterated_unit(model, bundle, cs[j], n, j)
@@ -325,9 +293,8 @@ def divide(model, bundle, n, i, gamma, u, v, side="left"):
         return alpha
 
     backward = {b: backward_of(b) for b in hom_uv2}
-    for b, a in backward.items():
-        if car.source(n, a) != u or car.target(n, a) != v:
-            raise HomotopyError("division landed outside the expected hom-set")
+    if not set(backward.values()) <= set(hom_uv):
+        raise HomotopyError("division landed outside the expected hom-set")
 
     class_of, _ = hom_classes(model, n)
 
@@ -375,13 +342,8 @@ def base_change_iso(model, bundle, n, u):
     gamma_l = ka[(u,)]
     psi = divide(model, bundle, n, 0, gamma_l, kx, kx, side="left")
 
-    psi_inv = {}
-    for cls, img in psi.fwd_classes.items():
-        psi_inv[img] = cls
-    iso = {}
-    for i, cl in enumerate(elems_u):
-        mid = phi.fwd_classes[cl]
-        iso[i] = elems_x.index(psi_inv[mid])
+    iso = {k: elems_x.index(psi.bwd_classes[phi.fwd_classes[cl]])
+           for k, cl in enumerate(elems_u)}
     if sorted(iso.values()) != list(range(len(elems_x))):
         raise HomotopyError("base change is not a bijection")
     for a in range(len(elems_u)):

@@ -8,7 +8,10 @@ process-global memos, the term nodes that were value-compared dataclasses
 built afresh by every composition, the walk that found a term's highest
 generator level before nodes stored it, the model-morphism check that went
 one input at a time, the tokenizer that matched blanks as tokens of their
-own, and the parser whose every token carried its position."""
+own, the parser whose every token carried its position, and the division
+construction with its general correction scheme: unit words (kappa-chains)
+below each wrap, the scheme terms and correction liftings declared by mutual
+recursion, and base change inverting a forward class map by hand."""
 
 import itertools
 import re
@@ -17,13 +20,14 @@ from functools import cached_property, lru_cache
 
 from globkit import coherator as coh, theta0
 from globkit.coherator import (Chain, Gen, InadmissibleError, TermError, Tower, TupleT,
-                               _disk_dim, identity, wordt)
+                               _disk_dim, compose, eps, gen_term, identity, tuple_term, wordt)
 from globkit.dsl import _DISK_RE, _EPS_RE, _WORD_RE, CheckError, ParseError
 from globkit.globe import (DEFAULT_TRUNC, MAX_DIM, GlobeError, Table, Word, disk, realize_sum,
                            sword, tword)
 from globkit.theta0 import GMap, MatchingError
 from globkit.gpd import GroupoidError
-from globkit.homotopy import WeqReport, hom_classes, iterated_unit, parallel_cells, pi_groupoid
+from globkit.homotopy import (DivideResult, HomotopyError, WeqReport, _check_cell, _pair_table,
+                              hom_classes, iterated_unit, parallel_cells, pi_groupoid, pi_n_at)
 from globkit.model import ModelError, _is_index
 
 
@@ -770,3 +774,203 @@ def old_validate(morph):
                 raise ModelError("morphism does not commute with %r at %s"
                                  % (gen.name, (x,)))
     return morph
+
+
+def _kappa_chain(tower, bundle, j, n):
+    """The unit word D_n -> D_j as a term (iterated units from dim j to n)."""
+    t = identity(disk(j))
+    for d in range(j, n):
+        t = compose(t, gen_term(tower[bundle.unit_name(d)]))
+    return t
+
+
+def _s_hat(tower, bundle, n, i, j, side):
+    """Terms S_j (or T_j) : D_{n-1} -> D_{n-1} +_i D_{n-1} of the correction scheme."""
+    tab = _pair_table(n, i)
+    nab = gen_term(tower[bundle.comp_name(n - 1, i)])
+    om = gen_term(tower[bundle.inv_name(n - 1, i)])
+    if side == "left":
+        out = compose(tuple_term([compose(eps(tab, 0), om), nab], tab), nab)
+    else:
+        out = compose(tuple_term([nab, compose(eps(tab, 1), om)], tab), nab)
+    for j2 in range(i + 3, j + 1):
+        c_gen = _correction_gen(tower, bundle, n, i, j2 - 1, "c", side)
+        d_gen = _correction_gen(tower, bundle, n, i, j2 - 1, "d", side)
+        lo = _pair_table(n, j2 - 2)
+        nab_lo = gen_term(tower[bundle.comp_name(n - 1, j2 - 2)])
+        wrap = tuple_term(
+            [_with_kappa(tower, bundle, d_gen, j2 - 1, n - 1),
+             compose(tuple_term([out, _with_kappa(tower, bundle, c_gen, j2 - 1, n - 1)],
+                                lo), nab_lo)],
+            lo)
+        out = compose(wrap, nab_lo)
+    return out
+
+
+def _with_kappa(tower, bundle, gen, j, n):
+    """kappa^{n}_{j} of a correction generator, as a term D_n -> its target."""
+    return compose(gen_term(gen), _kappa_chain(tower, bundle, j, n))
+
+
+def _correction_gen(tower, bundle, n, i, j, which, side):
+    """Get or declare the level-j correction lifting (cached per tower)."""
+    key = (n, i, j, which, side)
+    if key in tower.div_cache:
+        return tower[tower.div_cache[key]]
+    tab = _pair_table(n, i)
+    u_leg = eps(tab, 1) if side == "left" else eps(tab, 0)
+    v_leg = u_leg
+    sj = _s_hat(tower, bundle, n, i, j, side)
+    if which == "c":
+        lo = compose(u_leg, wordt("s", j - 1, n - 1))
+        hi = compose(sj, wordt("s", j - 1, n - 1))
+    else:
+        # the target-side correction runs from the iterated *target* of the
+        # scheme term: the level-(j+1) wrapping is ill-typed otherwise
+        lo = compose(sj, wordt("t", j - 1, n - 1))
+        hi = compose(v_leg, wordt("t", j - 1, n - 1))
+    name = "auto.%d" % len(tower.div_cache)
+    try:
+        gen = tower.declare(name, lo, hi, auto=True)
+    except coh.InadmissibleError as e:
+        raise HomotopyError(
+            "correction lifting at level %d is not admissible (%s); the "
+            "construction is limited to corrections at levels >= n-1" % (j, e))
+    tower.div_cache[key] = name
+    return gen
+
+
+def old_divide(model, bundle, n, i, gamma, u, v, side="left"):
+    """Whisker by gamma in codimension n - i and build the explicit inverse.
+
+    side='left' sends a to gamma * a, side='right' to a * gamma; both return
+    verified mutually-inverse bijections on homotopy classes.
+    """
+    if not (n >= 2 and 0 <= i < n - 1):
+        raise HomotopyError("division needs n >= 2 and 0 <= i < n-1")
+    _check_cell(model, n, gamma, "gamma")
+    _check_cell(model, n - 1, u, "u")
+    _check_cell(model, n - 1, v, "v")
+    tower = model.tower
+    car = model.carrier
+    if not parallel_cells(model, n - 1, u, v):
+        raise HomotopyError("u and v are not parallel")
+    up, vp = car.source(n, gamma), car.target(n, gamma)
+    if side == "left":
+        if car.boundary(sword(i, n), gamma) != car.boundary(tword(i, n - 1), u):
+            raise HomotopyError("iterated source of gamma does not meet u")
+    else:
+        if car.boundary(tword(i, n), gamma) != car.boundary(sword(i, n - 1), u):
+            raise HomotopyError("iterated target of gamma does not meet u")
+
+    nab_n = model.interp_for(tower[bundle.comp_name(n, i)])
+    nab = model.interp_for(tower[bundle.comp_name(n - 1, i)])
+    om_n = model.interp_for(tower[bundle.inv_name(n, i)])
+
+    def star_n(a, b):
+        return nab_n[(a, b)]
+
+    def star(a, b):
+        return nab[(a, b)]
+
+    def w(a, b):
+        return star_n(a, b) if side == "left" else star_n(b, a)
+
+    def w_lo(a, b):
+        return star(a, b) if side == "left" else star(b, a)
+
+    hom_uv = [a for a in range(car.count(n))
+              if car.source(n, a) == u and car.target(n, a) == v]
+    u2, v2 = w_lo(up, u), w_lo(vp, v)
+    hom_uv2 = [b for b in range(car.count(n))
+               if car.source(n, b) == u2 and car.target(n, b) == v2]
+
+    forward = {a: w(gamma, a) for a in hom_uv}
+    for a, b in forward.items():
+        if car.source(n, b) != u2 or car.target(n, b) != v2:
+            raise HomotopyError("whiskering left the expected hom-set")
+
+    # corrections (levels i+2 .. n), evaluated on (u', u) and (v', v)
+    pair_uv = (up, u) if side == "left" else (u, up)
+    pair_vv = (vp, v) if side == "left" else (v, vp)
+    cs, ds = {}, {}
+    for j in range(i + 2, n + 1):
+        cg = _correction_gen(tower, bundle, n, i, j, "c", side)
+        dg = _correction_gen(tower, bundle, n, i, j, "d", side)
+        cs[j] = model.interp_for(cg)[pair_uv]
+        ds[j] = model.interp_for(dg)[pair_vv]
+
+    def backward_of(b):
+        alpha = w(om_n[(gamma,)], b)
+        for j in range(i + 2, n + 1):
+            nab_j = model.interp_for(tower[bundle.comp_name(n, j - 1)])
+            cj = iterated_unit(model, bundle, cs[j], n, j)
+            dj = iterated_unit(model, bundle, ds[j], n, j)
+            alpha = nab_j[(dj, nab_j[(alpha, cj)])]
+        return alpha
+
+    backward = {b: backward_of(b) for b in hom_uv2}
+    for b, a in backward.items():
+        if car.source(n, a) != u or car.target(n, a) != v:
+            raise HomotopyError("division landed outside the expected hom-set")
+
+    class_of, _ = hom_classes(model, n)
+
+    def class_map(mapping, dom):
+        out = {}
+        for a in dom:
+            ca, cb = class_of[a], class_of[mapping[a]]
+            if ca in out and out[ca] != cb:
+                raise HomotopyError("map is not constant on homotopy classes")
+            out[ca] = cb
+        return out
+
+    fwd_cls = class_map(forward, hom_uv)
+    bwd_cls = class_map(backward, hom_uv2)
+    for a in hom_uv:
+        if class_of[backward[forward[a]]] != class_of[a]:
+            raise HomotopyError("backward . forward is not the identity on classes")
+    for b in hom_uv2:
+        if class_of[forward[backward[b]]] != class_of[b]:
+            raise HomotopyError("forward . backward is not the identity on classes")
+    return DivideResult(forward, backward, fwd_cls, bwd_cls)
+
+
+def old_base_change_iso(model, bundle, n, u):
+    """The isomorphism from loops at an (n-1)-cell to loops at its base object.
+
+    Returns (iso on class indices of pi_n(G, u) -> pi_n(G, x), groups), and
+    verifies bijectivity and the homomorphism property element-wise.
+    """
+    tower = model.tower
+    if n < 1:
+        raise HomotopyError("base change needs n >= 1")
+    _check_cell(model, n - 1, u, "u")
+    pg = pi_groupoid(model, bundle, n)
+    grp_u, elems_u = pi_n_at(pg, n, u)
+    if n == 1:
+        return {i: i for i in range(len(elems_u))}, grp_u, grp_u
+    x = model.carrier.boundary(sword(0, n - 1), u)
+    kx = iterated_unit(model, bundle, x, n - 1)
+    grp_x, elems_x = pi_n_at(pg, n, kx)
+
+    gamma_r = iterated_unit(model, bundle, x, n)
+    phi = old_divide(model, bundle, n, 0, gamma_r, u, u, side="right")
+    ka = model.interp_for(tower[bundle.unit_name(n - 1)])
+    gamma_l = ka[(u,)]
+    psi = old_divide(model, bundle, n, 0, gamma_l, kx, kx, side="left")
+
+    psi_inv = {}
+    for cls, img in psi.fwd_classes.items():
+        psi_inv[img] = cls
+    iso = {}
+    for i, cl in enumerate(elems_u):
+        mid = phi.fwd_classes[cl]
+        iso[i] = elems_x.index(psi_inv[mid])
+    if sorted(iso.values()) != list(range(len(elems_x))):
+        raise HomotopyError("base change is not a bijection")
+    for a in range(len(elems_u)):
+        for b in range(len(elems_u)):
+            if iso[grp_u.op(a, b)] != grp_x.op(iso[a], iso[b]):
+                raise HomotopyError("base change is not a homomorphism")
+    return iso, grp_u, grp_x

@@ -472,6 +472,26 @@ def test_fundamental_and_gpd_pi_verbs(tmp_path, capsys):
     assert code == 0 and "pi_2 = Z1" in out
 
 
+def test_fundamental_check_verb_and_the_fiber_product_bound(tmp_path, capsys):
+    from globkit import gpd as P
+    from globkit import groups as G
+    gpath = str(tmp_path / "g.json")
+    with open(gpath, "w") as fh:
+        json.dump(P.groupoid_to_json(P.one_object(G.cyclic(3))), fh)
+    code, out, _ = run(capsys, "fundamental", gpath, "--dim", "3", "--check")
+    assert code == 0 and "pi_1 at object 0 = Z3" in out
+    # checking the fundamental model of Z200 at truncation 4 needs the 8 * 10^6
+    # composable triples of loops: refused before any of them is built
+    with open(gpath, "w") as fh:
+        json.dump(P.groupoid_to_json(P.one_object(G.cyclic(200))), fh)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "fundamental", gpath, "--dim", "4", "--check")
+    assert code == 1 and out == "", err
+    assert err == ("error: the fiber product over D1 +0 D1 +0 D1 has 8000000 elements, "
+                   "more than the 1000000 supported\n")
+    assert time.perf_counter() - start < 10.0
+
+
 def test_divide_verb(tmp_path, capsys):
     path = str(tmp_path / "std.tower")
     run(capsys, "stdlib", "--dim", "3", "--out", path)

@@ -478,3 +478,18 @@ def test_interned_values_share_one_contract(name):
     del made, holders
     gc.collect()
     assert key not in globe._INTERNED
+
+
+def test_fiber_products_above_the_cell_bound_are_refused_before_they_are_built():
+    # 1001 loops at one object: 1,002,001 composable pairs, one over the bound
+    loops = GlobularSet((1, 1001), ((), (0,) * 1001), ((), (0,) * 1001))
+    pair = Table((1, 1), (0,))
+    assert loops.fiber_count(pair) == globe.MAX_CELLS + 2001
+    with pytest.raises(GlobeError, match="the fiber product over D1 \\+0 D1 has 1002001 "
+                                         "elements, more than the 1000000 supported"):
+        loops.fiber_product(pair)
+    assert len(loops.fiber_product(disk(1))) == 1001
+    # 1500 arrows a -> b: the cell counts bound the pairs by 2,250,000, but
+    # none compose, so the product is counted and built, empty
+    arrows = GlobularSet((2, 1500), ((), (0,) * 1500), ((), (1,) * 1500))
+    assert arrows.fiber_product(pair) == ()

@@ -487,6 +487,15 @@ def test_compare_connected_s3_on_three_objects(std4, interp4):
     assert {names[0] for names in rep.pi1.values()} == {"S3"}
 
 
+def test_compare_with_check_agrees_without_it(std4, interp4):
+    """`compare(..., check=True)` checks the fundamental model first; on
+    corpus groupoids it passes and reports what `compare` reports alone."""
+    tower, bundle = std4
+    for name, X in P.corpus()[::10]:
+        rep = P.compare(X, tower, bundle, interp4, check=True)
+        assert rep.ok() and rep == P.compare(X, tower, bundle, interp4), name
+
+
 def test_divide_on_fundamental_model(std4, interp4):
     """The division corrections are interpretable through the filler oracle,
     so the construction runs on fundamental models too."""

@@ -11,9 +11,9 @@ from globkit import dsl
 from globkit import groups as G
 from globkit import homotopy as H
 from globkit import model as M
-from globkit.globe import GlobularSet
+from globkit.globe import GlobularSet, sword, tword
 from globkit.model import Discrete, KAn, KG1, XMod
-from oracles import old_weak_equiv
+from oracles import old_base_change_iso, old_divide, old_weak_equiv
 from test_gpd import names_in
 
 
@@ -372,6 +372,58 @@ def test_one_arrow_transport(std4):
                 for d in range(1, n - 1):
                     ku = m.interp_for(tower[bundle.unit_name(d)])[(ku,)]
                 H.base_change_iso(m, bundle, n, ku)
+
+
+def _division_corpus(divide, base_change_iso, d):
+    """Every division and base change of the differential corpus, on a
+    fresh `stdlib(d)`: the results or the exceptions (class and message) in
+    call order, then the tower as emitted and its correction cache."""
+    tower, bundle = C.stdlib(d)
+    specs = [KAn(G.cyclic(2), 2), KAn(G.cyclic(2), 3), KG1(G.symmetric(3)),
+             KAn(G.cyclic(4), 2), XMod(G.trivial_xmod(G.cyclic(2), G.cyclic(2))),
+             XMod(G.inclusion_xmod(G.cyclic(4)))]
+    out = []
+
+    def record(call):
+        try:
+            out.append(call())
+        except Exception as e:
+            out.append((type(e), str(e)))
+
+    for spec in specs:
+        m = M.build_strict(spec, tower, bundle)
+        car = m.carrier
+        for n in range(2, d):
+            for i in range(n - 1):
+                for side in ("left", "right"):
+                    word = sword(i, n) if side == "left" else tword(i, n)
+                    meet = tword(i, n - 1) if side == "left" else sword(i, n - 1)
+                    for gamma in range(min(3, car.count(n))):
+                        # the first (n-1)-cell that gamma's iterated face meets
+                        u = next((c for c in range(car.count(n - 1))
+                                  if car.boundary(meet, c) == car.boundary(word, gamma)), 0)
+                        record(lambda: divide(m, bundle, n, i, gamma, u, u, side))
+        for n in range(1, d):
+            for u in sorted({0, car.count(n - 1) - 1}):
+                record(lambda: base_change_iso(m, bundle, n, u))
+    return out, dsl.emit_tower(tower), dict(tower.div_cache)
+
+
+@pytest.mark.parametrize("d", [4, 5, 6])
+def test_division_matches_the_general_correction_scheme(d):
+    """`divide` and `base_change_iso` against the construction with unit
+    words below every wrap and corrections declared by mutual recursion:
+    the same maps, class maps and refusals, and the same liftings declared
+    under the same names."""
+    new = _division_corpus(H.divide, H.base_change_iso, d)
+    old = _division_corpus(old_divide, old_base_change_iso, d)
+    assert new[0] == old[0]
+    assert new[1:] == old[1:]
+    results = new[0]
+    assert any(isinstance(r, H.DivideResult) for r in results)
+    refusals = [r for r in results if isinstance(r, tuple) and r[0] is H.HomotopyError
+                and r[1].startswith("correction lifting at level")]
+    assert bool(refusals) == (d >= 5)
 
 
 def weq_suite(tower, bundle):
