@@ -10,8 +10,10 @@ relations as rewrites:
 
   * a concrete map out of a disk into a sum collapses against a tuple
     through its canonical (leg, word) presentation;
-  * a generator post-composed with a word of its top dimension reduces to
-    the declared f or g;
+  * a generator chain is tail ∘ h, nothing applied before h: h after a
+    non-identity word into its disk reduces to the declared f or g (after
+    the rest of the word), and h after a chain joins that chain's tail;
+  * a tuple over one disk is its component;
   * a tuple whose components are all concrete recombines into one concrete
     map, whose constructor checks its gluing; only a tuple with a
     non-concrete component has its gluing checked here, term by term, and
@@ -70,24 +72,24 @@ class Gen(Interned):
 
 
 class Chain(Interned):
-    """tail ∘ gen ∘ arg with arg a disk-to-disk morphism in normal form.
+    """tail ∘ gen, the generator applied first.
 
-    Chains are interned (`globe.Interned`), with `source` (arg's), `target`
-    (tail's) and `level` stored: the highest level of a generator the term
-    names, 0 for a concrete map.  Only the generators named directly are
-    read: `Tower.declare` gives each generator a level above every
-    generator its boundaries name, so their boundaries cannot raise it.
+    Chains are interned (`globe.Interned`), with `source` (the generator's
+    disk), `target` (tail's) and `level` stored: the highest level of a
+    generator the term names, 0 for a concrete map.  Only the generators
+    named directly are read: `Tower.declare` gives each generator a level
+    above every generator its boundaries name, so their boundaries cannot
+    raise it.
     """
 
-    __slots__ = ("tail", "gen", "arg", "source", "target", "level")
-    _fields = __slots__[:3]
+    __slots__ = ("tail", "gen", "source", "target", "level")
+    _fields = __slots__[:2]
     is_identity = False
 
     def _build(self):
-        object.__setattr__(self, "source", self.arg.source)
+        object.__setattr__(self, "source", disk(self.gen.dim))
         object.__setattr__(self, "target", self.tail.target)
-        object.__setattr__(self, "level", max(self.gen.level, self.tail.level,
-                                              self.arg.level))
+        object.__setattr__(self, "level", max(self.gen.level, self.tail.level))
 
 
 class TupleT(Interned):
@@ -128,20 +130,18 @@ def legs_base(target_table, ks, src_table):
 
 
 def gen_term(gen):
-    return Chain(identity(gen.target), gen, identity(disk(gen.dim)))
+    return Chain(identity(gen.target), gen)
 
 
-def _make_chain(tail, gen, arg):
-    """Chain constructor applying the generator's boundary equations."""
-    if isinstance(arg, GMap) and not arg.is_identity:
-        w = theta0.decompose(arg)[1]
-        m = w.src
-        if m == gen.dim - 1:
-            side = gen.fsrc if w.kind == "s" else gen.gtgt
-            return compose(tail, side)
-        # peel the (canonicalized) top letter; lower letters keep the kind
-        return compose(tail, compose(gen.fsrc, theta0.word_gmap(m, gen.dim - 1, w.kind)))
-    return Chain(tail, gen, arg)
+def _gen_face(gen, word):
+    """The normal form of gen ∘ word, for a non-identity word map into the
+    generator's disk, by its boundary equations."""
+    w = theta0.decompose(word)[1]
+    m = w.src
+    if m == gen.dim - 1:
+        return gen.fsrc if w.kind == "s" else gen.gtgt
+    # peel the (canonicalized) top letter; lower letters keep the kind
+    return compose(gen.fsrc, theta0.word_gmap(m, gen.dim - 1, w.kind))
 
 
 def tuple_term(comps, src_table):
@@ -171,6 +171,8 @@ def _tuple(comps, src_table):
     """The tuple of components that are known to span and glue: an
     all-concrete tuple recombines into the one concrete map picking their
     cells, whose constructor checks its gluing."""
+    if src_table.is_disk:
+        return comps[0]
     if all(isinstance(c, GMap) for c in comps):
         return GMap(src_table, comps[0].target, tuple(c.cells[0] for c in comps))
     return TupleT(src_table, comps)
@@ -221,10 +223,10 @@ def _compose(t2, t1):
         if isinstance(t2, TupleT):
             k, w = theta0.decompose(t1)
             return compose(t2.comps[k], theta0.globe_functor(w))
-        # t2 is a Chain
-        return _make_chain(t2.tail, t2.gen, compose(t2.arg, t1))
+        # t2 is a Chain, t1 a non-identity word into its generator's disk
+        return compose(t2.tail, _gen_face(t2.gen, t1))
     # t1 is a Chain
-    return _make_chain(compose(t2, t1.tail), t1.gen, t1.arg)
+    return Chain(compose(t2, t1.tail), t1.gen)
 
 
 def glob_source(t):
@@ -616,8 +618,7 @@ class TowerFunctor:
             return t
         if isinstance(t, TupleT):
             return tuple_term([self.translate(c) for c in t.comps], t.src_table)
-        img = self.assignment[t.gen.name]
-        return compose(self.translate(t.tail), compose(img, self.translate(t.arg)))
+        return compose(self.translate(t.tail), self.assignment[t.gen.name])
 
 
 def tower_functor(source, assignment, target):
@@ -649,41 +650,17 @@ def tower_functor(source, assignment, target):
 class RGen:
     gen: Gen
 
-    @property
-    def source(self):
-        return disk(self.gen.dim)
-
-    @property
-    def target(self):
-        return self.gen.target
-
 
 @dataclass(frozen=True)
 class RTuple:
     src_table: Table
     comps: tuple
 
-    @property
-    def source(self):
-        return self.src_table
-
-    @property
-    def target(self):
-        return self.comps[0].target
-
 
 @dataclass(frozen=True)
 class RComp:
     outer: "Raw"
     inner: "Raw"
-
-    @property
-    def source(self):
-        return self.inner.source
-
-    @property
-    def target(self):
-        return self.outer.target
 
 
 Raw = (GMap, RGen, RTuple, RComp)
@@ -695,8 +672,6 @@ def term_to_raw(t):
     if isinstance(t, TupleT):
         return RTuple(t.src_table, tuple(term_to_raw(c) for c in t.comps))
     raw = RGen(t.gen)
-    if not (isinstance(t.arg, GMap) and t.arg.is_identity):
-        raw = RComp(raw, term_to_raw(t.arg))
     if not (isinstance(t.tail, GMap) and t.tail.is_identity):
         raw = RComp(term_to_raw(t.tail), raw)
     return raw

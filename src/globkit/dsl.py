@@ -9,7 +9,8 @@ computed (by `tokenize`) only for an error that reports them.
 Terms use `*` for composition (the right operand applies first), `id`,
 generator names, `s<k>` / `t<k>` boundary words, `eps<k>` cocone legs
 (1-indexed), and tuples `[t1 ;j t2]` whose gluing dimensions may be given
-explicitly after each separator or inferred as the largest compatible one.
+explicitly after each separator or inferred as the largest compatible one;
+`(...)` groups a composite, and `[t]` over one disk is `t`.
 """
 
 from __future__ import annotations
@@ -413,7 +414,6 @@ def _term_parts(term):
         return [_tuple_str(term.comps, term.src_table)]
     parts = _term_parts(term.tail)
     parts.append(term.gen.name)
-    parts.extend(_term_parts(term.arg))
     return parts
 
 

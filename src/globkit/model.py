@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 
-from . import coherator as coh
 from . import groups
 from .coherator import TupleT
 from .globe import MAX_CELLS, GlobeError, GlobularSet, realize_sum
@@ -99,9 +98,8 @@ class Model:
         if isinstance(term, TupleT):
             comps = tuple(self._compile(c) for c in term.comps)
             return lambda cols, get: tuple([comp(cols, get)[0] for comp in comps])
-        gen, tail, arg = term.gen, self._compile(term.tail), self._compile(term.arg)
-        return lambda cols, get: arg(
-            (tuple(map(get(gen).__getitem__, zip(*tail(cols, get)))),), get)
+        gen, tail = term.gen, self._compile(term.tail)
+        return lambda cols, get: (tuple(map(get(gen).__getitem__, zip(*tail(cols, get)))),)
 
     def _plan(self, gm):
         """Per leg of the source: (input slot, word table) of its top cell's
@@ -378,7 +376,8 @@ def restrict(model, functor):
     def filler(m, gen):
         img = functor.assignment.get(gen.name)
         if img is None:
-            img = functor.translate(coh.gen_term(gen))
+            raise ModelError("generator %r was declared after the tower functor, "
+                             "which does not map it" % gen.name)
         out = model.program(img)(m.columns(gen.target), model.interp_for)[0]
         return dict(zip(m.cells(gen.target), out))
 

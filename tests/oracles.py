@@ -5,13 +5,15 @@ the induced pi-groupoid functors by hand, the term composition that rebuilt
 every composite node by node and re-checked the gluing of every tuple it
 made, the concrete maps that were value-compared dataclasses with
 process-global memos, the term nodes that were value-compared dataclasses
-built afresh by every composition, the walk that found a term's highest
-generator level before nodes stored it, the model-morphism check that went
-one input at a time, the tokenizer that matched blanks as tokens of their
-own, the parser whose every token carried its position, and the division
-construction with its general correction scheme: unit words (kappa-chains)
-below each wrap, the scheme terms and correction liftings declared by mutual
-recursion, and base change inverting a forward class map by hand."""
+built afresh by every composition, the generator chains of three fields
+(tail ∘ gen ∘ arg) that both calculi built, the walk that found a term's
+highest generator level before nodes stored it, the model-morphism check
+that went one input at a time, the tokenizer that matched blanks as tokens
+of their own, the parser whose every token carried its position, and the
+division construction with its general correction scheme: unit words
+(kappa-chains) below each wrap, the scheme terms and correction liftings
+declared by mutual recursion, and base change inverting a forward class map
+by hand."""
 
 import itertools
 import re
@@ -221,7 +223,23 @@ def old_leg_gmap(table, k):
 # The term composition before identities short-circuited it and before a
 # post-composed tuple inherited its gluing: `compose`, `tuple_term`,
 # `gluing_error` and `_make_chain` as `coherator` stated them, renamed so
-# that they call one another.
+# that they call one another.  Chains were tail ∘ gen ∘ arg then; a chain
+# of today's two fields is read with the identity as its arg, and the
+# chain constructors refuse any other arg their boundary equations leave.
+
+def old_arg(chain):
+    """The arg of a chain of the three-field calculus: an `OldChain`'s own,
+    the identity of its generator's disk for a `Chain`."""
+    return chain.arg if isinstance(chain, OldChain) else identity(disk(chain.gen.dim))
+
+
+def _identity_arg(arg):
+    """`arg` if it is an identity, the only arg a chain was ever built
+    with; a `TermError` otherwise."""
+    if not (isinstance(arg, GMap) and arg.is_identity):
+        raise TermError("a chain is built with a non-identity arg %r" % (arg,))
+    return arg
+
 
 def old_make_chain(tail, gen, arg):
     """Chain constructor applying the generator's boundary equations."""
@@ -234,7 +252,8 @@ def old_make_chain(tail, gen, arg):
         # peel the (canonicalized) top letter; lower letters keep the kind
         rest = Word(m, gen.dim - 1, w.kind)
         return old_compose(tail, old_compose(gen.fsrc, theta0.globe_functor(rest)))
-    return Chain(tail, gen, arg)
+    _identity_arg(arg)
+    return Chain(tail, gen)
 
 
 def old_tuple_term(comps, src_table):
@@ -288,9 +307,9 @@ def old_compose(t2, t1):
             k, w = theta0.decompose(t1)
             return old_compose(t2.comps[k], theta0.globe_functor(w))
         # t2 is a Chain
-        return old_make_chain(t2.tail, t2.gen, old_compose(t2.arg, t1))
+        return old_make_chain(t2.tail, t2.gen, old_compose(old_arg(t2), t1))
     # t1 is a Chain
-    return old_make_chain(old_compose(t2, t1.tail), t1.gen, t1.arg)
+    return old_make_chain(old_compose(t2, t1.tail), t1.gen, old_arg(t1))
 
 
 # The term nodes before they were interned: `Chain` and `TupleT` as
@@ -309,7 +328,7 @@ def old_top_level(t):
     boundaries cannot raise the maximum.
     """
     if isinstance(t, (Chain, OldChain)):
-        return max(t.gen.level, old_top_level(t.tail), old_top_level(t.arg))
+        return max(t.gen.level, old_top_level(t.tail), old_top_level(old_arg(t)))
     if isinstance(t, (TupleT, OldTupleT)):
         return max(old_top_level(c) for c in t.comps)
     return 0
@@ -356,8 +375,13 @@ class OldTupleT:
         return old_top_level(self)
 
 
+def old_chain(tail, gen):
+    """The old chain tail ∘ gen ∘ id."""
+    return OldChain(tail, gen, identity(disk(gen.dim)))
+
+
 def old_gen_term(gen):
-    return OldChain(identity(gen.target), gen, identity(disk(gen.dim)))
+    return old_chain(identity(gen.target), gen)
 
 
 def old_term_make_chain(tail, gen, arg):
@@ -371,7 +395,7 @@ def old_term_make_chain(tail, gen, arg):
         # peel the (canonicalized) top letter; lower letters keep the kind
         rest = Word(m, gen.dim - 1, w.kind)
         return old_term_compose(tail, old_term_compose(gen.fsrc, theta0.globe_functor(rest)))
-    return OldChain(tail, gen, arg)
+    return OldChain(tail, gen, _identity_arg(arg))
 
 
 def old_term_tuple_term(comps, src_table):
@@ -440,9 +464,9 @@ def old_term_compose(t2, t1):
             k, w = theta0.decompose(t1)
             return old_term_compose(t2.comps[k], theta0.globe_functor(w))
         # t2 is a Chain
-        return old_term_make_chain(t2.tail, t2.gen, old_term_compose(t2.arg, t1))
+        return old_term_make_chain(t2.tail, t2.gen, old_term_compose(old_arg(t2), t1))
     # t1 is a Chain
-    return old_term_make_chain(old_term_compose(t2, t1.tail), t1.gen, t1.arg)
+    return old_term_make_chain(old_term_compose(t2, t1.tail), t1.gen, old_arg(t1))
 
 
 # The tokenizer of tower scripts before tokens became named tuples and

@@ -120,6 +120,26 @@ def test_normalize_verb(tmp_path, capsys):
                        "supported dimension 64")):
         got = run(capsys, "normalize", path, "--term", term)
         assert got[0] == code and (got[1] if code == 0 else got[2]).strip() == text, (term, got)
+    # a tuple over one disk is its component
+    for term in ("[comp1_0]", "[[comp1_0]]"):
+        argv = ("normalize", path, "--term", term, "--target", "D1 +0 D1")
+        assert run(capsys, *argv)[:2] == (0, "comp1_0\n")
+        code, out, _ = run(capsys, *argv, "--format", "json")
+        assert code == 0 and json.loads(out) == {"normal_form": "comp1_0"}
+
+
+def test_parenthesised_groups_parse_as_their_contents():
+    """`(...)` groups a `*`-chain; composition is associative, so a group
+    parses to the same interned term as the chain without it."""
+    tower = C.stdlib(4)[0]
+    t3, t2 = tower["assoc1"].target, tower["comp1_0"].target
+    flat = dsl.parse_term("assoc1 * t2 * s1", tower, t3)
+    for text in ("assoc1 * (t2 * s1)", "(assoc1 * t2) * s1", "((assoc1 * t2 * s1))"):
+        assert dsl.parse_term(text, tower, t3) is flat, text
+    assert dsl.parse_term("((comp1_0))", tower, t2) is tower.term("comp1_0")
+    with pytest.raises(dsl.ParseError) as exc:
+        dsl.parse_term("(comp1_0 * s1", tower, t2)
+    assert (exc.value.line, exc.value.col) == (1, 14)
 
 
 def test_target_flag_reads_the_script_table_syntax(tmp_path, capsys):

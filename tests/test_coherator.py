@@ -71,6 +71,26 @@ def test_two_strategy_confluence_and_termination(std3):
         assert s1 <= bound and s2 <= bound
 
 
+def test_a_tuple_over_one_disk_is_its_component(std4):
+    """`[c]` over a single disk is `c` itself, not a second normal form of
+    it: built by `tuple_term`, parsed, nested, for a chain and for a
+    concrete map, and as the small-step engine reaches it from a raw tree."""
+    tower, _ = std4
+    chain, target = tower.term("comp1_0"), tower["comp1_0"].target
+    concrete = eps(target, 1)
+    for c in (chain, concrete):
+        assert tuple_term([c], disk(1)) is c
+        assert tuple_term([tuple_term([c], disk(1))], disk(1)) is c
+    assert dsl.parse_term("[comp1_0]", tower, target) is chain
+    assert dsl.parse_term("[[comp1_0]]", tower, target) is chain
+    assert dsl.parse_term("[eps2]", tower, target) is concrete
+    assert dsl.term_str(dsl.parse_term("[comp1_0] * s1", tower, target)) == "eps2 * s1"
+    raw = C.RTuple(disk(1), (C.RGen(tower["comp1_0"]),))
+    assert normalize(raw) is chain
+    for strategy in ("inner", "outer"):
+        assert R.reduce_steps(raw, strategy)[0] is chain
+
+
 def test_adversarial_composites_normalize(std4):
     tower, _ = std4
     # the pentagon against a full word chain down to the point
@@ -187,7 +207,6 @@ def mentioned_gens(t, acc=None):
         mentioned_gens(t.gen.fsrc, acc)
         mentioned_gens(t.gen.gtgt, acc)
         mentioned_gens(t.tail, acc)
-        mentioned_gens(t.arg, acc)
     elif isinstance(t, C.TupleT):
         for c in t.comps:
             mentioned_gens(c, acc)
@@ -607,18 +626,19 @@ def test_generators_store_their_value_hash():
 
 
 def _term_on(t, chain, tuple_, tower):
-    """A term rebuilt node by node with the node classes `chain` and
-    `tuple_`, its generators read off `tower` by name."""
+    """A term rebuilt node by node with the node constructors `chain`, of
+    (tail, gen), and `tuple_`, its generators read off `tower` by name; an
+    old chain's arg must be the identity."""
     if isinstance(t, GMap):
         return t
     if hasattr(t, "comps"):
         return tuple_(t.src_table, tuple(_term_on(c, chain, tuple_, tower) for c in t.comps))
-    return chain(_term_on(t.tail, chain, tuple_, tower), tower[t.gen.name],
-                 _term_on(t.arg, chain, tuple_, tower))
+    assert O.old_arg(t) is identity(disk(t.gen.dim)), t
+    return chain(_term_on(t.tail, chain, tuple_, tower), tower[t.gen.name])
 
 
 def as_old(t, tower):
-    return _term_on(t, O.OldChain, O.OldTupleT, tower)
+    return _term_on(t, O.old_chain, O.OldTupleT, tower)
 
 
 def as_new(t, tower):
@@ -643,9 +663,8 @@ def test_interned_terms_match_the_dataclass_terms(monkeypatch):
     boundary, script round trips, and 1,000 normal forms are the same term
     node for node."""
     old = {"Chain": O.OldChain, "TupleT": O.OldTupleT, "gen_term": O.old_gen_term,
-           "compose": O.old_term_compose, "_make_chain": O.old_term_make_chain,
-           "tuple_term": O.old_term_tuple_term, "_tuple": O.old_term_tuple,
-           "gluing_error": O.old_term_gluing_error}
+           "compose": O.old_term_compose, "tuple_term": O.old_term_tuple_term,
+           "_tuple": O.old_term_tuple, "gluing_error": O.old_term_gluing_error}
 
     def under_old(build):
         with monkeypatch.context() as patch:
@@ -706,19 +725,19 @@ def test_term_nodes_are_interned():
     tup = tower["assoc1"].fsrc.tail
     assert isinstance(tup, C.TupleT)
     twin = stdlib(4)[0]["assoc1"]
-    assert twin is h.gen and C.Chain(h.tail, twin, h.arg) is h
+    assert twin is h.gen and C.Chain(h.tail, twin) is h
     assert C.TupleT(tup.src_table, tuple(tup.comps)) is tup
-    assert globe._INTERNED[(C.Chain, h.tail, h.gen, h.arg)] is h
+    assert globe._INTERNED[(C.Chain, h.tail, h.gen)] is h
     assert globe._INTERNED[(C.TupleT, tup.src_table, tup.comps)] is tup
-    assert h.source is h.arg.source is disk(2) and h.target is h.tail.target
+    assert h.source is disk(2) and h.target is h.tail.target
     assert tup.source is tup.src_table and tup.target is tup.comps[0].target
+    chain, tuple_ = (dataclasses.make_dataclass(name, fields, frozen=True) for name, fields
+                     in (("Chain", ["tail", "gen"]), ("TupleT", ["src_table", "comps"])))
     for t in (h, tup):
-        assert repr(t) == repr(as_old(t, tower)).replace("OldChain", "Chain").replace(
-            "OldTupleT", "TupleT") and not t.is_identity
+        assert repr(t) == repr(_term_on(t, chain, tuple_, tower)) and not t.is_identity
     assert repr(tower.term("unit0")) == (
         "Chain(tail=GMap(source=Table(upper=(0,), lower=()), target=Table(upper=(0,), "
-        "lower=()), cells=(0,)), gen=Gen(unit0), arg=GMap(source=Table(upper=(1,), "
-        "lower=()), target=Table(upper=(1,), lower=()), cells=(0,)))")
+        "lower=()), cells=(0,)), gen=Gen(unit0))")
     # the generator's term is stored once, and a composite kept on its outer term
     assert tower.term("comp1_0") is tower.term("comp1_0") is gen_term(tower["comp1_0"])
     face = compose(h, wordt("s", 1, 2))

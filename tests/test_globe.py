@@ -438,8 +438,8 @@ def _interned_cases():
                   ((2, 1, 2), [0, 0]), GlobeError),
         "GMap": (theta0.leg_gmap(tab, 1), (disk(0), Table((4, 5, 4), (3, 2)), (0,)), (),
                  (disk(0), Table((5, 7, 5), (2, 4)), (0.0,)), GlobeError),
-        "Chain": (chain, (fresh.tail, fresh.gen, fresh.arg), (lonely, fresh),
-                  (chain.tail, chain.gen), TypeError),
+        "Chain": (chain, (fresh.tail, fresh.gen), (lonely, fresh),
+                  (chain.tail, chain.gen, disk(2)), TypeError),
         "TupleT": (tup, (tab, (fresh, fresh)), (), (tup.src_table, list(tup.comps)),
                    TypeError),
         "Gen": (tower["assoc1"], ("fresh", 1, disk(0), fresh.tail, fresh.tail, 1), (),

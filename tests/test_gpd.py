@@ -170,8 +170,7 @@ class ObjectImageOracle:
                 out.append(self.term_objects(t.comps[k])[c])
             return tuple(out)
         tail_objs = self.term_objects(t.tail)
-        lifted = tuple(tail_objs[o] for o in self.gen(t.gen))
-        return tuple(lifted[o] for o in self.term_objects(t.arg))
+        return tuple(tail_objs[o] for o in self.gen(t.gen))
 
 
 def test_endpoints_from_normal_forms_match_term_evaluation():

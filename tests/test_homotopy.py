@@ -666,3 +666,19 @@ def test_pi_commutes_with_restriction(std4):
             assert H.pi_groupoid(restricted, small_bundle, n) == \
                 H.pi_groupoid(model, big_bundle, n)
             assert H.hom_classes(restricted, n) == H.hom_classes(model, n)
+
+
+def test_restricted_models_refuse_generators_their_functor_does_not_map():
+    """Division declares its correction liftings on the model's tower; on a
+    model restricted along a tower functor built before them, interpreting
+    one is refused by name, through `divide` and `base_change_iso` alike."""
+    message = ("generator 'auto.0' was declared after the tower functor, "
+               "which does not map it")
+    for call in (lambda m, b: H.divide(m, b, 2, 0, 1, 0, 0),
+                 lambda m, b: H.base_change_iso(m, b, 2, 0)):
+        tower, bundle = C.stdlib(4)
+        model = M.build_strict(KAn(G.cyclic(2), 2), tower, bundle)
+        restricted = M.restrict(model, C.tower_functor(tower, {}, tower))
+        with pytest.raises(M.ModelError) as exc:
+            call(restricted, bundle)
+        assert str(exc.value) == message

@@ -472,9 +472,8 @@ def per_element_program(model, term):
     if isinstance(term, C.TupleT):
         comps = tuple(per_element_program(model, c) for c in term.comps)
         return lambda x, get: tuple([comp(x, get)[0] for comp in comps])
-    gen = term.gen
-    tail, arg = per_element_program(model, term.tail), per_element_program(model, term.arg)
-    return lambda x, get: arg((get(gen)[tail(x, get)],), get)
+    gen, tail = term.gen, per_element_program(model, term.tail)
+    return lambda x, get: (get(gen)[tail(x, get)],)
 
 
 def per_element_unit_filler(model, gen):
