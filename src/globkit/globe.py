@@ -91,6 +91,15 @@ def compose_words(w2, w1):
     return Word(w1.src, w2.tgt, w1.kind)
 
 
+def all_ints(row):
+    """Whether every entry is an int, not a float or bool equal to one (a
+    loop: on the short rows of tables and maps it is faster than `all`)."""
+    for i in row:
+        if type(i) is not int:
+            return False
+    return True
+
+
 # The live interned values by (class,) + fields: each is built and checked
 # once while any reference to it is held, and dropped with the last one.
 _INTERNED = weakref.WeakValueDictionary()
@@ -102,21 +111,29 @@ class Interned:
     A subclass lists its fields in `_fields`, which open its `__slots__`,
     and its derived slots after them.  A new value is checked, and its
     derived slots set, by the subclass's `_build()` before it is interned,
-    so a refused value never enters the table.  Equality is identity, the
-    hash of the fields is stored, copies and pickles are the interned
-    object, and `memo()` is the dict of composites with this object as
-    outer factor, built on first use, which dies with it.
+    so a refused value never enters the table.  The lookup matches fields
+    by equality, under which 1.0 and True are 1, so a hit passes the same
+    field type checks, `_check_types()`, that `_build()` starts with.
+    Equality is identity, the hash of the fields is stored, copies and
+    pickles are the interned object, and `memo()` is the dict of composites
+    with this object as outer factor, built on first use, which dies with
+    it.
     """
 
     __slots__ = ("_hash", "_memo", "__weakref__")
     _fields = ()
+    _check_types = None   # a class with typed fields checks them in a staticmethod
 
     def __new__(cls, *fields):
         key = (cls,) + fields
         try:
-            return _INTERNED[key]
+            self = _INTERNED[key]
         except (KeyError, TypeError):  # TypeError: an unhashable field
             pass
+        else:
+            if cls._check_types is not None:
+                cls._check_types(*fields)
+            return self
         if len(fields) != len(cls._fields):
             raise TypeError("%s takes the %d fields %s" % (cls.__name__, len(cls._fields),
                                                            ", ".join(cls._fields)))
@@ -170,14 +187,20 @@ class Table(Interned):
     __slots__ = ("upper", "lower", "width", "dimension", "is_disk", "_identity")
     _fields = __slots__[:2]
 
-    def _build(self):
-        upper, lower = self.upper, self.lower
+    @staticmethod
+    def _check_types(upper, lower):
         if type(upper) is not tuple or type(lower) is not tuple:
             raise GlobeError("table rows must be tuples, not %s and %s"
                              % (type(upper).__name__, type(lower).__name__))
+        if not all_ints(upper + lower):
+            raise GlobeError("table entries must be naturals")
+
+    def _build(self):
+        upper, lower = self.upper, self.lower
+        self._check_types(upper, lower)
         if len(upper) < 1 or len(lower) != len(upper) - 1:
             raise GlobeError("table rows have mismatched widths")
-        if any(type(i) is not int or i < 0 for i in upper + lower):
+        if any(i < 0 for i in upper + lower):
             raise GlobeError("table entries must be naturals")
         if max(upper) > MAX_DIM:
             raise GlobeError("table dimension %d exceeds the largest supported "

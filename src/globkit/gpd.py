@@ -18,6 +18,7 @@ concretely and compared against the quotient pipeline.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -191,21 +192,16 @@ def point():
 
 
 def discrete(k):
-    arrows = [(x, x) for x in range(k)]
-    return build_groupoid(k, arrows, lambda g, f: g)
+    return disjoint_union(*[point()] * k)
 
 
 def codiscrete(k):
     """Exactly one arrow between each ordered pair of objects."""
-    arrows = [(x, y) for x in range(k) for y in range(k)]
-    index = {a: i for i, a in enumerate(arrows)}
-    return build_groupoid(k, arrows,
-                          lambda g, f: index[(arrows[f][0], arrows[g][1])])
+    return connected_groupoid(k, groups.cyclic(1))
 
 
 def one_object(group):
-    arrows = [(0, 0)] * group.order
-    return build_groupoid(1, arrows, lambda g, f: group.op(g, f))
+    return connected_groupoid(1, group)
 
 
 def connected_groupoid(k, group):
@@ -220,19 +216,20 @@ def connected_groupoid(k, group):
     return build_groupoid(k, [(t[0], t[1]) for t in arrows], compose_fn)
 
 
-def disjoint_union(a, b):
-    no, na = a.n_objects, a.n_arrows
-    arrows = [(a.src[i], a.tgt[i]) for i in range(na)] + \
-             [(b.src[i] + no, b.tgt[i] + no) for i in range(b.n_arrows)]
+def disjoint_union(*parts):
+    """The parts side by side, numbered part after part; each composite is
+    read from the part its arrows belong to."""
+    arrows, owner, n_objects = [], [], 0
+    for part in parts:
+        owner += [(part, len(arrows))] * part.n_arrows
+        arrows += [(x + n_objects, y + n_objects) for x, y in zip(part.src, part.tgt)]
+        n_objects += part.n_objects
 
     def compose_fn(g, f):
-        if g < na and f < na:
-            return a.comp[g][f]
-        if g >= na and f >= na:
-            return b.comp[g - na][f - na] + na
-        raise GroupoidError("unreachable")
+        part, base = owner[g]
+        return part.comp[g - base][f - base] + base
 
-    return build_groupoid(no + b.n_objects, arrows, compose_fn)
+    return build_groupoid(n_objects, arrows, compose_fn)
 
 
 @dataclass(frozen=True)
@@ -719,36 +716,23 @@ def corpus(max_objects=3, max_arrows=8):
     """All groupoids with bounded objects and arrows, plus named examples.
 
     A groupoid is a disjoint union of connected groupoids; a connected piece
-    with k objects and vertex group H contributes k^2 |H| arrows.
+    with k objects and vertex group H contributes k^2 |H| arrows.  Each
+    multiset of pieces within the bounds (so of at most as many pieces as
+    objects and as arrows) is one union, ordered by its piece indices.
     """
-    pieces = []
-    for k in (1, 2, 3):
-        for gname in ("Z1", "Z2", "Z3", "Z4", "V4", "Z5", "Z6", "S3", "Z7",
-                      "Z8", "Z2xZ4", "Z2xZ2xZ2", "D4", "Q8"):
-            g = groups.by_name(gname)
-            if k * k * g.order <= max_arrows:
-                pieces.append((k, gname))
-    out = []
-
-    def build(piece_list):
-        gpd = None
-        for (k, gname) in piece_list:
-            part = connected_groupoid(k, groups.by_name(gname))
-            gpd = part if gpd is None else disjoint_union(gpd, part)
-        return gpd
-
-    def rec(start, chosen, objs, arrs):
-        if chosen:
-            out.append(tuple(chosen))
-        for i in range(start, len(pieces)):
-            k, gname = pieces[i]
-            cost = k * k * groups.by_name(gname).order
-            if objs + k <= max_objects and arrs + cost <= max_arrows:
-                rec(i, chosen + [(k, gname)], objs + k, arrs + cost)
-
-    rec(0, [], 0, 0)
-    named = [("corpus:%s" % "+".join("%dx%s" % p for p in combo), build(combo))
-             for combo in out]
+    pieces = [("%dx%s" % (k, gname), connected_groupoid(k, groups.by_name(gname)))
+              for k in (1, 2, 3)
+              for gname in ("Z1", "Z2", "Z3", "Z4", "V4", "Z5", "Z6", "S3", "Z7",
+                            "Z8", "Z2xZ4", "Z2xZ2xZ2", "D4", "Q8")
+              if k * k * groups.by_name(gname).order <= max_arrows]
+    combos = sorted(
+        combo for r in range(1, min(max_objects, max_arrows) + 1)
+        for combo in itertools.combinations_with_replacement(range(len(pieces)), r)
+        if sum(pieces[i][1].n_objects for i in combo) <= max_objects
+        and sum(pieces[i][1].n_arrows for i in combo) <= max_arrows)
+    named = [("corpus:%s" % "+".join(pieces[i][0] for i in combo),
+              disjoint_union(*(pieces[i][1] for i in combo)))
+             for combo in combos]
     named.append(("codiscrete3", codiscrete(3)))
     named.append(("discrete3", discrete(3)))
     return named

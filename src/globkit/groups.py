@@ -164,64 +164,50 @@ def by_name(name):
 
 
 def find_isomorphism(a, b):
-    """Backtracking search for a group isomorphism a -> b, or None."""
+    """A group isomorphism a -> b as the tuple of images, or None.
+
+    Each choice of images, of matching orders, for a greedy generating set of
+    a extends phi from the identity by phi(x s) = phi(x) phi(s) for each
+    generator s.  The first choice under which no element gets two images
+    and phi is bijective is an isomorphism, by induction on word length."""
     if a.order != b.order:
         return None
     n = a.order
-    orders_a = [a.element_order(x) for x in range(n)]
-    orders_b = [b.element_order(x) for x in range(n)]
+    orders_a, orders_b = ([g.element_order(x) for x in range(n)] for g in (a, b))
     if sorted(orders_a) != sorted(orders_b):
         return None
-    phi = [None] * n
-    phi[0] = 0
-    used = {0}
-
-    def extend(x):
-        if x == n:
-            return True
-        if phi[x] is not None:
-            return extend(x + 1)
-        for y in range(n):
-            if y in used or orders_b[y] != orders_a[x]:
-                continue
-            # tentatively map x -> y and close under known products
-            trail = []
-            ok = True
-            phi[x] = y
-            used.add(y)
-            trail.append(x)
-            pending = [x]
-            while pending and ok:
-                u = pending.pop()
-                for v in range(n):
-                    if phi[v] is None:
-                        continue
-                    for (p, q) in ((u, v), (v, u)):
-                        w = a.mult[p][q]
-                        img = b.mult[phi[p]][phi[q]]
-                        if phi[w] is None:
-                            if img in used:
-                                ok = False
-                                break
-                            phi[w] = img
-                            used.add(img)
-                            trail.append(w)
-                            pending.append(w)
-                        elif phi[w] != img:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok and extend(x + 1):
-                return True
-            for t in trail:
-                used.discard(phi[t])
-                phi[t] = None
-        return False
-
-    if extend(0):
-        return tuple(phi)
+    gens, reached, edges = [], [0], []
+    for x in range(1, n):
+        if x not in reached:
+            gens.append(x)
+            reached, edges = _cayley_walk(a, gens)
+    for images in itertools.product(*[[y for y in range(n) if orders_b[y] == orders_a[s]]
+                                      for s in gens]):
+        phi = [0] + [None] * (n - 1)
+        for x, i, w in edges:
+            img = b.mult[phi[x]][images[i]]
+            if phi[w] is None:
+                phi[w] = img
+            elif phi[w] != img:
+                break
+        else:
+            if len(set(phi)) == n:
+                return tuple(phi)
     return None
+
+
+def _cayley_walk(a, gens):
+    """The elements reached from the identity by right multiplication by
+    `gens`, in the order first reached, and the edges (x, i, x gens[i]) from
+    them, each after the edge that first reaches its x."""
+    reached, edges = [0], []
+    for x in reached:
+        for i, s in enumerate(gens):
+            w = a.mult[x][s]
+            edges.append((x, i, w))
+            if w not in reached:
+                reached.append(w)
+    return reached, edges
 
 
 _CATALOGUE = [

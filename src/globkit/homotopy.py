@@ -196,7 +196,14 @@ def _corrections(tower, bundle, n, i, side):
     in the level-(j-1) corrections.  A lifting at level j is admissible only
     when j >= n-1, so for i <= n-4 the first declaration is refused, and
     otherwise the one wrap (j = n) takes corrections already of dimension
-    n-1."""
+    n-1.  Once every level's liftings are cached, they are read off the
+    cache and no scheme term is built."""
+    levels = range(i + 2, n + 1)
+    cached = [[tower.div_cache.get((n, i, j, which, side)) for which in "cd"] for j in levels]
+    if all(all(names) for names in cached):
+        for j, (c_name, d_name) in zip(levels, cached):
+            yield j, tower[c_name], tower[d_name]
+        return
     tab = _pair_table(n, i)
     nab = tower.term(bundle.comp_name(n - 1, i))
     om = tower.term(bundle.inv_name(n - 1, i))
@@ -205,7 +212,7 @@ def _corrections(tower, bundle, n, i, side):
     else:
         s = compose(tuple_term([nab, compose(eps(tab, 1), om)], tab), nab)
     leg = eps(tab, 1) if side == "left" else eps(tab, 0)
-    for j in range(i + 2, n + 1):
+    for j in levels:
         if j > i + 2:
             tab_lo = _pair_table(n, j - 2)
             nab_lo = tower.term(bundle.comp_name(n - 1, j - 2))

@@ -6,15 +6,18 @@ the outermost redex first.  Both strategies must reach `normalize`'s normal
 form within ten times the weighted size of the input, which is what the
 confluence and termination checks test.  `random_raw` draws seeded
 well-typed raw terms for those checks.  Its concrete factors are
-`theta0.GMap`s, as in `coherator`'s raw trees, and a lone tuple of them
-collapses through `coherator.tuple_term`.  No production module imports this
-module; it exists to be compared against.
+`theta0.GMap`s, as in `coherator`'s raw trees.  The engine has its own rules
+for a tuple over one disk (its component) and a tuple of concrete maps (the
+map picking their cells), and reads the tree it stops at off as `Chain` and
+`TupleT` nodes, built directly, so no production term constructor makes its
+answer.  No production module imports this module; it exists to be compared
+against.
 """
 
 from __future__ import annotations
 
 from . import theta0
-from .coherator import RComp, RGen, RTuple, TermError, _eval_raw, term_to_raw, tuple_term
+from .coherator import Chain, RComp, RGen, RTuple, TermError, TupleT, term_to_raw
 from .globe import Word, disk
 from .theta0 import GMap
 
@@ -87,9 +90,12 @@ def _pair_redex(x, y):
 
 
 def _tuple_collapse(t):
-    """Reduct of a lone tuple factor whose components are all concrete."""
+    """Reduct of a tuple factor over one disk, its component, or of one whose
+    components are all concrete, the map picking their cells."""
+    if t.src_table.is_disk:
+        return t.comps[0]
     if all(isinstance(c, GMap) for c in t.comps):
-        return tuple_term(t.comps, t.src_table)
+        return GMap(t.src_table, t.comps[0].target, tuple(c.cells[0] for c in t.comps))
     return None
 
 
@@ -131,7 +137,21 @@ def reduce_steps(raw, strategy="inner"):
         steps += 1
         if steps > bound:
             raise TermError("reduction exceeded %d steps" % bound)
-    return _eval_raw(raw), steps
+    return _read_off(raw), steps
+
+
+def _read_off(raw):
+    """The term node of a tree without redexes: a spine ending in a
+    generator is the chain of the rest after it, and one ending in a tuple
+    or a concrete map is that factor alone, since anything before it would
+    make a pair redex."""
+    *rest, last = _spine(raw)
+    if isinstance(last, RGen):
+        tail = _read_off(_unspine(rest)) if rest else theta0.identity_gmap(last.gen.target)
+        return Chain(tail, last.gen)
+    if isinstance(last, RTuple):
+        return TupleT(last.src_table, tuple(_read_off(c) for c in last.comps))
+    return last
 
 
 def _apply_pos(raw, pos):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .globe import GlobeError, Interned, Word, disk, realize_sum, sword, tword
+from .globe import GlobeError, Interned, Word, all_ints, disk, realize_sum, sword, tword
 
 
 class MatchingError(GlobeError):
@@ -61,10 +61,14 @@ class GMap(Interned):
     _fields = __slots__[:3]
     level = 0   # the highest generator level a term names (`coherator.Chain`)
 
+    @staticmethod
+    def _check_types(source, target, cells):
+        if type(cells) is not tuple or not all_ints(cells):
+            raise GlobeError("map cells must be a tuple of ints, not %r" % (cells,))
+
     def _build(self):
         source, target, cells = self.source, self.target, self.cells
-        if type(cells) is not tuple or any(type(c) is not int for c in cells):
-            raise GlobeError("map cells must be a tuple of ints, not %r" % (cells,))
+        self._check_types(source, target, cells)
         carrier = realize_sum(target).carrier
         upper = source.upper
         if len(cells) != len(upper):

@@ -13,21 +13,23 @@ of their own, the parser whose every token carried its position, and the
 division construction with its general correction scheme: unit words
 (kappa-chains) below each wrap, the scheme terms and correction liftings
 declared by mutual recursion, and base change inverting a forward class map
-by hand."""
+by hand, the named groupoids that each had a constructor of their own, the
+two-part union that the corpus folded pairwise over a recursive walk, and
+the element-by-element backtracking search for a group isomorphism."""
 
 import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
-from globkit import coherator as coh, theta0
+from globkit import coherator as coh, groups, theta0
 from globkit.coherator import (Chain, Gen, InadmissibleError, TermError, Tower, TupleT,
                                _disk_dim, compose, eps, gen_term, identity, tuple_term, wordt)
 from globkit.dsl import _DISK_RE, _EPS_RE, _WORD_RE, CheckError, ParseError
 from globkit.globe import (DEFAULT_TRUNC, MAX_DIM, GlobeError, Table, Word, disk, realize_sum,
                            sword, tword)
 from globkit.theta0 import GMap, MatchingError
-from globkit.gpd import GroupoidError
+from globkit.gpd import GroupoidError, build_groupoid, connected_groupoid
 from globkit.homotopy import (DivideResult, HomotopyError, WeqReport, _check_cell, _pair_table,
                               hom_classes, iterated_unit, parallel_cells, pi_groupoid, pi_n_at)
 from globkit.model import ModelError, _is_index
@@ -998,3 +1000,145 @@ def old_base_change_iso(model, bundle, n, u):
             if iso[grp_u.op(a, b)] != grp_x.op(iso[a], iso[b]):
                 raise HomotopyError("base change is not a homomorphism")
     return iso, grp_u, grp_x
+
+
+def old_discrete(k):
+    arrows = [(x, x) for x in range(k)]
+    return build_groupoid(k, arrows, lambda g, f: g)
+
+
+def old_codiscrete(k):
+    """Exactly one arrow between each ordered pair of objects."""
+    arrows = [(x, y) for x in range(k) for y in range(k)]
+    index = {a: i for i, a in enumerate(arrows)}
+    return build_groupoid(k, arrows,
+                          lambda g, f: index[(arrows[f][0], arrows[g][1])])
+
+
+def old_one_object(group):
+    arrows = [(0, 0)] * group.order
+    return build_groupoid(1, arrows, lambda g, f: group.op(g, f))
+
+
+def old_disjoint_union(a, b):
+    no, na = a.n_objects, a.n_arrows
+    arrows = [(a.src[i], a.tgt[i]) for i in range(na)] + \
+             [(b.src[i] + no, b.tgt[i] + no) for i in range(b.n_arrows)]
+
+    def compose_fn(g, f):
+        if g < na and f < na:
+            return a.comp[g][f]
+        if g >= na and f >= na:
+            return b.comp[g - na][f - na] + na
+        raise GroupoidError("unreachable")
+
+    return build_groupoid(no + b.n_objects, arrows, compose_fn)
+
+
+def old_corpus(max_objects=3, max_arrows=8):
+    """All groupoids with bounded objects and arrows, plus named examples.
+
+    A groupoid is a disjoint union of connected groupoids; a connected piece
+    with k objects and vertex group H contributes k^2 |H| arrows.
+    """
+    pieces = []
+    for k in (1, 2, 3):
+        for gname in ("Z1", "Z2", "Z3", "Z4", "V4", "Z5", "Z6", "S3", "Z7",
+                      "Z8", "Z2xZ4", "Z2xZ2xZ2", "D4", "Q8"):
+            g = groups.by_name(gname)
+            if k * k * g.order <= max_arrows:
+                pieces.append((k, gname))
+    out = []
+
+    def build(piece_list):
+        gpd = None
+        for (k, gname) in piece_list:
+            part = connected_groupoid(k, groups.by_name(gname))
+            gpd = part if gpd is None else old_disjoint_union(gpd, part)
+        return gpd
+
+    def rec(start, chosen, objs, arrs):
+        if chosen:
+            out.append(tuple(chosen))
+        for i in range(start, len(pieces)):
+            k, gname = pieces[i]
+            cost = k * k * groups.by_name(gname).order
+            if objs + k <= max_objects and arrs + cost <= max_arrows:
+                rec(i, chosen + [(k, gname)], objs + k, arrs + cost)
+
+    rec(0, [], 0, 0)
+    named = [("corpus:%s" % "+".join("%dx%s" % p for p in combo), build(combo))
+             for combo in out]
+    named.append(("codiscrete3", old_codiscrete(3)))
+    named.append(("discrete3", old_discrete(3)))
+    return named
+
+
+def old_find_isomorphism(a, b):
+    """Backtracking search for a group isomorphism a -> b, or None."""
+    if a.order != b.order:
+        return None
+    n = a.order
+    orders_a = [a.element_order(x) for x in range(n)]
+    orders_b = [b.element_order(x) for x in range(n)]
+    if sorted(orders_a) != sorted(orders_b):
+        return None
+    phi = [None] * n
+    phi[0] = 0
+    used = {0}
+
+    def extend(x):
+        if x == n:
+            return True
+        if phi[x] is not None:
+            return extend(x + 1)
+        for y in range(n):
+            if y in used or orders_b[y] != orders_a[x]:
+                continue
+            # tentatively map x -> y and close under known products
+            trail = []
+            ok = True
+            phi[x] = y
+            used.add(y)
+            trail.append(x)
+            pending = [x]
+            while pending and ok:
+                u = pending.pop()
+                for v in range(n):
+                    if phi[v] is None:
+                        continue
+                    for (p, q) in ((u, v), (v, u)):
+                        w = a.mult[p][q]
+                        img = b.mult[phi[p]][phi[q]]
+                        if phi[w] is None:
+                            if img in used:
+                                ok = False
+                                break
+                            phi[w] = img
+                            used.add(img)
+                            trail.append(w)
+                            pending.append(w)
+                        elif phi[w] != img:
+                            ok = False
+                            break
+                    if not ok:
+                        break
+            if ok and extend(x + 1):
+                return True
+            for t in trail:
+                used.discard(phi[t])
+                phi[t] = None
+        return False
+
+    if extend(0):
+        return tuple(phi)
+    return None
+
+
+def old_recognize(group):
+    """Catalogue name for a group, or a generic descriptor."""
+    for name in groups._CATALOGUE:
+        cand = groups.by_name(name)
+        if cand.order == group.order and old_find_isomorphism(group, cand) is not None:
+            return cand.name
+    return "group of order %d" % group.order

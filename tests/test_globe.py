@@ -422,6 +422,36 @@ def test_tables_are_interned():
     assert len(set(counts)) == 1
 
 
+def test_a_lookup_hit_passes_the_field_type_checks():
+    """1.0 and True equal 1, so the intern lookup alone would hand out the
+    value of the right types, or refuse the call only until that value is
+    alive.  Fields of the wrong types get the message a new value gets,
+    whether that value is alive or not, and it stays the interned one."""
+    pair = Table((1, 1), (0,))
+    wide = Table((5, 6, 5), (3, 2))
+    naturals, ints = "table entries must be naturals", "map cells must be a tuple of ints"
+    cases = [
+        (Table, ((1.0,), ()), ((1,), ()), naturals),
+        (Table, ((True,), ()), ((1,), ()), naturals),
+        (Table, ((6, 2, 6.0), (1, 1)), ((6, 2, 6), (1, 1)), naturals),
+        (theta0.GMap, (disk(1), pair, (0.0,)), (disk(1), pair, (0,)), ints),
+        (theta0.GMap, (disk(0), wide, (False,)), (disk(0), wide, (0,)), ints),
+    ]
+    not_alive = 0
+    for cls, wrong, right, message in cases:
+        gc.collect()
+        not_alive += (cls,) + right not in globe._INTERNED
+        with pytest.raises(GlobeError, match=message):
+            cls(*wrong)
+        held = cls(*right)
+        with pytest.raises(GlobeError, match=message):
+            cls(*wrong)
+        assert cls(*right) is held and held._values() == right
+        assert all(type(i) is int for field in held._values() if type(field) is tuple
+                   for i in field)
+    assert not_alive == 2
+
+
 def _interned_cases():
     """Per class of `globe.Interned`: a live value, the fields of a fresh
     value with what else holds it, and arguments it refuses with the error

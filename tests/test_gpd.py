@@ -15,7 +15,8 @@ from globkit import homotopy as H
 from globkit import model as M
 from globkit.globe import Table, realize_sum
 from globkit.theta0 import GMap
-from oracles import all_tables, lifting_oracle
+from oracles import (all_tables, lifting_oracle, old_codiscrete, old_corpus, old_discrete,
+                     old_disjoint_union, old_find_isomorphism, old_one_object, old_recognize)
 from test_theta0 import level_map
 
 
@@ -561,6 +562,71 @@ def test_corpus_shape():
         assert X.n_objects <= 3
         assert X.n_arrows <= 9  # named codiscrete3 has 9 arrows
         X.validate()
+
+
+@pytest.mark.parametrize("bounds", [(3, 8), (2, 4), (3, 12), (4, 16), (1, 8)])
+def test_corpus_matches_the_pairwise_fold(bounds):
+    """One union per multiset of pieces, in ascending piece order, gives the
+    recursive walk's corpus: the same names in the same order, and equal
+    groupoids."""
+    new, old = P.corpus(*bounds), old_corpus(*bounds)
+    assert [name for name, _ in new] == [name for name, _ in old]
+    assert [X for _, X in new] == [X for _, X in old]
+
+
+def test_named_groupoids_are_connected_pieces_and_their_unions():
+    assert P.point() == old_codiscrete(1)
+    for k in range(5):
+        assert P.codiscrete(k) == old_codiscrete(k)
+        assert P.discrete(k) == old_discrete(k)
+    for name in ("Z1", "Z2", "Z3", "V4", "S3", "Q8"):
+        assert P.one_object(G.by_name(name)) == old_one_object(G.by_name(name))
+    pieces = [P.point(), P.codiscrete(2), P.one_object(G.cyclic(3)),
+              P.connected_groupoid(2, G.cyclic(2)), P.discrete(2)]
+    assert P.disjoint_union() == P.build_groupoid(0, [], None)
+    for r in range(1, 5):
+        for parts in itertools.product(pieces, repeat=r):
+            folded = parts[0]
+            for part in parts[1:]:
+                folded = old_disjoint_union(folded, part)
+            assert P.disjoint_union(*parts) == folded
+
+
+def _relabelled(group, rng):
+    """The group with its non-identity elements permuted at random."""
+    n = group.order
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    back = {p: x for x, p in enumerate(perm)}
+    return G.Group(group.name, tuple(tuple(perm[group.mult[back[x]][back[y]]]
+                                           for y in range(n)) for x in range(n)))
+
+
+def test_isomorphisms_by_generator_images_match_the_backtracking_search():
+    """Over every pair of catalogue groups of one order, under six seeded
+    relabellings: an isomorphism is found exactly when the old search finds
+    one, each is a bijective homomorphism, and `recognize` names each group
+    as before."""
+    catalogue = [G.by_name(name) for name in G._CATALOGUE]
+    found = 0
+    for seed in range(6):
+        rng = random.Random(seed)
+        for a, b in itertools.product(catalogue, repeat=2):
+            if a.order != b.order:
+                continue
+            a2, b2 = _relabelled(a, rng), _relabelled(b, rng)
+            phi = G.find_isomorphism(a2, b2)
+            assert (phi is None) == (old_find_isomorphism(a2, b2) is None), (a.name, b.name)
+            if phi is not None:
+                found += 1
+                n = a.order
+                assert sorted(phi) == list(range(n))
+                assert all(phi[a2.op(x, y)] == b2.op(phi[x], phi[y])
+                           for x in range(n) for y in range(n))
+        for grp in catalogue + [G.dihedral(3), G.symmetric(2)]:
+            relabelled = _relabelled(grp, rng)
+            assert G.recognize(relabelled) == old_recognize(relabelled)
+    # the catalogue names each group once, so each is isomorphic to itself alone
+    assert found == 6 * len(catalogue)
 
 
 def test_groupoid_json_round_trip():

@@ -426,6 +426,24 @@ def test_division_matches_the_general_correction_scheme(d):
     assert bool(refusals) == (d >= 5)
 
 
+def test_a_cached_division_builds_no_scheme_term(monkeypatch):
+    """A second `divide` reads its correction liftings off the tower's cache
+    and builds no scheme term, with the same result, cache and script."""
+    tower, bundle = C.stdlib(4)
+    m = M.build_strict(KAn(G.cyclic(2), 2), tower, bundle)
+    first = H.divide(m, bundle, 2, 0, 1, 0, 0)
+    cache, script = dict(tower.div_cache), dsl.emit_tower(tower)
+    built = []
+    tuple_term = H.tuple_term
+    monkeypatch.setattr(H, "tuple_term", lambda *args: built.append(args) or tuple_term(*args))
+    assert H.divide(m, bundle, 2, 0, 1, 0, 0) == first
+    assert built == []
+    assert tower.div_cache == cache and dsl.emit_tower(tower) == script
+    # the other side is not cached yet, so its scheme terms are built
+    H.divide(m, bundle, 2, 0, 1, 0, 0, side="right")
+    assert built
+
+
 def weq_suite(tower, bundle):
     """(morphism, verdict) pairs of strict models; the first six are
     acceptance criterion 07's."""

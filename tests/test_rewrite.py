@@ -5,7 +5,7 @@ import pathlib
 
 from globkit import coherator as C
 from globkit import rewrite as R
-from globkit.coherator import RGen, Tower, identity
+from globkit.coherator import RGen, RTuple, Tower, identity
 from globkit.globe import disk
 
 
@@ -49,3 +49,19 @@ def test_no_production_module_imports_the_oracle():
         assert imports_module(ast.parse(text), "rewrite"), text
     for text in ("import oracles", "from oracles import all_tables"):
         assert imports_module(ast.parse(text), "oracles"), text
+
+
+def test_a_tuple_over_one_disk_reduces_in_one_step(std4):
+    """The engine's own rule takes a one-disk tuple to its component, so
+    its answer is not the one production's tuple constructor gives."""
+    tower, _ = std4
+    comp = tower["comp1_0"]
+    assert R.reduce_steps(RTuple(disk(1), (RGen(comp),))) == (tower.term("comp1_0"), 1)
+
+
+def test_the_oracle_builds_no_answer_with_the_constructors_it_checks():
+    tree = ast.parse(pathlib.Path(R.__file__).read_text(encoding="utf-8"))
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+              for alias in node.names}
+    assert names & {"_eval_raw", "tuple_term", "normalize", "compose", "gen_term"} == set()
