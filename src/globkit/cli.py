@@ -1,31 +1,27 @@
 """Command-line front end: tower scripts, models, groupoids, reports.
 
 Exit codes: 0 success, 1 check/assertion failure, 2 parse or usage error,
-3 file error or no model given.  `run` is the one table from library errors
-to exit codes.
+3 file error or no model given.  `run` is the one table from errors to exit
+codes: a library error (`globe.GlobkitError`) exits with its class's
+`exit_code`, 2 for `dsl.ParseError` and 1 for every other, and `OSError`
+with 3; a `CliError` carries its own code.
+
+A verb imports the library modules it runs when it runs, so a tower verb
+never loads the model, homotopy or groupoid layers.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
-from . import coherator as coh
-from . import dsl
-from . import gpd
-from . import groups
-from . import homotopy as hmt
-from . import model as mdl
-from .coherator import InadmissibleError, TermError
-from .globe import GlobeError
-from .theta0 import MatchingError
+from .globe import GlobeError, GlobkitError
 
 
-class CliError(Exception):
+class CliError(GlobkitError):
     def __init__(self, code, msg):
-        self.code = code
+        self.exit_code = code
         super().__init__(msg)
 
 
@@ -45,6 +41,8 @@ def _read_json(path):
 
 
 def _load_tower(path, trunc=None):
+    from . import dsl
+
     text = _read(path)
     try:
         return dsl.parse_tower(text, trunc)
@@ -55,19 +53,21 @@ def _load_tower(path, trunc=None):
 
 
 def _group_by_name(name):
+    from . import groups
+
     try:
         return groups.by_name(name)
     except KeyError as e:
         raise CliError(2, e.args[0])
 
 
-_xmod_field = functools.partial(mdl._json_field, where="the top level",
-                                file="crossed module")
-
-
 def _xmod_from_json(data):
+    from . import groups
+    from . import model as mdl
+
     base, fiber, boundary, action = (
-        _xmod_field(data, key, kind) for key, kind in
+        mdl._json_field(data, key, kind, "the top level", file="crossed module")
+        for key, kind in
         (("base", str), ("fiber", str), ("boundary", list), ("action", list)))
     base, fiber = _group_by_name(base), _group_by_name(fiber)
 
@@ -89,6 +89,8 @@ def _build_model(kind, value, tower, bundle):
     a side of a morphism file: `kg1` a group name, `kan` a (group name, n)
     pair, `discrete` a point count, `xmod` crossed-module JSON data, `file`
     the path of a model file."""
+    from . import model as mdl
+
     if kind == "file":
         return mdl.model_from_json(_read_json(value), tower)
     if kind == "kg1":
@@ -123,6 +125,8 @@ def _model_from_flags(args, tower, bundle):
 
 
 def _parse_term_arg(tower, text, target_text=None):
+    from . import dsl
+
     if target_text:
         try:
             target = dsl.parse_table(target_text)
@@ -134,6 +138,8 @@ def _parse_term_arg(tower, text, target_text=None):
 
 
 def _infer_target(tower, text):
+    from . import dsl
+
     try:
         target = dsl.implied_target(text, tower)
     except GlobeError as e:
@@ -152,6 +158,8 @@ def _emit(args, report, text):
 
 def _emit_group(args, grp):
     """Report pi_n (n = args.n) as the group grp."""
+    from . import groups
+
     name, abelian = groups.recognize(grp), grp.is_abelian()
     rep = {"n": args.n, "group": {"name": name, "order": grp.order, "abelian": abelian,
                                   "table": [list(r) for r in grp.mult]}}
@@ -173,6 +181,9 @@ def cmd_check(args):
 
 
 def cmd_stdlib(args):
+    from . import coherator as coh
+    from . import dsl
+
     tower, _ = coh.stdlib(args.dim if args.dim is not None else 4)
     text = dsl.emit_tower(tower)
     if args.out:
@@ -180,12 +191,16 @@ def cmd_stdlib(args):
             fh.write(text)
         _emit(args, {"generators": len(tower), "out": args.out},
               "wrote %d generators to %s" % (len(tower), args.out))
+    elif args.format == "json":
+        print(json.dumps({"generators": len(tower), "script": text}, indent=2))
     else:
         print(text, end="")
     return 0
 
 
 def cmd_normalize(args):
+    from . import dsl
+
     tower = _load_tower(args.tower)
     # the parser elaborates through `compose`: a parsed term is its normal form
     nf = dsl.term_str(_parse_term_arg(tower, args.term, args.target))
@@ -194,6 +209,8 @@ def cmd_normalize(args):
 
 
 def cmd_admissible(args):
+    from . import coherator as coh
+
     tower = _load_tower(args.tower)
     f = _parse_term_arg(tower, args.src, args.target)
     g = _parse_term_arg(tower, args.tgt, args.target)
@@ -207,6 +224,8 @@ def cmd_admissible(args):
 
 
 def cmd_model_check(args):
+    from . import coherator as coh
+
     tower = _load_tower(args.tower)
     model = _model_from_flags(args, tower, coh.bundle_of(tower))
     bad = model.check()
@@ -220,6 +239,9 @@ def cmd_model_check(args):
 
 
 def cmd_pi(args):
+    from . import coherator as coh
+    from . import homotopy as hmt
+
     tower = _load_tower(args.tower)
     bundle = coh.bundle_of(tower)
     model = _model_from_flags(args, tower, bundle)
@@ -233,7 +255,11 @@ def cmd_pi(args):
     return 0
 
 
-_morphism_field = functools.partial(mdl._json_field, file="morphism file")
+def _morphism_field(obj, key, kind, where):
+    from . import model as mdl
+
+    return mdl._json_field(obj, key, kind, where, file="morphism file")
+
 
 # the model specs a side of a morphism file may give, with their JSON types;
 # a `kan` spec is a [group, n] list
@@ -242,6 +268,8 @@ _SIDE_SPECS = {"kg1": str, "kan": list, "discrete": int, "xmod": dict, "file": s
 
 def _morphism_side(data, side):
     """The (kind, value) model spec of one side of a morphism file."""
+    from . import model as mdl
+
     spec = _morphism_field(data, side, dict, "the top level")
     kinds = [kind for kind in _SIDE_SPECS if kind in spec]
     if not kinds:
@@ -260,6 +288,10 @@ def _morphism_side(data, side):
 
 
 def cmd_weq(args):
+    from . import coherator as coh
+    from . import homotopy as hmt
+    from . import model as mdl
+
     tower = _load_tower(args.tower)
     bundle = coh.bundle_of(tower)
     data = _read_json(args.morphism)
@@ -285,6 +317,9 @@ def cmd_weq(args):
 
 
 def cmd_fundamental(args):
+    from . import coherator as coh
+    from . import gpd
+
     X = gpd.groupoid_from_json(_read_json(args.groupoid))
     tower, bundle = coh.stdlib(args.dim if args.dim is not None else 4)
     report = gpd.compare(X, tower, bundle, check=args.check)
@@ -303,6 +338,8 @@ def cmd_fundamental(args):
 
 
 def cmd_gpd_pi(args):
+    from . import gpd
+
     X = gpd.groupoid_from_json(_read_json(args.groupoid))
     gpd.check_object(X, args.x)
     if args.n == 0:
@@ -314,6 +351,9 @@ def cmd_gpd_pi(args):
 
 
 def cmd_divide(args):
+    from . import coherator as coh
+    from . import homotopy as hmt
+
     tower = _load_tower(args.tower)
     bundle = coh.bundle_of(tower)
     model = _model_from_flags(args, tower, bundle)
@@ -430,19 +470,9 @@ def run(argv):
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except CliError as e:
+    except GlobkitError as e:
         print("error: %s" % e, file=sys.stderr)
-        return e.code
-    except dsl.ParseError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 2
-    except dsl.CheckError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
-    except (InadmissibleError, TermError, MatchingError, GlobeError,
-            hmt.HomotopyError, mdl.ModelError, gpd.GroupoidError, groups.GroupError) as e:
-        print("error: %s" % e, file=sys.stderr)
-        return 1
+        return e.exit_code
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return 3

@@ -40,14 +40,12 @@ oracle for `normalize`, lives in `globkit.rewrite`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import theta0
-from .globe import DEFAULT_TRUNC, MAX_DIM, Interned, Table, disk
+from .globe import DEFAULT_TRUNC, MAX_DIM, GlobkitError, Interned, Table, disk
 from .theta0 import GMap
 
 
-class TermError(Exception):
+class TermError(GlobkitError):
     pass
 
 
@@ -261,10 +259,13 @@ def parallel(f, g):
     return glob_source(f) == glob_source(g) and glob_target(f) == glob_target(g)
 
 
-@dataclass(frozen=True)
 class Verdict:
-    ok: bool
-    reason: str | None = None
+    """An admissibility verdict: true when `ok`, else with the `reason`."""
+
+    __slots__ = ("ok", "reason")
+
+    def __init__(self, ok, reason=None):
+        self.ok, self.reason = ok, reason
 
     def __bool__(self):
         return self.ok
@@ -347,13 +348,20 @@ class Tower:
 # ---------------------------------------------------------------------------
 # The standard library of structural generators
 
-@dataclass(frozen=True)
 class PregroupoidBundle:
-    """Named selections of composition, unit, and inverse generators."""
+    """Named selections of composition, unit, and inverse generators:
+    `comp` and `inv` by (i, j), `unit` by i.  Bundles are equal when their
+    selections are."""
 
-    comp: dict
-    unit: dict
-    inv: dict
+    __slots__ = ("comp", "unit", "inv")
+
+    def __init__(self, comp, unit, inv):
+        self.comp, self.unit, self.inv = comp, unit, inv
+
+    def __eq__(self, other):
+        if type(other) is not PregroupoidBundle:
+            return NotImplemented
+        return (self.comp, self.unit, self.inv) == (other.comp, other.unit, other.inv)
 
     def comp_name(self, i, j):
         if (i, j) not in self.comp:
@@ -607,11 +615,14 @@ def verify_bundle(tower, bundle):
 # ---------------------------------------------------------------------------
 # Tower functors
 
-@dataclass(frozen=True)
 class TowerFunctor:
-    source: Tower
-    target: Tower
-    assignment: dict  # generator name -> Term in the target tower
+    """A morphism of towers: `assignment` maps each generator name of
+    `source` to a term of `target`."""
+
+    __slots__ = ("source", "target", "assignment")
+
+    def __init__(self, source, target, assignment):
+        self.source, self.target, self.assignment = source, target, assignment
 
     def translate(self, t):
         if isinstance(t, GMap):
@@ -646,21 +657,23 @@ def tower_functor(source, assignment, target):
 # ---------------------------------------------------------------------------
 # Raw syntax trees and their evaluation
 
-@dataclass(frozen=True)
-class RGen:
-    gen: Gen
+# Raw nodes are interned as the normal forms are, so a tree is compared
+# and hashed in constant time: a generator, a tuple of raw components over
+# a table, and `outer` after `inner`.
+
+class RGen(Interned):
+    __slots__ = ("gen",)
+    _fields = __slots__
 
 
-@dataclass(frozen=True)
-class RTuple:
-    src_table: Table
-    comps: tuple
+class RTuple(Interned):
+    __slots__ = ("src_table", "comps")
+    _fields = __slots__
 
 
-@dataclass(frozen=True)
-class RComp:
-    outer: "Raw"
-    inner: "Raw"
+class RComp(Interned):
+    __slots__ = ("outer", "inner")
+    _fields = __slots__
 
 
 Raw = (GMap, RGen, RTuple, RComp)

@@ -22,18 +22,20 @@ from typing import NamedTuple
 from . import coherator as coh
 from . import theta0
 from .coherator import InadmissibleError, TermError, Tower
-from .globe import DEFAULT_TRUNC, MAX_DIM, Table, disk
+from .globe import DEFAULT_TRUNC, MAX_DIM, GlobkitError, Table, disk
 from .theta0 import GMap, MatchingError
 
 
-class ParseError(Exception):
+class ParseError(GlobkitError):
+    exit_code = 2
+
     def __init__(self, line, col, msg):
         self.line = line
         self.col = col
         super().__init__("line %d, column %d: %s" % (line, col, msg))
 
 
-class CheckError(Exception):
+class CheckError(GlobkitError):
     """A script parses but declares something invalid."""
 
     def __init__(self, line, msg):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 DEFAULT_TRUNC = 6
@@ -26,69 +25,15 @@ MAX_DIM = 64
 MAX_CELLS = 10 ** 6
 
 
-class GlobeError(Exception):
+class GlobkitError(Exception):
+    """The base of the library's errors: a refused input or a failed check.
+    The command line reports one with exit code `exit_code`."""
+
+    exit_code = 1
+
+
+class GlobeError(GlobkitError):
     pass
-
-
-@dataclass(frozen=True)
-class Word:
-    """A morphism D_src -> D_tgt of the globe category, in normal form.
-
-    The relations let every letter except the lowest one be rewritten to `s`,
-    so a word is determined by its endpoints and its lowest letter (`kind`).
-    """
-
-    src: int
-    tgt: int
-    kind: str | None  # 's' or 't' for the lowest letter; None iff identity
-
-    def __post_init__(self):
-        if not 0 <= self.src <= self.tgt:
-            raise GlobeError("word D%r -> D%r needs 0 <= src <= tgt" % (self.src, self.tgt))
-        if self.src == self.tgt:
-            if self.kind is not None:
-                raise GlobeError("identity word on D%d has kind %r, not None"
-                                 % (self.src, self.kind))
-        elif self.kind not in ("s", "t"):
-            raise GlobeError("word kind %r is not 's' or 't'" % (self.kind,))
-
-    @property
-    def is_identity(self):
-        return self.src == self.tgt
-
-    def letters(self):
-        """Letters from lowest to highest dimension, e.g. [('t', 1), ('s', 2)]."""
-        if self.is_identity:
-            return []
-        out = [(self.kind, self.src + 1)]
-        out.extend(("s", d) for d in range(self.src + 2, self.tgt + 1))
-        return out
-
-    def __str__(self):
-        if self.is_identity:
-            return "id"
-        return " * ".join("%s%d" % (k, d) for (k, d) in reversed(self.letters()))
-
-
-def idword(m):
-    return Word(m, m, None)
-
-
-def sword(j, i):
-    return Word(j, i, None if i == j else "s")
-
-
-def tword(j, i):
-    return Word(j, i, None if i == j else "t")
-
-
-def compose_words(w2, w1):
-    """Normal form of w2 composed after w1."""
-    if w1.tgt != w2.src:
-        raise GlobeError("word composition mismatch: %s then %s" % (w1, w2))
-    if w1.is_identity:
-        return w2
-    return Word(w1.src, w2.tgt, w1.kind)
 
 
 def all_ints(row):
@@ -175,6 +120,70 @@ class Interned:
         return memo
 
 
+class Word(Interned):
+    """A morphism D_src -> D_tgt of the globe category, in normal form.
+
+    The relations let every letter except the lowest one be rewritten to `s`,
+    so a word is determined by its endpoints and its lowest letter (`kind`:
+    's' or 't', None iff the word is an identity).  Words are interned;
+    `is_identity` is stored.
+    """
+
+    __slots__ = ("src", "tgt", "kind", "is_identity")
+    _fields = __slots__[:3]
+
+    @staticmethod
+    def _check_types(src, tgt, kind):
+        if type(src) is not int or type(tgt) is not int:
+            raise GlobeError("word endpoints must be ints, not %r and %r" % (src, tgt))
+
+    def _build(self):
+        self._check_types(self.src, self.tgt, self.kind)
+        if not 0 <= self.src <= self.tgt:
+            raise GlobeError("word D%r -> D%r needs 0 <= src <= tgt" % (self.src, self.tgt))
+        if self.src == self.tgt:
+            if self.kind is not None:
+                raise GlobeError("identity word on D%d has kind %r, not None"
+                                 % (self.src, self.kind))
+        elif self.kind not in ("s", "t"):
+            raise GlobeError("word kind %r is not 's' or 't'" % (self.kind,))
+        object.__setattr__(self, "is_identity", self.src == self.tgt)
+
+    def letters(self):
+        """Letters from lowest to highest dimension, e.g. [('t', 1), ('s', 2)]."""
+        if self.is_identity:
+            return []
+        out = [(self.kind, self.src + 1)]
+        out.extend(("s", d) for d in range(self.src + 2, self.tgt + 1))
+        return out
+
+    def __str__(self):
+        if self.is_identity:
+            return "id"
+        return " * ".join("%s%d" % (k, d) for (k, d) in reversed(self.letters()))
+
+
+def idword(m):
+    return Word(m, m, None)
+
+
+def sword(j, i):
+    return Word(j, i, None if i == j else "s")
+
+
+def tword(j, i):
+    return Word(j, i, None if i == j else "t")
+
+
+def compose_words(w2, w1):
+    """Normal form of w2 composed after w1."""
+    if w1.tgt != w2.src:
+        raise GlobeError("word composition mismatch: %s then %s" % (w1, w2))
+    if w1.is_identity:
+        return w2
+    return Word(w1.src, w2.tgt, w1.kind)
+
+
 class Table(Interned):
     """A table of dimensions: upper row (i_1..i_n), lower row (i'_1..i'_{n-1}).
 
@@ -227,21 +236,19 @@ def disk(m):
     return Table((m,), ())
 
 
-@dataclass(frozen=True)
 class GlobularSet:
     """A finite globular set: cell counts per dimension plus boundary maps.
 
-    A set keeps what it alone determines, each computed on first use: the
+    Sets are compared, hashed and printed by `cells`, `src` and `tgt`.  A
+    set keeps what it alone determines, each computed on first use: the
     faces of its cells along a word and its fiber product over a table, in
     one memo keyed by word or by table that takes no part in equality, hash
     or repr."""
 
-    cells: tuple[int, ...]
-    src: tuple[tuple[int, ...], ...]
-    tgt: tuple[tuple[int, ...], ...]
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    __slots__ = ("cells", "src", "tgt", "_memo")
 
-    def __post_init__(self):
+    def __init__(self, cells, src, tgt):
+        self.cells, self.src, self.tgt, self._memo = cells, src, tgt, {}
         if not self.cells or len(self.src) != len(self.cells) or \
                 len(self.tgt) != len(self.cells):
             raise GlobeError("globular set needs boundary rows for each of its %d "
@@ -266,6 +273,17 @@ class GlobularSet:
                 if self.src[d - 1][a] != self.src[d - 1][b] or \
                         self.tgt[d - 1][a] != self.tgt[d - 1][b]:
                     raise GlobeError("globular relations fail at dim %d cell %d" % (d, c))
+
+    def __eq__(self, other):
+        if type(other) is not GlobularSet:
+            return NotImplemented
+        return (self.cells, self.src, self.tgt) == (other.cells, other.src, other.tgt)
+
+    def __hash__(self):
+        return hash((self.cells, self.src, self.tgt))
+
+    def __repr__(self):
+        return "GlobularSet(cells=%r, src=%r, tgt=%r)" % (self.cells, self.src, self.tgt)
 
     @property
     def dim(self):
@@ -349,17 +367,17 @@ def disk_cell_word(m, d, c):
     return Word(d, m, "s" if c == 0 else "t")
 
 
-@dataclass(frozen=True)
 class SumRealization:
-    """A table's amalgamated sum of disks, realized as a globular set."""
+    """A table's amalgamated sum of disks, realized as a globular set.
 
-    table: Table
-    carrier: GlobularSet
-    # legs[k][d][c] = carrier cell hit by cell (d, c) of the k-th disk
-    legs: tuple[tuple[tuple[int, ...], ...], ...]
-    # owners[d][cell] = (k, word D_d -> D_{i_k}): the lowest leg hitting the
-    # cell and the word presenting it in that leg's disk
-    owners: tuple[tuple[tuple[int, Word], ...], ...]
+    `legs[k][d][c]` is the carrier cell hit by cell (d, c) of the k-th disk;
+    `owners[d][cell]` is (k, word D_d -> D_{i_k}): the lowest leg hitting
+    the cell and the word presenting it in that leg's disk."""
+
+    __slots__ = ("table", "carrier", "legs", "owners")
+
+    def __init__(self, table, carrier, legs, owners):
+        self.table, self.carrier, self.legs, self.owners = table, carrier, legs, owners
 
 
 @lru_cache(maxsize=None)

@@ -19,29 +19,43 @@ concretely and compared against the quotient pipeline.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 from . import coherator as coh
 from . import groups
-from .globe import Table, realize_sum
+from .globe import GlobkitError, Table, realize_sum
 from .model import Model, _is_index, _json_field, product_spec, strict_carrier
 
 
-class GroupoidError(Exception):
+class GroupoidError(GlobkitError):
     pass
 
 
-@dataclass(frozen=True)
 class Groupoid:
-    """Objects 0..n-1, arrows with boundaries, composition/identity/inverse."""
+    """Objects 0..n-1, arrows with boundaries, composition/identity/inverse:
+    `comp[g][f]` is g after f, or None, and `ident[x]` the identity at x.
 
-    n_objects: int
-    src: tuple[int, ...]
-    tgt: tuple[int, ...]
-    comp: tuple[tuple, ...]   # comp[g][f] = g after f, or None
-    ident: tuple[int, ...]    # identity arrow per object
-    inv: tuple[int, ...]
+    Groupoids are compared, hashed and printed by these six fields; the
+    lists of arrows by object and by hom-set are kept once computed."""
+
+    def __init__(self, n_objects, src, tgt, comp, ident, inv):
+        self.n_objects, self.src, self.tgt = n_objects, src, tgt
+        self.comp, self.ident, self.inv = comp, ident, inv
+
+    def _key(self):
+        return self.n_objects, self.src, self.tgt, self.comp, self.ident, self.inv
+
+    def __eq__(self, other):
+        if type(other) is not Groupoid:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return ("Groupoid(n_objects=%r, src=%r, tgt=%r, comp=%r, ident=%r, inv=%r)"
+                % self._key())
 
     @property
     def n_arrows(self):
@@ -232,12 +246,13 @@ def disjoint_union(*parts):
     return build_groupoid(n_objects, arrows, compose_fn)
 
 
-@dataclass(frozen=True)
 class GFunctor:
-    source: Groupoid
-    target: Groupoid
-    obj_map: tuple[int, ...]
-    arr_map: tuple[int, ...]
+    """A functor of groupoids, by its maps on objects and on arrows."""
+
+    __slots__ = ("source", "target", "obj_map", "arr_map")
+
+    def __init__(self, source, target, obj_map, arr_map):
+        self.source, self.target, self.obj_map, self.arr_map = source, target, obj_map, arr_map
 
     def validate(self):
         s, t = self.source, self.target
@@ -289,15 +304,17 @@ def is_contractible(gpd):
 # ---------------------------------------------------------------------------
 # The globe diagram and its folk-class validators
 
-@dataclass
 class GlobeDiagram:
-    trunc: int
-    disks: list            # disks[n] : Groupoid
-    sigma: list            # sigma[n] : functor D(n-1) -> D(n), index from 1
-    tau: list
-    sphere_objects: list   # objects of each latching sum S(n-1)
-    i_obj: list            # i_n object maps S(n-1) -> D(n)
-    collapse: list         # p_n : D(n) -> D(n-1) witnesses, index from 1
+    """The disks D(n) (`disks[n]`), the functors sigma[n], tau[n] :
+    D(n-1) -> D(n) (from index 1), the objects of each latching sum S(n-1)
+    (`sphere_objects`), the object maps i_n : S(n-1) -> D(n) (`i_obj`) and
+    the collapse witnesses p_n : D(n) -> D(n-1) (`collapse`, from index 1)."""
+
+    __slots__ = ("trunc", "disks", "sigma", "tau", "sphere_objects", "i_obj", "collapse")
+
+    def __init__(self, trunc, disks, sigma, tau, sphere_objects, i_obj, collapse):
+        self.trunc, self.disks, self.sigma, self.tau = trunc, disks, sigma, tau
+        self.sphere_objects, self.i_obj, self.collapse = sphere_objects, i_obj, collapse
 
 
 def globe_diagram(trunc):
@@ -355,17 +372,19 @@ def validate_globe_diagram(dg):
 # ---------------------------------------------------------------------------
 # Realized sums of disks in groupoids
 
-@dataclass
 class GpdSum:
     """A realized sum in groupoids: its cocone data and its block tree.
 
-    The sum is the thin groupoid on the objects of the realized sum; it is
-    never built, since `walk` names each arrow by the legs it passes.
+    `leg_objects[k]` holds the object images of disk k's objects, and
+    `edges` a (k, o0, o1) for each disk of dimension >= 1.  The sum is the
+    thin groupoid on the objects of the realized sum; it is never built,
+    since `walk` names each arrow by the legs it passes.
     """
 
-    table: Table
-    leg_objects: tuple   # leg_objects[k] = object images of disk k's objects
-    edges: tuple         # (k, o0, o1) for each disk of dimension >= 1
+    __slots__ = ("table", "leg_objects", "edges")
+
+    def __init__(self, table, leg_objects, edges):
+        self.table, self.leg_objects, self.edges = table, leg_objects, edges
 
     def walk(self, o_from, o_to):
         """The arrow o_from -> o_to of the thin sum as a path of legs.
@@ -493,11 +512,16 @@ def fundamental(X, tower, interp=None):
 # ---------------------------------------------------------------------------
 # Quillen-side constructions
 
-@dataclass
 class PathObject:
-    P: Groupoid
-    r: GFunctor
-    squares: tuple   # squares[i] = (u, v, h, k): a square from arrow u to arrow v
+    """The path object `P` with its functor `r` from X; `squares[i]` is
+    (u, v, h, k), a square from arrow u to arrow v.  A path object can be
+    weakly referenced, as `perfbench`'s tracer does to count its squares
+    once."""
+
+    __slots__ = ("P", "r", "squares", "__weakref__")
+
+    def __init__(self, P, r, squares):
+        self.P, self.r, self.squares = P, r, squares
 
 
 def path_object(X):
@@ -602,12 +626,27 @@ def quillen_pi_n(X, x, n):
 # ---------------------------------------------------------------------------
 # The comparison harness
 
-@dataclass
 class ComparisonReport:
-    pi0_model: int
-    pi0_gpd: int
-    pi1: dict      # object -> (model group name, aut group name)
-    higher_trivial: bool
+    """What `compare` found: pi_0 both ways, `pi1` by object as (model group
+    name, aut group name), and whether every higher group is trivial."""
+
+    __slots__ = ("pi0_model", "pi0_gpd", "pi1", "higher_trivial")
+
+    def __init__(self, pi0_model, pi0_gpd, pi1, higher_trivial):
+        self.pi0_model, self.pi0_gpd, self.pi1 = pi0_model, pi0_gpd, pi1
+        self.higher_trivial = higher_trivial
+
+    def _key(self):
+        return self.pi0_model, self.pi0_gpd, self.pi1, self.higher_trivial
+
+    def __eq__(self, other):
+        if type(other) is not ComparisonReport:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __repr__(self):
+        return ("ComparisonReport(pi0_model=%r, pi0_gpd=%r, pi1=%r, higher_trivial=%r)"
+                % self._key())
 
     def ok(self):
         return self.pi0_model == self.pi0_gpd and self.higher_trivial and \

@@ -8,19 +8,23 @@ groups that come out of the quotient constructions.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+
+from .globe import GlobkitError
 
 
-class GroupError(Exception):
+class GroupError(GlobkitError):
     pass
 
 
-@dataclass(frozen=True)
 class Group:
-    name: str
-    mult: tuple[tuple[int, ...], ...]
+    """A named finite group: `mult[a][b]` is a * b.  The group laws are
+    checked on construction; groups are compared, hashed and printed by
+    name and table."""
 
-    def __post_init__(self):
+    __slots__ = ("name", "mult")
+
+    def __init__(self, name, mult):
+        self.name, self.mult = name, mult
         n = len(self.mult)
 
         def law(holds, what):
@@ -39,6 +43,17 @@ class Group:
                 law(False, "(%d*%d)*%d != %d*(%d*%d)" % (a, b, c, a, b, c))
         for a in range(n):
             law(any(self.mult[a][b] == 0 for b in range(n)), "element %d has no inverse" % a)
+
+    def __eq__(self, other):
+        if type(other) is not Group:
+            return NotImplemented
+        return (self.name, self.mult) == (other.name, other.mult)
+
+    def __hash__(self):
+        return hash((self.name, self.mult))
+
+    def __repr__(self):
+        return "Group(name=%r, mult=%r)" % (self.name, self.mult)
 
     @property
     def order(self):
@@ -225,21 +240,20 @@ def recognize(group):
     return "group of order %d" % group.order
 
 
-@dataclass(frozen=True)
 class CrossedModule:
     """A boundary map d : A -> G with a G-action on A.
 
-    Satisfies equivariance d(g.a) = g d(a) g^-1 and the Peiffer rule
-    d(a).b = a b a^-1; both are checked on construction.
+    `grp` is G, the base group, `agrp` A, the fiber group, `boundary[a]` is
+    d(a) and `action[g][a]` is g.a.  Satisfies equivariance
+    d(g.a) = g d(a) g^-1 and the Peiffer rule d(a).b = a b a^-1; both are
+    checked on construction.
     """
 
-    grp: Group       # G, the base group
-    agrp: Group      # A, the fiber group
-    boundary: tuple[int, ...]          # d : A -> G
-    action: tuple[tuple[int, ...], ...]  # action[g][a] = g.a
+    __slots__ = ("grp", "agrp", "boundary", "action")
 
-    def __post_init__(self):
-        G, A, d, act = self.grp, self.agrp, self.boundary, self.action
+    def __init__(self, grp, agrp, boundary, action):
+        self.grp, self.agrp, self.boundary, self.action = grp, agrp, boundary, action
+        G, A, d, act = grp, agrp, boundary, action
 
         def law(holds, what):
             if not holds:

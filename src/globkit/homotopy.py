@@ -15,15 +15,13 @@ would imply it.  It needs a truncation of at least 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import coherator as coh
 from . import gpd
 from .coherator import compose, eps, gen_term, tuple_term, wordt
-from .globe import Table, sword, tword
+from .globe import GlobkitError, Table, sword, tword
 
 
-class HomotopyError(Exception):
+class HomotopyError(GlobkitError):
     pass
 
 
@@ -240,12 +238,22 @@ def _corrections(tower, bundle, n, i, side):
         yield j, c_gen, d_gen
 
 
-@dataclass
 class DivideResult:
-    forward: dict          # cell -> cell
-    backward: dict         # cell -> cell
-    fwd_classes: dict      # class index -> class index
-    bwd_classes: dict
+    """The division maps on cells (`forward`, `backward`: cell -> cell) and
+    on homotopy classes (`fwd_classes`, `bwd_classes`: class index -> class
+    index); results are equal when their maps are."""
+
+    __slots__ = ("forward", "backward", "fwd_classes", "bwd_classes")
+
+    def __init__(self, forward, backward, fwd_classes, bwd_classes):
+        self.forward, self.backward = forward, backward
+        self.fwd_classes, self.bwd_classes = fwd_classes, bwd_classes
+
+    def __eq__(self, other):
+        if type(other) is not DivideResult:
+            return NotImplemented
+        return (self.forward, self.backward, self.fwd_classes, self.bwd_classes) == \
+            (other.forward, other.backward, other.fwd_classes, other.bwd_classes)
 
 
 def divide(model, bundle, n, i, gamma, u, v, side="left"):
@@ -363,12 +371,20 @@ def base_change_iso(model, bundle, n, u):
 # ---------------------------------------------------------------------------
 # Weak equivalences
 
-@dataclass
 class WeqReport:
-    cond1: bool
-    cond2: bool
-    cond3: bool
-    cond4: bool
+    """The verdicts of the four characterizations of weak equivalence;
+    reports are equal when their verdicts are."""
+
+    __slots__ = ("cond1", "cond2", "cond3", "cond4")
+
+    def __init__(self, cond1, cond2, cond3, cond4):
+        self.cond1, self.cond2, self.cond3, self.cond4 = cond1, cond2, cond3, cond4
+
+    def __eq__(self, other):
+        if type(other) is not WeqReport:
+            return NotImplemented
+        return (self.cond1, self.cond2, self.cond3, self.cond4) == \
+            (other.cond1, other.cond2, other.cond3, other.cond4)
 
     @property
     def agree(self):

@@ -15,16 +15,15 @@ single input is a product of one row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 from . import groups
 from .coherator import TupleT
-from .globe import MAX_CELLS, GlobeError, GlobularSet, realize_sum
+from .globe import MAX_CELLS, GlobeError, GlobkitError, GlobularSet, realize_sum
 from .theta0 import GMap
 
 
-class ModelError(Exception):
+class ModelError(GlobkitError):
     pass
 
 
@@ -39,17 +38,23 @@ class FillerError(ModelError):
         super().__init__(msg)
 
 
-@dataclass
 class Model:
-    """A carrier plus (possibly lazy) generator interpretations."""
+    """A carrier plus (possibly lazy) generator interpretations.
 
-    tower: Tower
-    carrier: GlobularSet
-    interp: dict = field(default_factory=dict)
-    filler: object = None  # callable (model, gen) -> dict, for missing generators
-    units: tuple = None    # units[d][c] = degenerate (d+1)-cell over cell c
-    label: str = ""
-    _programs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    `interp` maps a generator name to its table; `filler(model, gen)`, when
+    given, builds the table of a generator `interp` lacks; `units[d][c]` is
+    the degenerate (d+1)-cell over cell c.  `_programs` holds the compiled
+    terms (`program`).  A model can be weakly referenced, as `perfbench`'s
+    tracer does to count each model's fiber products once."""
+
+    __slots__ = ("tower", "carrier", "interp", "filler", "units", "label", "_programs",
+                 "__weakref__")
+
+    def __init__(self, tower, carrier, interp=None, filler=None, units=None, label=""):
+        self.tower, self.carrier = tower, carrier
+        self.interp = {} if interp is None else interp
+        self.filler, self.units, self.label = filler, units, label
+        self._programs = {}
 
     @property
     def trunc(self):
@@ -226,7 +231,6 @@ class _Copies:
         return f - f % n + self.group.op(g % n, f % n)
 
 
-@dataclass(frozen=True)
 class StrictSpec:
     """A strict model as data: a groupoid of 1-cells and one group A placed
     at dimension m (Brown-Higgins: a crossed module over a groupoid, when
@@ -238,12 +242,13 @@ class StrictSpec:
     d(a) f, and above it every cell is an identity.
     """
 
-    arrows: object         # read through src, tgt, ident, inv and compose
-    fiber: groups.Group    # A
-    m: int
-    boundary: tuple        # boundary[x][a] = d(a), a loop at object x
-    action: tuple          # action[f][a] = f . a
-    label: str
+    __slots__ = ("arrows", "fiber", "m", "boundary", "action", "label")
+
+    def __init__(self, arrows, fiber, m, boundary, action, label):
+        # arrows: read through src, tgt, ident, inv and compose; fiber: A;
+        # boundary[x][a] = d(a), a loop at object x; action[f][a] = f . a
+        self.arrows, self.fiber, self.m = arrows, fiber, m
+        self.boundary, self.action, self.label = boundary, action, label
 
     def comp(self, i, j, v, u):
         """v after u along their j-cells, for i-cells v and u."""
@@ -496,11 +501,13 @@ def model_from_json(data, tower):
 # ---------------------------------------------------------------------------
 # Morphisms of models
 
-@dataclass
 class ModelMorphism:
-    source: Model
-    target: Model
-    maps: tuple  # maps[d][c]
+    """A map of models: `maps[d][c]` is the image of the d-cell c."""
+
+    __slots__ = ("source", "target", "maps")
+
+    def __init__(self, source, target, maps):
+        self.source, self.target, self.maps = source, target, maps
 
     def apply(self, d, c):
         return self.maps[d][c]

@@ -1,5 +1,6 @@
 """The command-line front end: verbs, exit codes, round-trips, fuzzing."""
 
+import importlib
 import json
 import os
 import random
@@ -288,6 +289,108 @@ def test_group_laws_are_checked_also_under_O():
         proc = subprocess.run([sys.executable, *flags, "-c", code],
                               capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 0, (flags, proc.stdout, proc.stderr)
+
+
+def test_stdlib_json_without_out_is_one_object(capsys):
+    """`--format json` reports `stdlib` as JSON also when the script goes to
+    standard output: the script is the text-mode output."""
+    code, text, err = run(capsys, "stdlib", "--dim", "2")
+    assert (code, err) == (0, "") and text.startswith("dim 2\nlift ")
+    code, out, err = run(capsys, "stdlib", "--dim", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"generators": 13, "script": text}
+
+
+_FOOTPRINT = textwrap.dedent("""
+    import json, sys
+    from globkit import cli
+    code = cli.run(sys.argv[1:])
+    print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "globkit")]))
+""")
+
+
+def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
+    """Each verb, in a fresh interpreter, imports the library modules it
+    runs and no others: a tower verb only the term layers, `model-check` no
+    homotopy or groupoid layer, and no verb the rewriting oracle.  No
+    library module imports `dataclasses` or `inspect`."""
+    from globkit import gpd as P
+    from globkit import groups as G
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    with open(tmp_path / "g.json", "w") as fh:
+        json.dump(P.groupoid_to_json(P.one_object(G.cyclic(2))), fh)
+    with open(tmp_path / "m.json", "w") as fh:
+        json.dump({"source": {"kg1": "Z2"}, "target": {"discrete": 1}, "map": [[0], [0, 0]]}, fh)
+
+    def loaded(*argv):
+        proc = subprocess.run([sys.executable, "-c", _FOOTPRINT, *argv], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=120)
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, (argv, proc.stderr)
+        return {m.partition("globkit.")[2] or "globkit" for m in modules}
+
+    tower_verbs = [
+        ("stdlib", "--dim", "3", "--out", "s.tower"), ("check", "s.tower"),
+        ("normalize", "s.tower", "--term", "comp2_1 * s2 * s1"),
+        ("admissible", "s.tower", "--src", "eps2 * s1", "--tgt", "eps1 * t1",
+         "--target", "D1 +0 D1")]
+    other_verbs = [
+        ("model-check", "s.tower", "--kg1", "Z2"), ("pi", "s.tower", "--kg1", "Z2", "--n", "1"),
+        ("divide", "s.tower", "--kan", "Z2,2", "--n", "2", "--i", "0", "--gamma", "1",
+         "--u", "0", "--v", "0"),
+        ("weq", "s.tower", "m.json"), ("fundamental", "g.json", "--dim", "3"),
+        ("gpd-pi", "g.json", "--n", "1")]
+    footprints = {argv: loaded(*argv) for argv in tower_verbs + other_verbs}
+    for argv, modules in footprints.items():
+        assert "rewrite" not in modules and {"globkit", "cli", "globe"} <= modules, argv
+        if argv in tower_verbs:
+            assert modules <= {"globkit", "cli", "globe", "theta0", "coherator", "dsl"}, argv
+    assert {"homotopy", "gpd"} & footprints[other_verbs[0]] == set()
+    assert {"homotopy", "gpd"} <= footprints[other_verbs[1]]
+    names = sorted(f[:-3] for f in os.listdir(os.path.dirname(cli.__file__))
+                   if f.endswith(".py") and not f.startswith("_"))
+    assert len(names) > 5
+    code = ("import importlib, sys\n"
+            "for name in sys.argv[1:]:\n"
+            "    importlib.import_module('globkit.' + name)\n"
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code, *names], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_every_library_error_exits_with_its_code(monkeypatch, capsys):
+    """Every exception class the library defines, raised by a verb, exits
+    with the README's code through the one table in `run`: 2 for a parse
+    error and 1 for every other.  An `OSError` exits 3, and an error from
+    outside the library propagates."""
+    package = os.path.dirname(cli.__file__)
+    errors = []
+    for name in sorted(f[:-3] for f in os.listdir(package)
+                       if f.endswith(".py") and not f.startswith("_")):
+        module = importlib.import_module("globkit." + name)
+        errors += [obj for obj in vars(module).values()
+                   if isinstance(obj, type) and issubclass(obj, Exception)
+                   and obj.__module__ == module.__name__ and obj is not cli.CliError]
+    assert {"ParseError", "CheckError", "MatchingError", "InadmissibleError", "LawViolation",
+            "FillerError", "GroupError"} <= {cls.__name__ for cls in errors}
+
+    def raising(error):
+        def verb(args):
+            raise error
+        return verb
+
+    for cls in errors:
+        error = cls.__new__(cls)
+        Exception.__init__(error, "stub %s" % cls.__name__)
+        monkeypatch.setattr(cli, "cmd_check", raising(error))
+        want = 2 if cls is dsl.ParseError else 1
+        assert run(capsys, "check", "x.tower") == (want, "", "error: stub %s\n" % cls.__name__)
+    monkeypatch.setattr(cli, "cmd_check", raising(OSError("disk gone")))
+    assert run(capsys, "check", "x.tower") == (3, "", "error: disk gone\n")
+    monkeypatch.setattr(cli, "cmd_check", raising(KeyError("outside")))
+    with pytest.raises(KeyError, match="outside"):
+        cli.run(["check", "x.tower"])
 
 
 def test_malformed_model_and_morphism_files_exit_1(tmp_path, capsys):

@@ -416,7 +416,9 @@ def test_bundle_case_formulas(std4):
     # the check must also be seen to fail: a (2, 0) slot naming a
     # codimension-1 generator breaks the codimension-2 formula
     for field, wrong in (("comp", "comp2_1"), ("inv", "inv2_1")):
-        bad = dataclasses.replace(bundle, **{field: {**getattr(bundle, field), (2, 0): wrong}})
+        fields = {"comp": bundle.comp, "unit": bundle.unit, "inv": bundle.inv}
+        fields[field] = {**fields[field], (2, 0): wrong}
+        bad = C.PregroupoidBundle(**fields)
         with pytest.raises(TermError, match=wrong):
             verify_bundle(tower, bad)
 

@@ -2,6 +2,7 @@
 
 import ast
 import copy
+import dataclasses
 import gc
 import itertools
 import pathlib
@@ -367,10 +368,11 @@ def test_library_has_no_assert():
 
 # The library's process-global caches.  Each lives as long as the process,
 # so adding one is a decision recorded here.  The `lru_cache`s are unbounded;
-# the one weak intern table of `Table`s, `GMap`s, generators and term nodes
-# holds each value while it is referenced.  Memos keyed by one table, map or
-# term node live on that object instead, and what a globular set alone
-# determines (faces along a word, fiber products) lives on the set.
+# the one weak intern table of words, `Table`s, `GMap`s, generators, term
+# nodes and raw nodes holds each value while it is referenced.  Memos keyed
+# by one table, map or term node live on that object instead, and what a
+# globular set alone determines (faces along a word, fiber products) lives
+# on the set.
 GLOBAL_CACHES = {
     "globe.disk", "globe.realize_sum", "globe._INTERNED", "theta0.word_gmap",
 }
@@ -429,8 +431,12 @@ def test_a_lookup_hit_passes_the_field_type_checks():
     whether that value is alive or not, and it stays the interned one."""
     pair = Table((1, 1), (0,))
     wide = Table((5, 6, 5), (3, 2))
+    edge = sword(0, 1)
     naturals, ints = "table entries must be naturals", "map cells must be a tuple of ints"
+    ends = "word endpoints must be ints"
     cases = [
+        (Word, (0.0, 1, "s"), (0, 1, "s"), ends),
+        (Word, (0, True, "s"), (0, 1, "s"), ends),
         (Table, ((1.0,), ()), ((1,), ()), naturals),
         (Table, ((True,), ()), ((1,), ()), naturals),
         (Table, ((6, 2, 6.0), (1, 1)), ((6, 2, 6), (1, 1)), naturals),
@@ -449,7 +455,7 @@ def test_a_lookup_hit_passes_the_field_type_checks():
         assert cls(*right) is held and held._values() == right
         assert all(type(i) is int for field in held._values() if type(field) is tuple
                    for i in field)
-    assert not_alive == 2
+    assert not_alive == 2 and edge is Word(0, 1, "s")
 
 
 def _interned_cases():
@@ -463,7 +469,13 @@ def _interned_cases():
     lonely = coherator.Tower(2)
     lonely.declare("lonely", coherator.identity(disk(0)), coherator.identity(disk(0)))
     fresh = lonely.term("lonely")
+    rgen = coherator.RGen(tower["assoc1"])
     return {
+        "Word": (sword(1, 2), (7, 41, "t"), (), (3, 1, "s"), GlobeError),
+        "RGen": (rgen, (fresh.gen,), (lonely, fresh), (tower["assoc1"], 2), TypeError),
+        "RTuple": (coherator.RTuple(tab, (rgen, rgen)), (tab, (fresh, rgen)), (),
+                   (tab, [rgen, rgen]), TypeError),
+        "RComp": (coherator.RComp(fresh, rgen), (rgen, fresh), (), (rgen,), TypeError),
         "Table": (Table((2, 1, 2), (0, 0)), ((3, 3, 3, 3, 3), (2, 1, 2, 0)), (),
                   ((2, 1, 2), [0, 0]), GlobeError),
         "GMap": (theta0.leg_gmap(tab, 1), (disk(0), Table((4, 5, 4), (3, 2)), (0,)), (),
@@ -477,10 +489,12 @@ def _interned_cases():
     }
 
 
-@pytest.mark.parametrize("name", ["Table", "GMap", "Chain", "TupleT", "Gen"])
+@pytest.mark.parametrize("name", ["Table", "GMap", "Chain", "TupleT", "Gen", "Word",
+                                  "RGen", "RTuple", "RComp"])
 def test_interned_values_share_one_contract(name):
-    """`Table`, `GMap`, `Chain`, `TupleT` and `coherator.Gen` are interned by
-    `globe.Interned` in one weak table keyed by (class,) + fields: equal
+    """`Table`, `Word`, `GMap`, `Chain`, `TupleT`, `coherator.Gen` and the
+    raw nodes `RGen`, `RTuple` and `RComp` are interned by `globe.Interned`
+    in one weak table keyed by (class,) + fields: equal
     values are one object with the stored hash of its fields, copies and
     pickles included; it is immutable and its repr is
     `Class(field=value, ...)`, except a generator's, `Gen(name)`; a refused
@@ -523,3 +537,61 @@ def test_fiber_products_above_the_cell_bound_are_refused_before_they_are_built()
     # none compose, so the product is counted and built, empty
     arrows = GlobularSet((2, 1500), ((), (0,) * 1500), ((), (1,) * 1500))
     assert arrows.fiber_product(pair) == ()
+
+
+def test_plain_classes_match_the_dataclasses_they_replace(strict_models):
+    """Words, carriers, groupoids, groups and raw terms were frozen
+    dataclasses.  Against dataclasses rebuilt from the same fields, over
+    sample values: the same `==` and `!=` on every pair, the same hash and
+    repr, and a pickle round trip that gives an equal value of that repr."""
+    from globkit import gpd, groups, rewrite
+
+    old = {name: dataclasses.make_dataclass(name, fields, frozen=True) for name, fields in (
+        ("Word", ["src", "tgt", "kind"]),
+        ("GlobularSet", ["cells", "src", "tgt", ("_memo", dict, dataclasses.field(
+            default_factory=dict, init=False, repr=False, compare=False))]),
+        ("Groupoid", ["n_objects", "src", "tgt", "comp", "ident", "inv"]),
+        ("Group", ["name", "mult"]),
+        ("RGen", ["gen"]), ("RTuple", ["src_table", "comps"]), ("RComp", ["outer", "inner"]))}
+
+    def as_old(x):
+        if isinstance(x, coherator.RTuple):
+            return old["RTuple"](x.src_table, tuple(map(as_old, x.comps)))
+        if isinstance(x, coherator.RComp):
+            return old["RComp"](as_old(x.outer), as_old(x.inner))
+        if isinstance(x, coherator.RGen):
+            return old["RGen"](x.gen)
+        if isinstance(x, theta0.GMap):
+            return x
+        if isinstance(x, Word):
+            return old["Word"](x.src, x.tgt, x.kind)
+        if isinstance(x, GlobularSet):
+            return old["GlobularSet"](x.cells, x.src, x.tgt)
+        if isinstance(x, gpd.Groupoid):
+            return old["Groupoid"](x.n_objects, x.src, x.tgt, x.comp, x.ident, x.inv)
+        return old["Group"](x.name, x.mult)
+
+    tower = coherator.stdlib(4)[0]
+    rng = random.Random(2500)
+    samples = {
+        "words": [word for gen in tower.gens() for row in realize_sum(gen.target).owners
+                  for _, word in row],
+        "carriers": [m.carrier for m in strict_models]
+        + [GlobularSet(m.carrier.cells, m.carrier.src, m.carrier.tgt) for m in strict_models],
+        "groupoids": [X for _, X in gpd.corpus(2, 4)] + [X for _, X in gpd.corpus(2, 4)],
+        "groups": [groups.by_name(name) for name in groups._CATALOGUE]
+        + [groups.Group(name, groups.by_name(name).mult) for name in groups._CATALOGUE]
+        + [groups.Group("G", groups.by_name(name).mult) for name in groups._CATALOGUE],
+        "raw terms": [rewrite.random_raw(tower, rng, budget=8) for _ in range(300)],
+    }
+    for kind, values in samples.items():
+        olds = [as_old(x) for x in values]
+        for x, o in zip(values, olds):
+            assert (repr(x), hash(x)) == (repr(o), hash(o)), kind
+            twin = pickle.loads(pickle.dumps(x))
+            assert twin == x and (repr(twin), hash(twin)) == (repr(o), hash(o)), kind
+        equal = 0
+        for (x, ox), (y, oy) in itertools.product(zip(values, olds), repeat=2):
+            assert (x == y, x != y) == (ox == oy, ox != oy), kind
+            equal += x == y
+        assert len(values) < equal < len(values) ** 2, kind

@@ -1,7 +1,6 @@
 """Folk-structure validators, sums, fillers, fundamental models, comparison."""
 
 import ast
-import dataclasses
 import itertools
 import pathlib
 import random
@@ -36,7 +35,8 @@ def test_groupoid_validation_rejects_non_groupoids():
         comp = [list(row) for row in X.comp]
         for g, f, val in changes:
             comp[g][f] = val
-        bad = dataclasses.replace(X, comp=tuple(tuple(row) for row in comp))
+        bad = P.Groupoid(X.n_objects, X.src, X.tgt, tuple(tuple(row) for row in comp),
+                         X.ident, X.inv)
         with pytest.raises(P.GroupoidError, match="composability table wrong"):
             bad.validate()
 
