@@ -15,9 +15,9 @@ explicitly after each separator or inferred as the largest compatible one;
 
 from __future__ import annotations
 
+import collections
 import itertools
 import re
-from typing import NamedTuple
 
 from . import coherator as coh
 from . import theta0
@@ -43,11 +43,7 @@ class CheckError(GlobkitError):
         super().__init__("line %d: %s" % (line, msg))
 
 
-class Token(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
+Token = collections.namedtuple("Token", "kind value line col")
 
 
 # Each match is one token and the blanks before it: a comment, a newline,

@@ -19,7 +19,7 @@ concretely and compared against the quotient pipeline.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 from . import coherator as coh
 from . import groups
@@ -35,8 +35,10 @@ class Groupoid:
     """Objects 0..n-1, arrows with boundaries, composition/identity/inverse:
     `comp[g][f]` is g after f, or None, and `ident[x]` the identity at x.
 
-    Groupoids are compared, hashed and printed by these six fields; the
-    lists of arrows by object and by hom-set are kept once computed."""
+    Groupoids are compared, hashed and printed by these six fields.  What
+    they alone determine is kept on the instance once computed and dies with
+    it: the lists of arrows by object and by hom-set, and, by base object,
+    the loop object and Quillen's pi_1 (`loop_object`, `quillen_pi1`)."""
 
     def __init__(self, n_objects, src, tgt, comp, ident, inv):
         self.n_objects, self.src, self.tgt = n_objects, src, tgt
@@ -77,6 +79,11 @@ class Groupoid:
         for a, key in enumerate(zip(self.src, self.tgt)):
             out.setdefault(key, []).append(a)
         return {key: tuple(arrs) for key, arrs in out.items()}
+
+    @cached_property
+    def _by_object(self):
+        """What `loop_object` and `quillen_pi1` return, by (function name, x)."""
+        return {}
 
     def hom(self, x, y):
         """The arrows x -> y, ascending."""
@@ -140,6 +147,7 @@ class Groupoid:
     def loops(self, x):
         """The loops at an object in vertex-group order: the identity first,
         the other loops ascending."""
+        check_object(self, x)
         return [self.ident[x]] + [a for a in self.hom(x, x) if a != self.ident[x]]
 
     def aut_group(self, x):
@@ -150,6 +158,13 @@ class Groupoid:
         index = {a: i for i, a in enumerate(loops)}
         mult = tuple(tuple(index[self.comp[a][b]] for b in loops) for a in loops)
         return groups.Group("Aut(%d)" % x, mult), loops
+
+
+def check_object(X, x):
+    """Refuse a base object x that is not one of X's objects."""
+    if not 0 <= x < X.n_objects:
+        raise GroupoidError("object %d out of range: the groupoid has %d objects"
+                            % (x, X.n_objects))
 
 
 def _in_out_lists(n_objects, src, tgt):
@@ -555,21 +570,36 @@ def loop_object(X, x):
     the loops u at x in ascending arrow order, and the arrows are the
     squares (u, v, id_x, id_x), those with v . id_x == id_x . u in X.
     Returns (Omega, base object index, object labels); the groupoid is
-    discrete.
+    discrete.  X keeps Omega, so each object's is built once; the labels
+    are a fresh list on every call.
     """
-    e = X.ident[x]
-    loops = list(X.hom(x, x))
-    arrows = [(i, j) for i, u in enumerate(loops) for j, v in enumerate(loops)
-              if X.comp[v][e] == X.comp[e][u]]
-    index = {a: i for i, a in enumerate(arrows)}
-    omega = build_groupoid(len(loops), arrows,
-                           lambda g, f: index[(arrows[f][0], arrows[g][1])])
-    return omega, loops.index(e), loops
+    check_object(X, x)
+    key = ("loop_object", x)
+    if key not in X._by_object:
+        e = X.ident[x]
+        loops = X.hom(x, x)
+        arrows = [(i, j) for i, u in enumerate(loops) for j, v in enumerate(loops)
+                  if X.comp[v][e] == X.comp[e][u]]
+        index = {a: i for i, a in enumerate(arrows)}
+        omega = build_groupoid(len(loops), arrows,
+                               lambda g, f: index[(arrows[f][0], arrows[g][1])])
+        X._by_object[key] = omega, loops.index(e), loops
+    omega, c_x, loops = X._by_object[key]
+    return omega, c_x, list(loops)
 
 
 def pi0_gpd(X):
     """Connected components: homotopy classes of points."""
     return len(X.iso_classes())
+
+
+@cache
+def _cylinder_walk():
+    """The walk of the filler of (eps2.s1, eps1.t1) on D1 +0 D1, from its
+    source end to its target end: loops compose along it."""
+    tab = Table((1, 1), (0,))
+    real = realize_sum(tab)
+    return realize_gpd(tab).walk(real.legs[1][0][0], real.legs[0][0][1])
 
 
 def quillen_pi1(X, x):
@@ -578,39 +608,32 @@ def quillen_pi1(X, x):
     Classes of homotopies from x to x compose through the filler of the
     two-cylinder pasting; the loop object's components give the same set.
     Both the group table, on `X.loops(x)` in that order, and the agreement
-    of the two routes are returned.
+    of the two routes are returned.  X keeps the result, so each object's
+    is computed once; the loops are a fresh list on every call.
     """
-    loops = X.loops(x)
-    # composition through the filler of (eps2.s1, eps1.t1) on D1 +0 D1,
-    # from its source end to its target end
-    tab = Table((1, 1), (0,))
-    real = realize_sum(tab)
-    walk = realize_gpd(tab).walk(real.legs[1][0][0], real.legs[0][0][1])
-
-    def comp(l2, l1):
-        return walk_arrow(X, walk, (l2, l1))
-
-    index = {a: i for i, a in enumerate(loops)}
-    mult = tuple(tuple(index[comp(a, b)] for b in loops) for a in loops)
-    grp = groups.Group("pi1(%d)" % x, mult)
-    omega, c_x, olabels = loop_object(X, x)
-    if pi0_gpd(omega) != grp.order or sorted(olabels) != sorted(loops):
-        raise GroupoidError("loop-object components disagree with cylinder classes")
-    return grp, loops, omega
-
-
-def check_object(X, x):
-    """Refuse a base object x that is not one of X's objects."""
-    if not 0 <= x < X.n_objects:
-        raise GroupoidError("object %d out of range: the groupoid has %d objects"
-                            % (x, X.n_objects))
+    check_object(X, x)
+    key = ("quillen_pi1", x)
+    if key not in X._by_object:
+        loops = X.loops(x)
+        walk = _cylinder_walk()
+        index = {a: i for i, a in enumerate(loops)}
+        mult = tuple(tuple(index[walk_arrow(X, walk, (a, b))] for b in loops)
+                     for a in loops)
+        grp = groups.Group("pi1(%d)" % x, mult)
+        omega, c_x, olabels = loop_object(X, x)
+        if pi0_gpd(omega) != grp.order or sorted(olabels) != sorted(loops):
+            raise GroupoidError("loop-object components disagree with cylinder classes")
+        X._by_object[key] = grp, tuple(loops), omega
+    grp, loops, omega = X._by_object[key]
+    return grp, list(loops), omega
 
 
 def quillen_pi_n(X, x, n):
     """Higher homotopy groups by looping.
 
     The loop object is discrete, so looping soon returns the groupoid it
-    started from; from there every further loop is the same.
+    started from; from there every further loop is the same.  Each groupoid
+    keeps its loop objects, so a larger n walks the chain a smaller n built.
     """
     check_object(X, x)
     if n < 1:

@@ -35,6 +35,16 @@ def _check_cell(model, d, c, what):
         raise HomotopyError("%s %d is not one of the %d %d-cells" % (what, c, count, d))
 
 
+def _check_n(model, n, lowest, what):
+    """Refuse an n outside lowest..trunc-1: reading homotopy classes of
+    n-cells needs the (n+1)-cells."""
+    top = model.trunc - 1
+    if not lowest <= n <= top:
+        allowed = "%d <= n <= %d" % (lowest, top) if lowest <= top else "no n"
+        raise HomotopyError("%s at n = %d is out of range: truncation %d allows %s"
+                            % (what, n, model.trunc, allowed))
+
+
 def parallel_cells(model, n, a, b):
     if n == 0:
         return True
@@ -169,6 +179,7 @@ def pi_n_at(pg, n, u):
 def pi_n(model, bundle, n, x=0):
     """Homotopy group (group, elements, pi-groupoid) at a base object for
     n >= 1, or the components for n = 0; the base must be a 0-cell either way."""
+    _check_n(model, n, 0, "pi_n")
     _check_cell(model, 0, x, "base object")
     if n == 0:
         return pi0(model)
@@ -262,8 +273,9 @@ def divide(model, bundle, n, i, gamma, u, v, side="left"):
     side='left' sends a to gamma * a, side='right' to a * gamma; both return
     verified mutually-inverse bijections on homotopy classes.
     """
-    if not (n >= 2 and 0 <= i < n - 1):
-        raise HomotopyError("division needs n >= 2 and 0 <= i < n-1")
+    _check_n(model, n, 2, "division")
+    if not 0 <= i < n - 1:
+        raise HomotopyError("division needs 0 <= i < n-1")
     _check_cell(model, n, gamma, "gamma")
     _check_cell(model, n - 1, u, "u")
     _check_cell(model, n - 1, v, "v")

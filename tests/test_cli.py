@@ -549,6 +549,39 @@ def test_out_of_range_numeric_flags_exit_1(tmp_path, capsys):
     assert code == 0 and "pi_5000 = Z1" in out
 
 
+def test_n_beyond_the_truncation_names_the_allowed_range(tmp_path, capsys):
+    """`pi` and `divide` check n against the truncation before anything
+    else, so an n too large or too small is named as such."""
+    path = str(tmp_path / "std.tower")
+    run(capsys, "stdlib", "--dim", "4", "--out", path)
+    low = str(tmp_path / "low.tower")
+    with open(low, "w") as fh:
+        fh.write("dim 0\n")
+    cells = ["--i", "0", "--gamma", "0", "--u", "0", "--v", "0"]
+    for argv, message in (
+            (["pi", path, "--kg1", "Z2", "--n", "9"],
+             "pi_n at n = 9 is out of range: truncation 4 allows 0 <= n <= 3"),
+            (["pi", path, "--kg1", "Z2", "--n", "4", "--base", "7"],
+             "pi_n at n = 4 is out of range: truncation 4 allows 0 <= n <= 3"),
+            (["pi", path, "--kg1", "Z2", "--n", "-1"],
+             "pi_n at n = -1 is out of range: truncation 4 allows 0 <= n <= 3"),
+            (["pi", low, "--discrete", "2", "--n", "0"],
+             "pi_n at n = 0 is out of range: truncation 0 allows no n"),
+            (["divide", path, "--kan", "Z2,2", "--n", "5"] + cells,
+             "division at n = 5 is out of range: truncation 4 allows 2 <= n <= 3"),
+            (["divide", path, "--kan", "Z2,2", "--n", "4"] + cells,
+             "division at n = 4 is out of range: truncation 4 allows 2 <= n <= 3"),
+            (["divide", path, "--kan", "Z2,2", "--n", "1"] + cells,
+             "division at n = 1 is out of range: truncation 4 allows 2 <= n <= 3"),
+            (["divide", path, "--kan", "Z2,3", "--n", "3", "--i", "2", "--gamma", "0",
+              "--u", "0", "--v", "0"], "division needs 0 <= i < n-1")):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", "error: %s\n" % message), argv
+    # the top of the range still answers
+    code, out, _ = run(capsys, "pi", path, "--kg1", "Z2", "--n", "3")
+    assert code == 0 and out == "pi_3 = Z1 (order 1, abelian)\n"
+
+
 def test_exactly_one_model_source(tmp_path, capsys):
     from globkit import groups as G, model as M
     path = str(tmp_path / "std.tower")

@@ -369,12 +369,16 @@ def test_library_has_no_assert():
 # The library's process-global caches.  Each lives as long as the process,
 # so adding one is a decision recorded here.  The `lru_cache`s are unbounded;
 # the one weak intern table of words, `Table`s, `GMap`s, generators, term
-# nodes and raw nodes holds each value while it is referenced.  Memos keyed
-# by one table, map or term node live on that object instead, and what a
-# globular set alone determines (faces along a word, fiber products) lives
-# on the set.
+# nodes and raw nodes holds each value while it is referenced; the fifth,
+# `gpd._cylinder_walk`, takes no argument and holds the one walk along
+# which `quillen_pi1` composes loops.  Memos keyed by one table, map or
+# term node live on that object instead, what a globular set alone
+# determines (faces along a word, fiber products) lives on the set, and
+# what a groupoid alone determines (loop objects, Quillen's pi_1) lives on
+# the groupoid.
 GLOBAL_CACHES = {
     "globe.disk", "globe.realize_sum", "globe._INTERNED", "theta0.word_gmap",
+    "gpd._cylinder_walk",
 }
 
 
@@ -396,7 +400,7 @@ def test_library_caches_are_the_allowlist():
     src = pathlib.Path(globkit.__file__).parent
     found = {"%s.%s" % (path.stem, name) for path in sorted(src.glob("*.py"))
              for name in cached(ast.parse(path.read_text(encoding="utf-8")))}
-    assert found == GLOBAL_CACHES and len(found) == 4
+    assert found == GLOBAL_CACHES and len(found) == 5
     assert cached(ast.parse("import functools\n@functools.lru_cache(maxsize=None)\n"
                             "def f(): pass\n@cache\ndef g(): pass\n"
                             "@property\ndef h(): pass\n"

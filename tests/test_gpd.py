@@ -1,9 +1,12 @@
 """Folk-structure validators, sums, fillers, fundamental models, comparison."""
 
 import ast
+import gc
 import itertools
 import pathlib
 import random
+import sys
+import weakref
 
 import pytest
 
@@ -384,6 +387,7 @@ def test_composition_of_homotopies_agrees_with_cylinder_pasting():
         from globkit.globe import realize_sum
         real = realize_sum(tab)
         walk = P.realize_gpd(tab).walk(real.legs[1][0][0], real.legs[0][0][1])
+        assert walk == P._cylinder_walk()
         for l1 in range(X.n_arrows):
             for l2 in range(X.n_arrows):
                 if X.tgt[l1] != X.src[l2]:
@@ -478,6 +482,98 @@ def test_loop_object_matches_path_object_restriction():
     for name, X in P.corpus(3, 8):
         for x in range(X.n_objects):
             assert P.loop_object(X, x) == _loop_object_from_path_object(X, x), (name, x)
+
+
+def test_out_of_range_objects_are_refused():
+    """No object outside 0..n-1 reaches a lookup, where a negative one
+    would read the last object's identity."""
+    X = P.connected_groupoid(2, G.cyclic(3))
+    for x in (-1, 2, 5):
+        for call in (X.loops, X.aut_group, lambda x: P.loop_object(X, x),
+                     lambda x: P.quillen_pi1(X, x), lambda x: P.quillen_pi_n(X, x, 2)):
+            with pytest.raises(P.GroupoidError,
+                               match="object %d out of range: the groupoid has 2 objects" % x):
+                call(x)
+    assert X._by_object == {}
+
+
+def _fresh(X):
+    """X as a new instance, which has computed nothing yet."""
+    return P.Groupoid(*X._key())
+
+
+def _types(result):
+    return [type(v) for v in result]
+
+
+@pytest.mark.parametrize("bounds", [(3, 8), (2, 4)])
+def test_kept_loop_objects_and_pi1_match_a_fresh_groupoid(bounds):
+    """Along each loop chain X, Omega X, Omega^2 X, ..., `loop_object`,
+    `quillen_pi1` and `quillen_pi_n` on a groupoid that keeps its results,
+    first call and repeat, equal the results on a fresh copy, value and
+    type."""
+    for name, X in P.corpus(*bounds):
+        for x in range(X.n_objects):
+            Y, y = X, x
+            for n in range(1, 5):
+                for fn in (P.loop_object, P.quillen_pi1):
+                    want = fn(_fresh(Y), y)
+                    for got in (fn(Y, y), fn(Y, y)):
+                        assert got == want and _types(got) == _types(want), (name, x, n)
+                want = P.quillen_pi_n(_fresh(X), x, n)
+                assert P.quillen_pi_n(X, x, n) == want, (name, x, n)
+                assert P.quillen_pi_n(X, x, n) == want, (name, x, n)
+                Y, y, _ = P.loop_object(Y, y)
+
+
+def test_kept_results_do_not_share_their_lists():
+    """A repeat returns what the first call returned, lists as lists, and
+    a caller that mutates a returned list changes no later call."""
+    X = P.connected_groupoid(2, G.symmetric(3))
+    for fn, types, labels in ((P.loop_object, [P.Groupoid, int, list], 2),
+                              (P.quillen_pi1, [G.Group, list, P.Groupoid], 1)):
+        want = fn(_fresh(X), 1)
+        first, again = fn(X, 1), fn(X, 1)
+        assert _types(first) == _types(again) == types
+        first[labels].append(99)
+        again[labels].clear()
+        assert fn(X, 1) == want
+
+
+def test_compare_builds_each_loop_object_once(std4, interp4, monkeypatch):
+    """Over one `compare`, every loop object is built once per (groupoid,
+    object): quillen_pi_n reuses the chain that quillen_pi1 and lower n
+    built."""
+    tower, bundle = std4
+    built = []
+    build = P.build_groupoid
+
+    def counting(*args):
+        caller = sys._getframe(1)
+        if caller.f_code is P.loop_object.__code__:
+            built.append((caller.f_locals["X"], caller.f_locals["x"]))
+        return build(*args)
+
+    monkeypatch.setattr(P, "build_groupoid", counting)
+    for name, X in P.corpus(3, 8):
+        built.clear()
+        P.compare(X, tower, bundle, interp4)
+        keys = [(id(Y), y) for Y, y in built]
+        assert len(keys) == len(set(keys)), name
+        assert {(id(X), x) for x in range(X.n_objects)} <= set(keys), name
+
+
+def test_dropping_a_groupoid_frees_its_loop_objects():
+    X = P.connected_groupoid(2, G.cyclic(3))
+    assert P.quillen_pi_n(X, 1, 3).order == 1
+    omega = P.loop_object(X, 1)[0]
+    kept = [weakref.ref(omega), weakref.ref(P.loop_object(omega, 0)[0])]
+    del omega
+    gc.collect()
+    assert all(ref() is not None for ref in kept)
+    del X
+    gc.collect()
+    assert [ref() for ref in kept] == [None, None]
 
 
 def test_compare_connected_s3_on_three_objects(std4, interp4):
