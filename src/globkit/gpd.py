@@ -37,8 +37,8 @@ class Groupoid:
 
     Groupoids are compared, hashed and printed by these six fields.  What
     they alone determine is kept on the instance once computed and dies with
-    it: the lists of arrows by object and by hom-set, and, by base object,
-    the loop object and Quillen's pi_1 (`loop_object`, `quillen_pi1`)."""
+    it: the lists of arrows by object and by hom-set, and the loop object at
+    each base object (`loop_object`)."""
 
     def __init__(self, n_objects, src, tgt, comp, ident, inv):
         self.n_objects, self.src, self.tgt = n_objects, src, tgt
@@ -81,8 +81,8 @@ class Groupoid:
         return {key: tuple(arrs) for key, arrs in out.items()}
 
     @cached_property
-    def _by_object(self):
-        """What `loop_object` and `quillen_pi1` return, by (function name, x)."""
+    def _loop_objects(self):
+        """What `loop_object` built, by base object: (Omega, c_x, loops)."""
         return {}
 
     def hom(self, x, y):
@@ -574,8 +574,7 @@ def loop_object(X, x):
     are a fresh list on every call.
     """
     check_object(X, x)
-    key = ("loop_object", x)
-    if key not in X._by_object:
+    if x not in X._loop_objects:
         e = X.ident[x]
         loops = X.hom(x, x)
         arrows = [(i, j) for i, u in enumerate(loops) for j, v in enumerate(loops)
@@ -583,8 +582,8 @@ def loop_object(X, x):
         index = {a: i for i, a in enumerate(arrows)}
         omega = build_groupoid(len(loops), arrows,
                                lambda g, f: index[(arrows[f][0], arrows[g][1])])
-        X._by_object[key] = omega, loops.index(e), loops
-    omega, c_x, loops = X._by_object[key]
+        X._loop_objects[x] = omega, loops.index(e), loops
+    omega, c_x, loops = X._loop_objects[x]
     return omega, c_x, list(loops)
 
 
@@ -608,24 +607,18 @@ def quillen_pi1(X, x):
     Classes of homotopies from x to x compose through the filler of the
     two-cylinder pasting; the loop object's components give the same set.
     Both the group table, on `X.loops(x)` in that order, and the agreement
-    of the two routes are returned.  X keeps the result, so each object's
-    is computed once; the loops are a fresh list on every call.
+    of the two routes are returned.  The loop object is the one X keeps.
     """
-    check_object(X, x)
-    key = ("quillen_pi1", x)
-    if key not in X._by_object:
-        loops = X.loops(x)
-        walk = _cylinder_walk()
-        index = {a: i for i, a in enumerate(loops)}
-        mult = tuple(tuple(index[walk_arrow(X, walk, (a, b))] for b in loops)
-                     for a in loops)
-        grp = groups.Group("pi1(%d)" % x, mult)
-        omega, c_x, olabels = loop_object(X, x)
-        if pi0_gpd(omega) != grp.order or sorted(olabels) != sorted(loops):
-            raise GroupoidError("loop-object components disagree with cylinder classes")
-        X._by_object[key] = grp, tuple(loops), omega
-    grp, loops, omega = X._by_object[key]
-    return grp, list(loops), omega
+    loops = X.loops(x)
+    walk = _cylinder_walk()
+    index = {a: i for i, a in enumerate(loops)}
+    mult = tuple(tuple(index[walk_arrow(X, walk, (a, b))] for b in loops)
+                 for a in loops)
+    grp = groups.Group("pi1(%d)" % x, mult)
+    omega, c_x, olabels = loop_object(X, x)
+    if pi0_gpd(omega) != grp.order or sorted(olabels) != sorted(loops):
+        raise GroupoidError("loop-object components disagree with cylinder classes")
+    return grp, loops, omega
 
 
 def quillen_pi_n(X, x, n):

@@ -374,8 +374,8 @@ def test_library_has_no_assert():
 # which `quillen_pi1` composes loops.  Memos keyed by one table, map or
 # term node live on that object instead, what a globular set alone
 # determines (faces along a word, fiber products) lives on the set, and
-# what a groupoid alone determines (loop objects, Quillen's pi_1) lives on
-# the groupoid.
+# what a groupoid alone determines (its loop objects) lives on the
+# groupoid.
 GLOBAL_CACHES = {
     "globe.disk", "globe.realize_sum", "globe._INTERNED", "theta0.word_gmap",
     "gpd._cylinder_walk",

@@ -494,7 +494,7 @@ def test_out_of_range_objects_are_refused():
             with pytest.raises(P.GroupoidError,
                                match="object %d out of range: the groupoid has 2 objects" % x):
                 call(x)
-    assert X._by_object == {}
+    assert X._loop_objects == {}
 
 
 def _fresh(X):
@@ -507,11 +507,11 @@ def _types(result):
 
 
 @pytest.mark.parametrize("bounds", [(3, 8), (2, 4)])
-def test_kept_loop_objects_and_pi1_match_a_fresh_groupoid(bounds):
+def test_kept_loop_objects_match_a_fresh_groupoid(bounds):
     """Along each loop chain X, Omega X, Omega^2 X, ..., `loop_object`,
-    `quillen_pi1` and `quillen_pi_n` on a groupoid that keeps its results,
-    first call and repeat, equal the results on a fresh copy, value and
-    type."""
+    `quillen_pi1` and `quillen_pi_n` on a groupoid that keeps its loop
+    objects, first call and repeat, equal the results on a fresh copy,
+    value and type."""
     for name, X in P.corpus(*bounds):
         for x in range(X.n_objects):
             Y, y = X, x
@@ -526,18 +526,16 @@ def test_kept_loop_objects_and_pi1_match_a_fresh_groupoid(bounds):
                 Y, y, _ = P.loop_object(Y, y)
 
 
-def test_kept_results_do_not_share_their_lists():
-    """A repeat returns what the first call returned, lists as lists, and
-    a caller that mutates a returned list changes no later call."""
+def test_kept_loop_objects_do_not_share_their_labels():
+    """A repeat returns what the first call returned, the labels as a
+    list, and a caller that mutates the labels changes no later call."""
     X = P.connected_groupoid(2, G.symmetric(3))
-    for fn, types, labels in ((P.loop_object, [P.Groupoid, int, list], 2),
-                              (P.quillen_pi1, [G.Group, list, P.Groupoid], 1)):
-        want = fn(_fresh(X), 1)
-        first, again = fn(X, 1), fn(X, 1)
-        assert _types(first) == _types(again) == types
-        first[labels].append(99)
-        again[labels].clear()
-        assert fn(X, 1) == want
+    want = P.loop_object(_fresh(X), 1)
+    first, again = P.loop_object(X, 1), P.loop_object(X, 1)
+    assert _types(first) == _types(again) == [P.Groupoid, int, list]
+    first[2].append(99)
+    again[2].clear()
+    assert P.loop_object(X, 1) == want
 
 
 def test_compare_builds_each_loop_object_once(std4, interp4, monkeypatch):
