@@ -296,6 +296,8 @@ class Tower:
         if trunc > MAX_DIM:
             raise TermError("truncation %d exceeds the largest supported dimension %d"
                             % (trunc, MAX_DIM))
+        if trunc < 0:
+            raise TermError("truncation %d is negative" % trunc)
         self.trunc = trunc
         self._gens = {}     # name -> generator, in declaration order
         self._terms = {}    # name -> the generator as a term

@@ -3,10 +3,11 @@
 Cofibrations are functors injective on objects and weak equivalences are
 equivalences of groupoids; every object is fibrant.  The globe diagram built
 here takes the point in dimension 0 and the two-object contractible groupoid
-in every positive dimension, which makes every realized sum of disks thin, so
-fillers for admissible pairs are unique: a generator's filler is the one
-arrow between the two objects its boundary picks, the 0-faces of its
-boundary terms.
+in every positive dimension.  A realized sum of disks is then a line of
+blocks (runs of disks glued along positive dimensions), each a single arrow,
+so the sum is thin and fillers for admissible pairs are unique: a
+generator's filler is the one arrow between the two objects its boundary
+picks, the 0-faces of its boundary terms.
 
 The fundamental model of a groupoid X has the objects of X as 0-cells and
 the arrows of X as n-cells for every n >= 1; generator interpretations are
@@ -387,51 +388,33 @@ def validate_globe_diagram(dg):
 # ---------------------------------------------------------------------------
 # Realized sums of disks in groupoids
 
-class GpdSum:
-    """A realized sum in groupoids: its cocone data and its block tree.
+def thin_walk(table, o_from, o_to):
+    """The arrow o_from -> o_to of the thin sum on `table` as a path of legs,
+    read off its line of blocks: block b runs from its source object to the
+    source of block b - 1, and block 0 to its own target.
 
-    `leg_objects[k]` holds the object images of disk k's objects, and
-    `edges` a (k, o0, o1) for each disk of dimension >= 1.  The sum is the
-    thin groupoid on the objects of the realized sum; it is never built,
-    since `walk` names each arrow by the legs it passes.
+    Returns `((leg, side), steps)`.  The start names the leg that gives
+    o_from's object image: side 0 when the leg's cell is an object, 1 or 2
+    when it is the source or target of the leg's arrow.  Each step
+    `(leg, invert)` composes the leg's arrow, or its inverse, after the path
+    so far; each block is passed by its first leg.  `walk_arrow` folds the
+    path over an element of the fiber product.
     """
-
-    __slots__ = ("table", "leg_objects", "edges")
-
-    def __init__(self, table, leg_objects, edges):
-        self.table, self.leg_objects, self.edges = table, leg_objects, edges
-
-    def walk(self, o_from, o_to):
-        """The arrow o_from -> o_to of the thin sum as a path of legs.
-
-        Returns `((leg, side), steps)`.  The start names the leg that gives
-        o_from's object image: side 0 when the leg's cell is an object, 1 or
-        2 when it is the source or target of the leg's arrow.  Each step
-        `(leg, invert)` composes the leg's arrow, or its inverse, after the
-        path so far; the steps follow the block tree from o_from to o_to.
-        `walk_arrow` folds the path over an element of the fiber product.
-        """
-        start = next((k, 0 if len(objs) == 1 else 1 + objs.index(o_from))
-                     for k, objs in enumerate(self.leg_objects) if o_from in objs)
-        adj = {}
-        for k, o0, o1 in self.edges:
-            adj.setdefault(o0, []).append((o1, k, False))
-            adj.setdefault(o1, []).append((o0, k, True))
-        paths = {o_from: ()}
-        frontier = [o_from]
-        while frontier:
-            o = frontier.pop()
-            if o == o_to:
-                return start, paths[o]
-            for o2, k, invert in adj.get(o, ()):
-                if o2 not in paths:
-                    paths[o2] = paths[o] + ((k, invert),)
-                    frontier.append(o2)
-        raise GroupoidError("disconnected pasting shape")
+    legs = realize_sum(table).legs
+    firsts = [k for k in range(table.width) if k == 0 or table.lower[k - 1] == 0]
+    # the objects in line order: block 0's target, then each block's source
+    line = legs[0][0][1:] + tuple(legs[k][0][0] for k in firsts)
+    i, j = line.index(o_from), line.index(o_to)
+    k = firsts[max(i - 1, 0)]
+    objs = legs[k][0]
+    start = (k, 0 if len(objs) == 1 else 1 + objs.index(o_from))
+    if j < i:
+        return start, tuple((firsts[b], False) for b in range(i - 1, j - 1, -1))
+    return start, tuple((firsts[b], True) for b in range(i, j))
 
 
 def walk_arrow(X, walk, cells):
-    """The image in X of a `GpdSum.walk` under the pasting of `cells`, a
+    """The image in X of a `thin_walk` under the pasting of `cells`, a
     fiber-product element with objects of X on 0-disks and arrows above."""
     (k, side), steps = walk
     c = cells[k]
@@ -441,34 +424,6 @@ def walk_arrow(X, walk, cells):
         a = cells[k]
         arr = comp[inv[a] if invert else a][arr]
     return arr
-
-
-def realize_gpd(table):
-    """The realized sum in groupoids: the 0-cells of the realized sum as
-    objects, with exactly one arrow between any two.
-
-    Thinness and contractibility are honest checks: the block graph of the
-    gluing (disks merged along positive-dimensional faces) must be a
-    connected tree, so each hom-set of the amalgam has exactly one arrow,
-    the path that `GpdSum.walk` follows.  Gluing only joins neighbours, so a
-    block is a run of disks, each glued to the last along a positive
-    dimension.
-    """
-    real = realize_sum(table)
-    leg_objects = tuple(legs[0] for legs in real.legs)
-    edges, blocks = [], 0
-    for k, objs in enumerate(leg_objects):
-        if table.upper[k] == 0:
-            continue
-        edges.append((k,) + objs)
-        if k and table.lower[k - 1] >= 1:
-            if objs != leg_objects[k - 1]:
-                raise GroupoidError("merged disks disagree on objects")
-        else:
-            blocks += 1
-    if blocks != real.carrier.count(0) - 1:
-        raise GroupoidError("realized sum is not simply connected: %s" % (table,))
-    return GpdSum(table, leg_objects, tuple(edges))
 
 
 class TowerGpdInterp:
@@ -498,9 +453,9 @@ class TowerGpdInterp:
 
     def walk(self, g):
         """The pasting walk of a generator's filler, from the first to the
-        second object of `gen(g)` (`GpdSum.walk`), found once."""
+        second object of `gen(g)` (`thin_walk`), found once."""
         if g.name not in self.walks:
-            self.walks[g.name] = realize_gpd(g.target).walk(*self.gen(g))
+            self.walks[g.name] = thin_walk(g.target, *self.gen(g))
         return self.walks[g.name]
 
 
@@ -597,8 +552,8 @@ def _cylinder_walk():
     """The walk of the filler of (eps2.s1, eps1.t1) on D1 +0 D1, from its
     source end to its target end: loops compose along it."""
     tab = Table((1, 1), (0,))
-    real = realize_sum(tab)
-    return realize_gpd(tab).walk(real.legs[1][0][0], real.legs[0][0][1])
+    legs = realize_sum(tab).legs
+    return thin_walk(tab, legs[1][0][0], legs[0][0][1])
 
 
 def quillen_pi1(X, x):
@@ -708,7 +663,7 @@ def compare(X, tower, bundle, interp=None, check=False):
                 higher = False
             if quillen_pi_n(X, x, n).order != 1:
                 higher = False
-    report = ComparisonReport(len(classes), pi0_gpd(X), pi1, higher)
+    report = ComparisonReport(len(classes), n_iso, pi1, higher)
     if not report.ok():
         raise GroupoidError("comparison failed: %s" % (report,))
     return report
@@ -764,6 +719,10 @@ def groupoid_from_json(data):
     inverse = data.get("inverse")
     if inverse is not None and (not isinstance(inverse, list) or tuple(inverse) != gpd.inv):
         raise GroupoidError("inverse table disagrees with the inverse law")
+    for f, val in enumerate(inverse or ()):
+        if not _is_index(val, m):
+            raise GroupoidError("groupoid file: inverse of arrow %d is %r, not one of the "
+                                "%d arrows" % (f, val, m))
     return gpd
 
 

@@ -14,8 +14,9 @@ division construction with its general correction scheme: unit words
 (kappa-chains) below each wrap, the scheme terms and correction liftings
 declared by mutual recursion, and base change inverting a forward class map
 by hand, the named groupoids that each had a constructor of their own, the
-two-part union that the corpus folded pairwise over a recursive walk, and
-the element-by-element backtracking search for a group isomorphism."""
+two-part union that the corpus folded pairwise over a recursive walk, the
+element-by-element backtracking search for a group isomorphism, and the
+search over a realized sum's block tree for the walk of a thin arrow."""
 
 import itertools
 import re
@@ -49,8 +50,8 @@ def all_tables(max_width, max_dim):
     return out
 
 
-def lifting_oracle(sumr, fpair, gpair, n):
-    """The unique filler of an admissible pair into a thin sum.
+def lifting_oracle(table, fpair, gpair, n):
+    """The unique filler of an admissible pair into the thin sum on `table`.
 
     Pairs are given by object images; for n >= 1 parallelism forces the two
     maps to agree, and the filler is determined by those objects.
@@ -61,6 +62,61 @@ def lifting_oracle(sumr, fpair, gpair, n):
         raise GroupoidError("parallel pair disagrees on objects: %s vs %s"
                             % (fpair, gpair))
     return fpair
+
+
+class OldGpdSum:
+    """A realized sum in groupoids: its cocone data and its block tree.
+
+    `leg_objects[k]` holds the object images of disk k's objects, and
+    `edges` a (k, o0, o1) for each disk of dimension >= 1.
+    """
+
+    __slots__ = ("table", "leg_objects", "edges")
+
+    def __init__(self, table, leg_objects, edges):
+        self.table, self.leg_objects, self.edges = table, leg_objects, edges
+
+    def walk(self, o_from, o_to):
+        """The arrow o_from -> o_to of the thin sum as a path of legs, in the
+        shape of `gpd.thin_walk`, found by a search over the block tree."""
+        start = next((k, 0 if len(objs) == 1 else 1 + objs.index(o_from))
+                     for k, objs in enumerate(self.leg_objects) if o_from in objs)
+        adj = {}
+        for k, o0, o1 in self.edges:
+            adj.setdefault(o0, []).append((o1, k, False))
+            adj.setdefault(o1, []).append((o0, k, True))
+        paths = {o_from: ()}
+        frontier = [o_from]
+        while frontier:
+            o = frontier.pop()
+            if o == o_to:
+                return start, paths[o]
+            for o2, k, invert in adj.get(o, ()):
+                if o2 not in paths:
+                    paths[o2] = paths[o] + ((k, invert),)
+                    frontier.append(o2)
+        raise GroupoidError("disconnected pasting shape")
+
+
+def old_realize_gpd(table):
+    """The realized sum in groupoids, with its block graph checked to be a
+    connected tree (disks merged along positive-dimensional faces agree on
+    objects, and there is one block fewer than objects)."""
+    real = realize_sum(table)
+    leg_objects = tuple(legs[0] for legs in real.legs)
+    edges, blocks = [], 0
+    for k, objs in enumerate(leg_objects):
+        if table.upper[k] == 0:
+            continue
+        edges.append((k,) + objs)
+        if k and table.lower[k - 1] >= 1:
+            if objs != leg_objects[k - 1]:
+                raise GroupoidError("merged disks disagree on objects")
+        else:
+            blocks += 1
+    if blocks != real.carrier.count(0) - 1:
+        raise GroupoidError("realized sum is not simply connected: %s" % (table,))
+    return OldGpdSum(table, leg_objects, tuple(edges))
 
 
 def old_weak_equiv(morph, bundle):

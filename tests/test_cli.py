@@ -489,6 +489,11 @@ def test_malformed_groupoid_files_exit_1(tmp_path, capsys):
                           (lambda g: g["compose"][0].__setitem__(1, 3),
                            "composite (0, 1) is 3, but arrow 0 does not start where "
                            "arrow 1 ends, so it must be null"),
+                          # an inverse equal to the right one only by value
+                          (lambda g: g["inverse"].__setitem__(0, False),
+                           "inverse of arrow 0 is False, not one of the 4 arrows"),
+                          (lambda g: g["inverse"].__setitem__(3, 3.0),
+                           "inverse of arrow 3 is 3.0, not one of the 4 arrows"),
                           (lambda g: g.update(objects=-1), "-1 objects"),
                           (lambda g: g.update(objects=10 ** 9),
                            "1000000000 objects need as many identity arrows, but there "
@@ -531,6 +536,7 @@ def test_out_of_range_numeric_flags_exit_1(tmp_path, capsys):
             (["pi", path, "--kg1", "Z2", "--n", "0", "--base", "9"],
              "base object 9 is not one of the 1 0-cells"),
             (["gpd-pi", gpath, "--n", "0", "--x", "5"], "object 5 out of range"),
+            (["check", path, "--dim", "-5"], "truncation -5 is negative"),
             (["pi", path, "--discrete", "0", "--n", "0"],
              "base object 0 is not one of the 0 0-cells"),
             (["pi", path, "--kan", "Z2,4", "--n", "1"], "K(A, 4) needs n <= the truncation 3"),

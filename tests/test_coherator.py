@@ -239,6 +239,9 @@ def test_truncation_bound():
     assert Tower(MAX_DIM).trunc == MAX_DIM
     with pytest.raises(TermError, match="exceeds the largest supported dimension"):
         Tower(MAX_DIM + 1)
+    assert Tower(0).trunc == 0
+    with pytest.raises(TermError, match="truncation -1 is negative"):
+        Tower(-1)
     tower = Tower(2)
     with pytest.raises(TermError):
         # a level-1 lifting at dimension 3 exceeds the truncation

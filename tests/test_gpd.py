@@ -18,7 +18,8 @@ from globkit import model as M
 from globkit.globe import Table, realize_sum
 from globkit.theta0 import GMap
 from oracles import (all_tables, lifting_oracle, old_codiscrete, old_corpus, old_discrete,
-                     old_disjoint_union, old_find_isomorphism, old_one_object, old_recognize)
+                     old_disjoint_union, old_find_isomorphism, old_one_object,
+                     old_realize_gpd, old_recognize)
 from test_theta0 import level_map
 
 
@@ -80,29 +81,58 @@ def test_sphere_one_is_the_circle():
     assert len(powers) == 4  # (gf)^k distinct for k = 0..3: infinite order
 
 
-def thin_sum_objects(table, s):
-    """Check that a realized sum `s = realize_gpd(table)` stands for a thin,
-    contractible groupoid, and return its objects.
+def thin_sum_objects(table):
+    """Check that the realized sum of `table` stands for a thin, contractible
+    groupoid, and return its objects.
 
-    Its blocks (disks glued along a positive dimension) form a spanning tree
-    on the objects of the realized sum, and `walk` reaches every object: the
-    free groupoid on a tree has exactly one arrow between any two objects.
+    Read off `realize_sum`'s legs, its blocks (disks glued along a positive
+    dimension) are edges, each disk of a block joining the same two objects,
+    and they form a spanning tree on the objects of the realized sum: there
+    is one block fewer than objects, and each `thin_walk` from the first
+    object is a path along them to its end.  The free groupoid on a tree has
+    exactly one arrow between any two objects.
     """
-    objs = range(realize_sum(table).carrier.count(0))
-    assert {o for leg in s.leg_objects for o in leg} == set(objs)
+    real = realize_sum(table)
+    leg_objects = [legs[0] for legs in real.legs]
+    objs = range(real.carrier.count(0))
+    assert {o for leg in leg_objects for o in leg} == set(objs)
     block_of = [0]
     for j in table.lower:
         block_of.append(block_of[-1] + (j < 1))
-    blocks = {block_of[k]: frozenset((o0, o1)) for k, o0, o1 in s.edges}
+    blocks = {}
+    for k, lo in enumerate(leg_objects):
+        if table.upper[k]:
+            assert len(set(lo)) == 2 and blocks.setdefault(block_of[k], lo) == lo
     assert len(blocks) == len(objs) - 1
     for o in objs:
-        s.walk(objs[0], o)  # raises on a disconnected shape
+        (k, side), steps = P.thin_walk(table, objs[0], o)
+        at = leg_objects[k][max(side - 1, 0)]
+        assert at == objs[0]
+        for k, invert in steps:
+            o0, o1 = leg_objects[k]
+            assert at == (o1 if invert else o0)
+            at = o0 if invert else o1
+        assert at == o
     return objs
 
 
 def test_realized_sums_thin_and_contractible():
     for table in all_tables(4, 4):
-        thin_sum_objects(table, P.realize_gpd(table))
+        thin_sum_objects(table)
+
+
+def test_thin_walk_matches_the_block_tree_search():
+    """On every pair of objects of every table of width and dimension at
+    most 4, the walk read off the line of blocks is the one the search over
+    the block tree finds."""
+    pairs = 0
+    for table in all_tables(4, 4):
+        old = old_realize_gpd(table)
+        objs = range(realize_sum(table).carrier.count(0))
+        for a, b in itertools.product(objs, repeat=2):
+            assert P.thin_walk(table, a, b) == old.walk(a, b), (table, a, b)
+            pairs += 1
+    assert pairs == 27897
 
 
 def test_lifting_oracle_total_and_unique_on_seeded_pairs():
@@ -114,15 +144,14 @@ def test_lifting_oracle_total_and_unique_on_seeded_pairs():
         n = rng.randrange(0, table.dimension + 2)
         if table.dimension > n + 1:
             continue
-        s = P.realize_gpd(table)
-        objs = thin_sum_objects(table, s)
+        objs = thin_sum_objects(table)
         if n == 0:
             f = (rng.choice(objs),)
             g = (rng.choice(objs),)
         else:
             f = (rng.choice(objs), rng.choice(objs))
             g = f
-        h = lifting_oracle(s, f, g, n)
+        h = lifting_oracle(table, f, g, n)
         # totality: the filler exists; uniqueness: object images are forced,
         # and functors into a thin groupoid are determined by objects
         if n == 0:
@@ -143,7 +172,8 @@ class ObjectImageOracle:
     """The groupoid interpretation by term evaluation: a term's value is the
     tuple of its object images, found by recursion over the normal form, and
     a generator's filler comes from `lifting_oracle` and is checked against
-    both boundaries.  The reference for endpoints read off normal forms."""
+    both boundaries.  The reference for endpoints read off normal forms, and
+    with the search over the block tree, for their walks."""
 
     def __init__(self):
         self.gen_objs = {}
@@ -152,7 +182,7 @@ class ObjectImageOracle:
         if g.name not in self.gen_objs:
             fobj = self.term_objects(g.fsrc)
             gobj = self.term_objects(g.gtgt)
-            h = lifting_oracle(P.realize_gpd(g.target), fobj, gobj, g.dim - 1)
+            h = lifting_oracle(g.target, fobj, gobj, g.dim - 1)
             hs = h if g.dim >= 2 else (h[0],)
             ht = h if g.dim >= 2 else (h[1],)
             assert (hs, ht) == (fobj, gobj), g.name
@@ -160,7 +190,7 @@ class ObjectImageOracle:
         return self.gen_objs[g.name]
 
     def walk(self, g):
-        return P.realize_gpd(g.target).walk(*self.gen(g))
+        return old_realize_gpd(g.target).walk(*self.gen(g))
 
     def term_objects(self, t):
         if isinstance(t, GMap):
@@ -386,7 +416,7 @@ def test_composition_of_homotopies_agrees_with_cylinder_pasting():
         tab = Table((1, 1), (0,))
         from globkit.globe import realize_sum
         real = realize_sum(tab)
-        walk = P.realize_gpd(tab).walk(real.legs[1][0][0], real.legs[0][0][1])
+        walk = old_realize_gpd(tab).walk(real.legs[1][0][0], real.legs[0][0][1])
         assert walk == P._cylinder_walk()
         for l1 in range(X.n_arrows):
             for l2 in range(X.n_arrows):
@@ -396,21 +426,23 @@ def test_composition_of_homotopies_agrees_with_cylinder_pasting():
                 assert composite == X.comp[l2][l1]
 
 
-def _paste_functor(X, sumr, cells):
-    """Object/edge images of the functor realizing a fiber-product element:
-    the pasting as a dict, the reference for `GpdSum.walk`."""
+def _paste_functor(X, table, cells):
+    """Object/edge images of the functor realizing a fiber-product element
+    on the realized sum of `table`: the pasting as a dict, the reference for
+    `walk_arrow` folding a `thin_walk`."""
+    leg_objects = [legs[0] for legs in realize_sum(table).legs]
     fx = {}
-    for k in range(sumr.table.width):
-        m = sumr.table.upper[k]
+    for k in range(table.width):
+        m = table.upper[k]
         if m == 0:
-            o = sumr.leg_objects[k][0]
+            o = leg_objects[k][0]
             val = cells[k]
             if ("obj", o) in fx:
                 assert fx[("obj", o)] == val
             fx[("obj", o)] = val
         else:
             a = cells[k]
-            lo = sumr.leg_objects[k]
+            lo = leg_objects[k]
             for o, v in ((lo[0], X.src[a]), (lo[1], X.tgt[a])):
                 if ("obj", o) in fx:
                     assert fx[("obj", o)] == v, "pasting tuple is inconsistent"
@@ -422,7 +454,7 @@ def _paste_functor(X, sumr, cells):
     return fx
 
 
-def _functor_arrow(X, sumr, fx, o_from, o_to):
+def _functor_arrow(X, fx, o_from, o_to):
     """Image of the unique arrow o_from -> o_to of a thin sum under a
     pasting, by a search over the edges of the block tree."""
     adj = {}
@@ -455,12 +487,11 @@ def test_compiled_walk_matches_pasting_oracle(std4, interp4):
               P.codiscrete(3)):
         m = P.fundamental(X, tower, interp4)
         for gen in tower.gens():
-            sumr = P.realize_gpd(gen.target)
             h = interp4.gen(gen)
             walk = interp4.walk(gen)
             table = m.interp_for(gen)
             for x in m.cells(gen.target):
-                want = _functor_arrow(X, sumr, _paste_functor(X, sumr, x), h[0], h[1])
+                want = _functor_arrow(X, _paste_functor(X, gen.target, x), h[0], h[1])
                 assert P.walk_arrow(X, walk, x) == table[x] == want, (gen.name, x)
                 checked += 1
     assert checked > 10000
