@@ -331,7 +331,8 @@ def cmd_fundamental(args):
     lines = ["pi_0 = %d" % report.pi0_model]
     for x, (a, _) in sorted(report.pi1.items()):
         lines.append("pi_1 at object %d = %s" % (x, a))
-    lines.append("pi_n = 0 for 2 <= n <= %d" % (tower.trunc - 1))
+    if tower.trunc > 2:   # pi_n is read for n below the truncation
+        lines.append("pi_n = 0 for 2 <= n <= %d" % (tower.trunc - 1))
     lines.append("comparison with the groupoid-side pipeline: agree")
     _emit(args, rep, "\n".join(lines))
     return 0

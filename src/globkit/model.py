@@ -10,7 +10,9 @@ product at once: the product is read as one column per slot of its table, a
 concrete map gathers each source leg's column through its boundary word's
 table on the carrier, a tuple takes its components' columns, and a generator
 chain gathers its generator's table over the zipped columns of its tail.  A
-single input is a product of one row.
+single input is a product of one row.  A term's run over its whole fiber
+product is kept (`Model.values`) while the tables it read stay the same, so
+`check` reuses the boundary values that the degenerate filler computed.
 """
 
 from __future__ import annotations
@@ -43,18 +45,22 @@ class Model:
 
     `interp` maps a generator name to its table; `filler(model, gen)`, when
     given, builds the table of a generator `interp` lacks; `units[d][c]` is
-    the degenerate (d+1)-cell over cell c.  `_programs` holds the compiled
-    terms (`program`).  A model can be weakly referenced, as `perfbench`'s
-    tracer does to count each model's fiber products once."""
+    the degenerate (d+1)-cell over cell c.  A model's tables are replaced,
+    never edited in place: what it keeps is checked against them by
+    identity.  `_programs` holds the compiled terms (`program`); `_values`
+    holds, per term, its program's result over the whole fiber product of
+    its target with the tables that the run read (`values`), until `check`
+    reads it.  A model can be weakly referenced, as `perfbench`'s tracer
+    does to count each model's fiber products once."""
 
     __slots__ = ("tower", "carrier", "interp", "filler", "units", "label", "_programs",
-                 "__weakref__")
+                 "_values", "__weakref__")
 
     def __init__(self, tower, carrier, interp=None, filler=None, units=None, label=""):
         self.tower, self.carrier = tower, carrier
         self.interp = {} if interp is None else interp
         self.filler, self.units, self.label = filler, units, label
-        self._programs = {}
+        self._programs, self._values = {}, {}
 
     @property
     def trunc(self):
@@ -118,6 +124,40 @@ class Model:
             plan.append((slot, None if word.is_identity else self.carrier.faces(word)))
         return tuple(plan)
 
+    def values(self, term, keep=True, cols=None):
+        """The term's program run once over the whole fiber product of its
+        target: one column per slot of the term's source table, row for row
+        with `cells`.  The result is kept with the generator tables the run
+        read, and returned again while `interp_for` gives those same table
+        objects; a table replaced or filled anew makes it run again.  A row
+        that a table lacks raises `KeyError`, and nothing is kept.  With
+        `keep` false a kept result is still returned, but a new one is not
+        kept: `check` and `restrict` read each term once, and keeping what
+        `check` alone computes would hold every boundary of the model at
+        once.  `cols`, when given, is a list that holds the columns of the
+        term's target once a run has transposed them, so that a caller
+        evaluating two terms over one table transposes it once and nothing
+        keeps the columns after that caller."""
+        kept = self._values.get(term)   # (result, ((gen, table), ...))
+        if kept is not None:
+            if all(self.interp_for(gen) is table for gen, table in kept[1]):
+                return kept[0]
+            self._values.pop(term, None)
+        read = {}
+
+        def get(gen):
+            table = read[gen] = self.interp_for(gen)
+            return table
+
+        if cols is None:
+            cols = []
+        if not cols:
+            cols.append(self.columns(term.target))
+        out = self.program(term)(cols[0], get)
+        if keep:
+            self._values[term] = (out, tuple(read.items()))
+        return out
+
     def eval(self, term, x):
         """Evaluate a term on an element of the fiber product of its target.
 
@@ -133,26 +173,35 @@ class Model:
     def check(self):
         """Verify the two boundary equations of each generator on every input.
 
-        Each generator is checked column-wise first; one that fails is
-        checked again element by element, in the fiber product's order, for
-        the report."""
+        Each generator is checked on its whole fiber product first, through
+        `values`; one that fails is checked again element by element, in the
+        fiber product's order, for the report, where an input that its table
+        lacks is a `missing` row.  The check then drops every value the
+        model kept, so a checked model holds its tables alone."""
         report = []
         get = self.interp_for
         for gen in self.tower.gens():
             table = get(gen)
-            fsrc, gtgt = self.program(gen.fsrc), self.program(gen.gtgt)
             src, tgt = self.carrier.src[gen.dim], self.carrier.tgt[gen.dim]
             cells = self.cells(gen.target)
+            side = partial(self.values, keep=False, cols=[])
             try:
-                cols = self.columns(gen.target)
+                # the first side transposes the product before the outputs
+                # are gathered, and is dropped before the second is read:
+                # the columns, the outputs and one side are held at once
+                want_s = side(gen.fsrc)[0]
                 vals = tuple(map(table.__getitem__, cells))
-                if fsrc(cols, get)[0] == tuple(map(src.__getitem__, vals)) and \
-                        gtgt(cols, get)[0] == tuple(map(tgt.__getitem__, vals)):
+                ok = want_s == tuple(map(src.__getitem__, vals))
+                del want_s
+                if ok and side(gen.gtgt)[0] == tuple(map(tgt.__getitem__, vals)):
                     continue
             except KeyError:
                 pass
+            fsrc, gtgt = self.program(gen.fsrc), self.program(gen.gtgt)
             for x in cells:
-                v = table[x]
+                if x not in table:
+                    report.append((gen.name, x, "missing", "a row for this input", "none"))
+                    continue
                 try:
                     ((want_s,),) = fsrc(_row(x), get)
                     ((want_t,),) = gtgt(_row(x), get)
@@ -162,11 +211,13 @@ class Model:
                     report.append((gen.name, x, "boundary",
                                    "a sub-term inside a fiber product", e.args[0]))
                     continue
+                v = table[x]
                 got_s, got_t = src[v], tgt[v]
                 if got_s != want_s:
                     report.append((gen.name, x, "src", want_s, got_s))
                 if got_t != want_t:
                     report.append((gen.name, x, "tgt", want_t, got_t))
+        self._values.clear()   # read by this check, and by no later one
         return report
 
 
@@ -178,21 +229,23 @@ def _row(x):
 def unit_filler(model, gen):
     """Fill a generator degenerately when its two boundary sides agree; the
     error names the first input, in the fiber product's order, where they
-    do not."""
-    get = model.interp_for
-    fsrc, gtgt = model.program(gen.fsrc), model.program(gen.gtgt)
-    cells = model.cells(gen.target)
+    do not.  Sides that agree are kept as one vector (`Model.values`)."""
+    cols = []
     try:
-        cols = model.columns(gen.target)
-        (a,), (b,) = fsrc(cols, get), gtgt(cols, get)
+        fs = model.values(gen.fsrc, cols=cols)
+        (a,), (b,) = fs, model.values(gen.gtgt, cols=cols)
     except KeyError:   # raised again below, at the first input that needs it
         a = b = None
     if a is None or a != b:
-        for x in cells:
+        get = model.interp_for
+        fsrc, gtgt = model.program(gen.fsrc), model.program(gen.gtgt)
+        for x in model.cells(gen.target):
             ((a,),), ((b,),) = fsrc(_row(x), get), gtgt(_row(x), get)
             if a != b:
                 raise FillerError(gen.name, x, a, b)
-    return dict(zip(cells, map(model.units[gen.dim - 1].__getitem__, a)))
+    else:
+        model._values[gen.gtgt] = (fs, model._values[gen.gtgt][1])
+    return dict(zip(model.cells(gen.target), map(model.units[gen.dim - 1].__getitem__, a)))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +436,8 @@ def restrict(model, functor):
         if img is None:
             raise ModelError("generator %r was declared after the tower functor, "
                              "which does not map it" % gen.name)
-        out = model.program(img)(m.columns(gen.target), model.interp_for)[0]
-        return dict(zip(m.cells(gen.target), out))
+        # kept nowhere but in the table this returns
+        return dict(zip(m.cells(gen.target), model.values(img, keep=False)[0]))
 
     out = Model(functor.source, model.carrier, {}, filler, model.units,
                 model.label + "|restricted")
@@ -484,7 +537,8 @@ def model_from_json(data, tower):
             raise ModelError("model file: the interpretation of %r is not a list" % name)
         dim = tower[name].dim
         interp[name] = _interp_rows(name, rows, dim, carrier.count(dim))
-    model = Model(tower, carrier, interp, None, None, data.get("label", "file"))
+    label = _json_field(data, "label", str, "the top level") if "label" in data else "file"
+    model = Model(tower, carrier, interp, None, None, label)
     for gen in tower.gens():
         if gen.name not in interp:
             raise ModelError("missing interpretation for generator %r" % gen.name)

@@ -15,8 +15,10 @@ division construction with its general correction scheme: unit words
 declared by mutual recursion, and base change inverting a forward class map
 by hand, the named groupoids that each had a constructor of their own, the
 two-part union that the corpus folded pairwise over a recursive walk, the
-element-by-element backtracking search for a group isomorphism, and the
-search over a realized sum's block tree for the walk of a thin arrow."""
+element-by-element backtracking search for a group isomorphism, the
+search over a realized sum's block tree for the walk of a thin arrow, and
+the model check, degenerate filler and restriction that ran each term's
+program anew, over columns transposed for each call."""
 
 import itertools
 import re
@@ -33,7 +35,7 @@ from globkit.theta0 import GMap, MatchingError
 from globkit.gpd import GroupoidError, build_groupoid, connected_groupoid
 from globkit.homotopy import (DivideResult, HomotopyError, WeqReport, _check_cell, _pair_table,
                               hom_classes, iterated_unit, parallel_cells, pi_groupoid, pi_n_at)
-from globkit.model import ModelError, _is_index
+from globkit.model import FillerError, Model, ModelError, _is_index
 
 
 def all_tables(max_width, max_dim):
@@ -1198,3 +1200,77 @@ def old_recognize(group):
         if cand.order == group.order and old_find_isomorphism(group, cand) is not None:
             return cand.name
     return "group of order %d" % group.order
+
+
+def _old_row(x):
+    return tuple((c,) for c in x)
+
+
+def old_check(model):
+    """`Model.check` as it ran each generator's boundary programs over the
+    columns of its fiber product, and again one input at a time where that
+    failed; a table that lacks an input raised `KeyError`."""
+    report = []
+    get = model.interp_for
+    for gen in model.tower.gens():
+        table = get(gen)
+        fsrc, gtgt = model.program(gen.fsrc), model.program(gen.gtgt)
+        src, tgt = model.carrier.src[gen.dim], model.carrier.tgt[gen.dim]
+        cells = model.cells(gen.target)
+        try:
+            cols = model.columns(gen.target)
+            vals = tuple(map(table.__getitem__, cells))
+            if fsrc(cols, get)[0] == tuple(map(src.__getitem__, vals)) and \
+                    gtgt(cols, get)[0] == tuple(map(tgt.__getitem__, vals)):
+                continue
+        except KeyError:
+            pass
+        for x in cells:
+            v = table[x]
+            try:
+                ((want_s,),) = fsrc(_old_row(x), get)
+                ((want_t,),) = gtgt(_old_row(x), get)
+            except KeyError as e:
+                report.append((gen.name, x, "boundary",
+                               "a sub-term inside a fiber product", e.args[0]))
+                continue
+            got_s, got_t = src[v], tgt[v]
+            if got_s != want_s:
+                report.append((gen.name, x, "src", want_s, got_s))
+            if got_t != want_t:
+                report.append((gen.name, x, "tgt", want_t, got_t))
+    return report
+
+
+def old_unit_filler(model, gen):
+    """`unit_filler` as it ran both boundary programs over columns
+    transposed for the call."""
+    get = model.interp_for
+    fsrc, gtgt = model.program(gen.fsrc), model.program(gen.gtgt)
+    cells = model.cells(gen.target)
+    try:
+        cols = model.columns(gen.target)
+        (a,), (b,) = fsrc(cols, get), gtgt(cols, get)
+    except KeyError:
+        a = b = None
+    if a is None or a != b:
+        for x in cells:
+            ((a,),), ((b,),) = fsrc(_old_row(x), get), gtgt(_old_row(x), get)
+            if a != b:
+                raise FillerError(gen.name, x, a, b)
+    return dict(zip(cells, map(model.units[gen.dim - 1].__getitem__, a)))
+
+
+def old_restrict(model, functor):
+    """`restrict`, whose filler ran each image's program anew."""
+
+    def filler(m, gen):
+        img = functor.assignment.get(gen.name)
+        if img is None:
+            raise ModelError("generator %r was declared after the tower functor, "
+                             "which does not map it" % gen.name)
+        out = model.program(img)(m.columns(gen.target), model.interp_for)[0]
+        return dict(zip(m.cells(gen.target), out))
+
+    return Model(functor.source, model.carrier, {}, filler, model.units,
+                 model.label + "|restricted")

@@ -423,6 +423,8 @@ def test_malformed_model_and_morphism_files_exit_1(tmp_path, capsys):
     (row,) = [r for r in good["interp"]["comp1_0"] if r["in"] == [0, 1]]
     twice["interp"]["comp1_0"].append(dict(row, out=1 - row["out"]))
     twice_first["interp"]["comp1_0"].insert(0, dict(row, out=1 - row["out"]))
+    # a label is a string, or a restricted model's could not be named
+    list_label = dict(good, label=[1, 2])
     mpath = str(tmp_path / "model.json")
     for data, words in ((no_cells, "field 'cells'"),
                         (twice, "'comp1_0' lists the input [0, 1] more than once"),
@@ -431,7 +433,8 @@ def test_malformed_model_and_morphism_files_exit_1(tmp_path, capsys):
                         (huge, "interpretation of 'unit0' does not cover"),
                         (loops, "interpretation of 'comp1_0' does not cover"),
                         (bool_src, "src of 1-cell 0 is False, not one of the 1 0-cells"),
-                        (bool_in, "'comp1_0' has a non-integer input [0, True]")):
+                        (bool_in, "'comp1_0' has a non-integer input [0, True]"),
+                        (list_label, "the top level needs a str field 'label'")):
         with open(mpath, "w") as fh:
             json.dump(data, fh)
         start = time.perf_counter()
@@ -628,6 +631,12 @@ def test_fundamental_and_gpd_pi_verbs(tmp_path, capsys):
     code, out, _ = run(capsys, "fundamental", gpath, "--dim", "3")
     assert code == 0
     assert "pi_1 at object 0 = Z3" in out
+    assert "pi_n = 0 for 2 <= n <= 2" in out
+    # at truncation 2 no pi_n above pi_1 is read, so no range is printed
+    code, out, _ = run(capsys, "fundamental", gpath, "--dim", "2")
+    assert code == 0
+    assert out == ("pi_0 = 1\npi_1 at object 0 = Z3\n"
+                   "comparison with the groupoid-side pipeline: agree\n")
     code, out, _ = run(capsys, "gpd-pi", gpath, "--x", "0", "--n", "1")
     assert code == 0 and "pi_1 = Z3" in out
     code, out, _ = run(capsys, "gpd-pi", gpath, "--x", "0", "--n", "2")

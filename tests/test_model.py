@@ -17,7 +17,7 @@ from globkit import rewrite as R
 from globkit.globe import MAX_CELLS, GlobeError, GlobularSet, Table, Word, disk, realize_sum
 from globkit.model import Discrete, FillerError, KAn, KG1, XMod
 from globkit.theta0 import GMap, enumerate_homs
-from oracles import all_tables, old_validate
+from oracles import all_tables, old_check, old_restrict, old_unit_filler, old_validate
 from test_theta0 import level_map
 
 
@@ -646,6 +646,139 @@ def test_check_reports_terms_that_leave_the_fiber_product(std3):
     for gen in tower.gens():
         assert outcome_of(lambda: M.unit_filler(model, gen)) == \
             outcome_of(lambda: per_element_unit_filler(model, gen)), gen.name
+
+
+def nine_strict_specs():
+    """The specs of the nine strict models the strict-models benchmark
+    workload builds."""
+    return [KG1(G.symmetric(3)), KG1(G.cyclic(8)), KG1(G.quaternion8()), KG1(G.dihedral(4)),
+            KAn(G.cyclic(4), 2), KAn(G.cyclic(2), 2), Discrete(3),
+            XMod(G.inclusion_xmod(G.cyclic(4))), XMod(G.trivial_xmod(G.cyclic(2), G.cyclic(2)))]
+
+
+def assert_checks_agree(new, old):
+    """`check` on `new` reports what the old check reports on `old`, row for
+    row, and the tables and, where the model has units, the degenerate
+    filler's outcomes are the old ones."""
+    assert new.check() == old_check(old), new.label
+    for gen in new.tower.gens():
+        assert new.interp_for(gen) == old.interp_for(gen), (new.label, gen.name)
+        if new.units is not None:
+            assert outcome_of(lambda: M.unit_filler(new, gen)) == \
+                outcome_of(lambda: old_unit_filler(old, gen)), (new.label, gen.name)
+
+
+# the lower tables that test_check_sees_interpretation_overwritten_after_compiling
+# and test_check_reports_terms_that_leave_the_fiber_product replace, replaced
+# in this order: every inverse is one cell, then a composite that returns its
+# first input
+BROKEN = (("inv1_0", lambda x: 0), ("comp1_0", lambda x: x[0]))
+
+
+def test_check_and_fillers_agree_with_the_ones_that_ran_each_term_anew(monkeypatch):
+    """`check`, `unit_filler` and `restrict`'s filler read full-product
+    evaluations through `Model.values`; the old ones ran each program anew.
+    Reports agree in content and order on the nine strict models, their
+    restrictions, fundamental models and model files, also after a lower
+    table is replaced, when what `values` kept must be computed again."""
+    for d in (3, 4):
+        tower, bundle = C.stdlib(d)
+        fn = C.tower_functor(tower, {}, tower)
+        broken = []
+        for spec in nine_strict_specs():
+            new = M.build_strict(spec, tower, bundle)
+            with monkeypatch.context() as patch:
+                patch.setattr(M, "unit_filler", old_unit_filler)
+                old = M.build_strict(spec, tower, bundle)
+            assert_checks_agree(new, old)
+            r_new, r_old = M.restrict(new, fn), old_restrict(old, fn)
+            assert_checks_agree(r_new, r_old)
+            data = M.model_to_json(new)
+            assert_checks_agree(M.model_from_json(data, tower), M.model_from_json(data, tower))
+            for name, out in BROKEN:
+                for a, b in ((new, old), (r_new, r_old)):
+                    table = {x: out(x) for x in a.cells(tower[name].target)}
+                    a.interp[name], b.interp[name] = table, dict(table)
+                    assert_checks_agree(a, b)
+            data = M.model_to_json(new)
+            assert_checks_agree(M.model_from_json(data, tower), M.model_from_json(data, tower))
+            broken.append(bool(new.check()))
+        # all but the two K(A, 2), whose one 1-cell is its own inverse and
+        # composite
+        assert sum(broken) == 7
+        interp = gpd.TowerGpdInterp(tower)
+        for _, X in gpd.corpus(2, 4):
+            assert_checks_agree(gpd.fundamental(X, tower, interp),
+                                gpd.fundamental(X, tower, interp))
+
+
+def test_check_runs_no_program_for_generators_the_unit_filler_filled(std4, monkeypatch):
+    tower, bundle = std4
+    filled, ran = [], []
+    unit_filler, program = M.unit_filler, M.Model.program
+
+    def recording_filler(model, gen):
+        filled.append(gen)
+        return unit_filler(model, gen)
+
+    def counting_program(model, term):
+        prog = program(model, term)
+
+        def run(cols, get):
+            ran.append(term)
+            return prog(cols, get)
+        return run
+
+    monkeypatch.setattr(M, "unit_filler", recording_filler)
+    model = M.build_strict(KG1(G.symmetric(3)), tower, bundle)
+    monkeypatch.setattr(M.Model, "program", counting_program)
+    assert model.check() == []
+    # the strict operations' boundaries are evaluated here and not kept
+    assert ran
+    assert filled and not {gen.fsrc for gen in filled} & set(ran)
+    assert not {gen.gtgt for gen in filled} & set(ran)
+    # the check dropped what the filler kept, so a second one runs every
+    # boundary, as a check of a model read from a file does
+    ran[:] = []
+    assert model.check() == []
+    assert {gen.fsrc for gen in filled} | {gen.gtgt for gen in filled} <= set(ran)
+
+
+def test_values_are_kept_while_the_tables_they_read_are(std3):
+    tower, bundle = std3
+    model = M.build_strict(KG1(G.cyclic(3)), tower, bundle)
+    gen = tower["rinv1"]   # its sides read comp1_0 and inv1_0
+    kept = model.values(gen.fsrc)
+    # the unit filler keeps its two equal sides as one vector
+    assert model.values(gen.gtgt) is kept and model.values(gen.fsrc, keep=False) is kept
+    model.interp["inv1_0"] = {(g,): 0 for g in range(3)}
+    again = model.values(gen.fsrc)
+    assert again is not kept and model.values(gen.fsrc) is again
+    assert again == model.program(gen.fsrc)(model.columns(gen.target), model.interp_for)
+    table = dict(model.interp["inv1_0"])
+    del table[(1,)]
+    model.interp["inv1_0"] = table
+    with pytest.raises(KeyError):
+        model.values(gen.fsrc)
+    assert gen.fsrc not in model._values
+
+
+def test_check_names_an_input_its_table_lacks(std3):
+    tower, bundle = std3
+    model = M.build_strict(KG1(G.cyclic(3)), tower, bundle)
+    missing = ("inv1_0", (1,), "missing", "a row for this input", "none")
+    del model.interp["inv1_0"][(1,)]
+    assert missing in model.check()
+    # replaced, as a model's tables are, the generators that apply inv1_0
+    # at 1 name the input outside its fiber product
+    model = M.build_strict(KG1(G.cyclic(3)), tower, bundle)
+    table = dict(model.interp["inv1_0"])
+    del table[(1,)]
+    model.interp["inv1_0"] = table
+    bad = model.check()
+    assert [v for v in bad if v[0] == "inv1_0"] == [missing]
+    assert {v[0] for v in bad if v[2] == "boundary"} >= {"rinv1", "linv1"}
+    assert {v[2] for v in bad} == {"missing", "boundary"}
 
 
 def test_model_json_round_trip(std3):
