@@ -25,7 +25,7 @@ from functools import cache, cached_property, partial
 from . import coherator as coh
 from . import groups
 from .globe import GlobkitError, Table, realize_sum
-from .model import Model, _is_index, _json_field, product_spec, strict_carrier
+from .model import FrozenTable, Model, _is_index, _json_field, product_spec, strict_carrier
 
 
 class GroupoidError(GlobkitError):
@@ -473,8 +473,8 @@ def fundamental(X, tower, interp=None):
     carrier, units = strict_carrier(product_spec(X, groups.cyclic(1), 2, label), tower.trunc)
 
     def filler(model, gen):
-        walk = interp.walk(gen)
-        return {x: walk_arrow(X, walk, x) for x in model.cells(gen.target)}
+        cells = model.cells(gen.target)
+        return FrozenTable(zip(cells, map(partial(walk_arrow, X, interp.walk(gen)), cells)))
 
     return Model(tower, carrier, {}, filler, units, label)
 

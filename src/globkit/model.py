@@ -10,14 +10,16 @@ product at once: the product is read as one column per slot of its table, a
 concrete map gathers each source leg's column through its boundary word's
 table on the carrier, a tuple takes its components' columns, and a generator
 chain gathers its generator's table over the zipped columns of its tail.  A
-single input is a product of one row.  A term's run over its whole fiber
-product is kept (`Model.values`) while the tables it read stay the same, so
-`check` reuses the boundary values that the degenerate filler computed.
+single input is a product of one row.  A model's tables are replaced, never
+edited: each table it builds is a read-only `FrozenTable`.  Besides them it
+keeps one record per generator the degenerate filler filled over read-only
+tables, the vector both boundary sides agree on, which `check` pops.
 """
 
 from __future__ import annotations
 
 from functools import partial
+from itertools import starmap
 
 from . import groups
 from .coherator import TupleT
@@ -40,27 +42,43 @@ class FillerError(ModelError):
         super().__init__(msg)
 
 
+class FrozenTable(dict):
+    """A generator's table as a model builds it: a dict whose mutators raise
+    `TypeError`, so that what a model keeps over it cannot go stale.  It
+    pickles and copies as a value."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("a model's table is replaced, never edited in place")
+
+    __setitem__ = __delitem__ = __ior__ = clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class Model:
     """A carrier plus (possibly lazy) generator interpretations.
 
     `interp` maps a generator name to its table; `filler(model, gen)`, when
     given, builds the table of a generator `interp` lacks; `units[d][c]` is
     the degenerate (d+1)-cell over cell c.  A model's tables are replaced,
-    never edited in place: what it keeps is checked against them by
-    identity.  `_programs` holds the compiled terms (`program`); `_values`
-    holds, per term, its program's result over the whole fiber product of
-    its target with the tables that the run read (`values`), until `check`
-    reads it.  A model can be weakly referenced, as `perfbench`'s tracer
-    does to count each model's fiber products once."""
+    never edited in place: each table it builds is a `FrozenTable`, and a
+    table a caller assigns is read but nothing is kept over it unless it is
+    one.  `_programs` holds the compiled terms (`program`); `_agreed` holds
+    the records of `unit_filler`, which `check` pops.  A model can be weakly
+    referenced, as `perfbench`'s tracer does to count each model's fiber
+    products once."""
 
     __slots__ = ("tower", "carrier", "interp", "filler", "units", "label", "_programs",
-                 "_values", "__weakref__")
+                 "_agreed", "__weakref__")
 
     def __init__(self, tower, carrier, interp=None, filler=None, units=None, label=""):
         self.tower, self.carrier = tower, carrier
         self.interp = {} if interp is None else interp
         self.filler, self.units, self.label = filler, units, label
-        self._programs, self._values = {}, {}
+        self._programs, self._agreed = {}, {}
 
     @property
     def trunc(self):
@@ -124,40 +142,6 @@ class Model:
             plan.append((slot, None if word.is_identity else self.carrier.faces(word)))
         return tuple(plan)
 
-    def values(self, term, keep=True, cols=None):
-        """The term's program run once over the whole fiber product of its
-        target: one column per slot of the term's source table, row for row
-        with `cells`.  The result is kept with the generator tables the run
-        read, and returned again while `interp_for` gives those same table
-        objects; a table replaced or filled anew makes it run again.  A row
-        that a table lacks raises `KeyError`, and nothing is kept.  With
-        `keep` false a kept result is still returned, but a new one is not
-        kept: `check` and `restrict` read each term once, and keeping what
-        `check` alone computes would hold every boundary of the model at
-        once.  `cols`, when given, is a list that holds the columns of the
-        term's target once a run has transposed them, so that a caller
-        evaluating two terms over one table transposes it once and nothing
-        keeps the columns after that caller."""
-        kept = self._values.get(term)   # (result, ((gen, table), ...))
-        if kept is not None:
-            if all(self.interp_for(gen) is table for gen, table in kept[1]):
-                return kept[0]
-            self._values.pop(term, None)
-        read = {}
-
-        def get(gen):
-            table = read[gen] = self.interp_for(gen)
-            return table
-
-        if cols is None:
-            cols = []
-        if not cols:
-            cols.append(self.columns(term.target))
-        out = self.program(term)(cols[0], get)
-        if keep:
-            self._values[term] = (out, tuple(read.items()))
-        return out
-
     def eval(self, term, x):
         """Evaluate a term on an element of the fiber product of its target.
 
@@ -173,27 +157,34 @@ class Model:
     def check(self):
         """Verify the two boundary equations of each generator on every input.
 
-        Each generator is checked on its whole fiber product first, through
-        `values`; one that fails is checked again element by element, in the
-        fiber product's order, for the report, where an input that its table
-        lacks is a `missing` row.  The check then drops every value the
-        model kept, so a checked model holds its tables alone."""
+        Each generator is checked on its whole fiber product first.  Its
+        record in `_agreed` is popped, and stands for both sides while
+        `interp_for` returns the tables it was made over; otherwise each side
+        is run over the columns of the product.  A generator that fails is
+        checked again element by element, in the fiber product's order, for
+        the report, where an input that its table lacks is a `missing` row.
+        A checked model keeps no record."""
         report = []
         get = self.interp_for
         for gen in self.tower.gens():
             table = get(gen)
             src, tgt = self.carrier.src[gen.dim], self.carrier.tgt[gen.dim]
             cells = self.cells(gen.target)
-            side = partial(self.values, keep=False, cols=[])
+            kept = self._agreed.pop(gen.name, None)   # (vector, ((gen, table), ...))
+            if kept is not None and all(get(g) is t for g, t in kept[1]):
+                def side(term, vector=kept[0]):
+                    return vector
+            else:
+                def side(term, cols=self.columns(gen.target)):
+                    return self.program(term)(cols, get)[0]
             try:
-                # the first side transposes the product before the outputs
-                # are gathered, and is dropped before the second is read:
-                # the columns, the outputs and one side are held at once
-                want_s = side(gen.fsrc)[0]
+                # the first side is dropped before the second is read: the
+                # columns, the outputs and one side are held at once
+                want_s = side(gen.fsrc)
                 vals = tuple(map(table.__getitem__, cells))
                 ok = want_s == tuple(map(src.__getitem__, vals))
                 del want_s
-                if ok and side(gen.gtgt)[0] == tuple(map(tgt.__getitem__, vals)):
+                if ok and side(gen.gtgt) == tuple(map(tgt.__getitem__, vals)):
                     continue
             except KeyError:
                 pass
@@ -217,7 +208,6 @@ class Model:
                     report.append((gen.name, x, "src", want_s, got_s))
                 if got_t != want_t:
                     report.append((gen.name, x, "tgt", want_t, got_t))
-        self._values.clear()   # read by this check, and by no later one
         return report
 
 
@@ -229,11 +219,19 @@ def _row(x):
 def unit_filler(model, gen):
     """Fill a generator degenerately when its two boundary sides agree; the
     error names the first input, in the fiber product's order, where they
-    do not.  Sides that agree are kept as one vector (`Model.values`)."""
-    cols = []
+    do not.  The product is transposed once for both sides.  When every
+    table the sides read is a `FrozenTable`, the vector they agree on is
+    kept, with those tables, under the generator's name in `_agreed`, for
+    `check` to pop."""
+    read = {}
+
+    def get(g):
+        table = read[g] = model.interp_for(g)
+        return table
+
+    cols = model.columns(gen.target)
     try:
-        fs = model.values(gen.fsrc, cols=cols)
-        (a,), (b,) = fs, model.values(gen.gtgt, cols=cols)
+        (a,), (b,) = model.program(gen.fsrc)(cols, get), model.program(gen.gtgt)(cols, get)
     except KeyError:   # raised again below, at the first input that needs it
         a = b = None
     if a is None or a != b:
@@ -243,9 +241,9 @@ def unit_filler(model, gen):
             ((a,),), ((b,),) = fsrc(_row(x), get), gtgt(_row(x), get)
             if a != b:
                 raise FillerError(gen.name, x, a, b)
-    else:
-        model._values[gen.gtgt] = (fs, model._values[gen.gtgt][1])
-    return dict(zip(model.cells(gen.target), map(model.units[gen.dim - 1].__getitem__, a)))
+    elif all(type(t) is FrozenTable for t in read.values()):
+        model._agreed[gen.name] = (a, tuple(read.items()))
+    return FrozenTable(zip(model.cells(gen.target), map(model.units[gen.dim - 1].__getitem__, a)))
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +414,8 @@ def build_strict(spec, tower, bundle, extra_bundles=(), label=""):
         op = ops.get(gen.name)
         if op is None:
             return unit_filler(model, gen)
-        return {x: op(*x) for x in model.cells(gen.target)}
+        cells = model.cells(gen.target)
+        return FrozenTable(zip(cells, starmap(op, cells)))
 
     tower.seal()
     model = Model(tower, carrier, {}, filler, units, label or spec.label)
@@ -436,8 +435,8 @@ def restrict(model, functor):
         if img is None:
             raise ModelError("generator %r was declared after the tower functor, "
                              "which does not map it" % gen.name)
-        # kept nowhere but in the table this returns
-        return dict(zip(m.cells(gen.target), model.values(img, keep=False)[0]))
+        (vals,) = model.program(img)(model.columns(img.target), model.interp_for)
+        return FrozenTable(zip(m.cells(gen.target), vals))
 
     out = Model(functor.source, model.carrier, {}, filler, model.units,
                 model.label + "|restricted")
@@ -449,6 +448,7 @@ def restrict(model, functor):
 
 def model_to_json(model):
     data = {
+        "label": model.label,
         "dimension": model.trunc,
         "cells": [{"count": model.carrier.count(0)}] + [
             {"src": list(model.carrier.src[d]), "tgt": list(model.carrier.tgt[d])}
@@ -490,7 +490,7 @@ def _interp_rows(name, rows, dim, count):
     if all(type(x) is list for x in ins) and \
             all(type(c) is int for x in ins for c in x) and \
             all(type(v) is int and 0 <= v < count for v in outs):
-        table = dict(zip(map(tuple, ins), outs))
+        table = FrozenTable(zip(map(tuple, ins), outs))
         if len(table) == len(rows):
             return table
     table = {}
@@ -506,7 +506,7 @@ def _interp_rows(name, rows, dim, count):
             raise ModelError("model file: %r lists the input %s more than once"
                              % (name, ins))
         table[tuple(ins)] = out
-    return table
+    return FrozenTable(table)
 
 
 def model_from_json(data, tower):
@@ -556,12 +556,14 @@ def model_from_json(data, tower):
 # Morphisms of models
 
 class ModelMorphism:
-    """A map of models: `maps[d][c]` is the image of the d-cell c."""
+    """A map of models: `maps[d][c]` is the image of the d-cell c.  Its rows
+    are stored as tuples and validated once, when it is made."""
 
     __slots__ = ("source", "target", "maps")
 
     def __init__(self, source, target, maps):
-        self.source, self.target, self.maps = source, target, maps
+        self.source, self.target, self.maps = source, target, tuple(map(tuple, maps))
+        self.validate()
 
     def apply(self, d, c):
         return self.maps[d][c]
@@ -623,8 +625,5 @@ def morphism_from_dims(source, target, dim_maps):
     """Build a morphism from maps given up to some dimension, repeating the top."""
     if not dim_maps:
         raise ModelError("morphism has no dimension maps")
-    maps = []
-    for d in range(source.trunc + 1):
-        row = dim_maps[d] if d < len(dim_maps) else dim_maps[-1]
-        maps.append(tuple(row))
-    return ModelMorphism(source, target, tuple(maps)).validate()
+    return ModelMorphism(source, target, [dim_maps[min(d, len(dim_maps) - 1)]
+                                          for d in range(source.trunc + 1)])

@@ -1,11 +1,14 @@
 """Models: evaluation, checking, strict builders, files, restriction."""
 
+import copy
 import dataclasses
 import itertools
 import json
+import pickle
 import random
 import re
 import types
+from collections import Counter
 
 import pytest
 
@@ -676,11 +679,13 @@ BROKEN = (("inv1_0", lambda x: 0), ("comp1_0", lambda x: x[0]))
 
 
 def test_check_and_fillers_agree_with_the_ones_that_ran_each_term_anew(monkeypatch):
-    """`check`, `unit_filler` and `restrict`'s filler read full-product
-    evaluations through `Model.values`; the old ones ran each program anew.
-    Reports agree in content and order on the nine strict models, their
-    restrictions, fundamental models and model files, also after a lower
-    table is replaced, when what `values` kept must be computed again."""
+    """`check` reuses the vector `unit_filler` found both sides agree on,
+    and `unit_filler` and `restrict`'s filler transpose each product once;
+    the old ones ran each program anew.  Reports agree in content and order
+    on the nine strict models, their restrictions, fundamental models and
+    model files, also after a lower table is edited in place as a plain
+    copy that a check and the fillers read first, and after it is
+    replaced, when no record may stand for the sides that read it."""
     for d in (3, 4):
         tower, bundle = C.stdlib(d)
         fn = C.tower_functor(tower, {}, tower)
@@ -697,6 +702,15 @@ def test_check_and_fillers_agree_with_the_ones_that_ran_each_term_anew(monkeypat
             assert_checks_agree(M.model_from_json(data, tower), M.model_from_json(data, tower))
             for name, out in BROKEN:
                 for a, b in ((new, old), (r_new, r_old)):
+                    kept = a.interp_for(tower[name]), b.interp_for(tower[name])
+                    table = dict(kept[0])
+                    a.interp[name], b.interp[name] = table, dict(table)
+                    assert_checks_agree(a, b)
+                    for x in table:
+                        table[x] = b.interp[name][x] = out(x)
+                    assert_checks_agree(a, b)
+                    a.interp[name], b.interp[name] = kept
+                    assert_checks_agree(a, b)
                     table = {x: out(x) for x in a.cells(tower[name].target)}
                     a.interp[name], b.interp[name] = table, dict(table)
                     assert_checks_agree(a, b)
@@ -732,46 +746,100 @@ def test_check_runs_no_program_for_generators_the_unit_filler_filled(std4, monke
     monkeypatch.setattr(M, "unit_filler", recording_filler)
     model = M.build_strict(KG1(G.symmetric(3)), tower, bundle)
     monkeypatch.setattr(M.Model, "program", counting_program)
+    strict = [tower[name] for ops in (bundle.comp, bundle.unit, bundle.inv)
+              for name in ops.values()]
+    assert filled and not set(filled) & set(strict)
+    assert len(filled) + len(strict) == len(tower)
     assert model.check() == []
-    # the strict operations' boundaries are evaluated here and not kept
-    assert ran
-    assert filled and not {gen.fsrc for gen in filled} & set(ran)
-    assert not {gen.gtgt for gen in filled} & set(ran)
-    # the check dropped what the filler kept, so a second one runs every
-    # boundary, as a check of a model read from a file does
+    # the strict operations' two sides are run, each once, and no side of a
+    # generator the unit filler filled: its record stands for both
+    assert Counter(ran) == Counter(t for g in strict for t in (g.fsrc, g.gtgt))
+    assert model._agreed == {}
+    # the check popped every record, so a second one runs every side, as a
+    # check of a model read from a file does
     ran[:] = []
     assert model.check() == []
-    assert {gen.fsrc for gen in filled} | {gen.gtgt for gen in filled} <= set(ran)
+    assert Counter(ran) == Counter(t for g in tower.gens() for t in (g.fsrc, g.gtgt))
 
 
-def test_values_are_kept_while_the_tables_they_read_are(std3):
+def test_a_record_is_kept_while_the_tables_it_read_are(std3):
     tower, bundle = std3
     model = M.build_strict(KG1(G.cyclic(3)), tower, bundle)
-    gen = tower["rinv1"]   # its sides read comp1_0 and inv1_0
-    kept = model.values(gen.fsrc)
-    # the unit filler keeps its two equal sides as one vector
-    assert model.values(gen.gtgt) is kept and model.values(gen.fsrc, keep=False) is kept
-    model.interp["inv1_0"] = {(g,): 0 for g in range(3)}
-    again = model.values(gen.fsrc)
-    assert again is not kept and model.values(gen.fsrc) is again
-    assert again == model.program(gen.fsrc)(model.columns(gen.target), model.interp_for)
-    table = dict(model.interp["inv1_0"])
-    del table[(1,)]
-    model.interp["inv1_0"] = table
-    with pytest.raises(KeyError):
-        model.values(gen.fsrc)
-    assert gen.fsrc not in model._values
+    gen = tower["rinv1"]   # its sides read comp1_0, inv1_0 and unit0
+    vector, read = model._agreed[gen.name]
+    # one vector for both sides, over the model's own tables
+    cols = model.columns(gen.target)
+    assert (vector,) == model.program(gen.fsrc)(cols, model.interp_for) == \
+        model.program(gen.gtgt)(cols, model.interp_for)
+    assert {g.name for g, _ in read} == {"comp1_0", "inv1_0", "unit0"}
+    assert all(t is model.interp[g.name] and type(t) is M.FrozenTable for g, t in read)
+    # check pops the record; a unit filler over the same tables makes it again
+    assert model.check() == [] and gen.name not in model._agreed
+    M.unit_filler(model, gen)
+    assert model._agreed[gen.name][1] == read
+    # after a replacement the record no longer stands for the sides
+    model.interp["inv1_0"] = M.FrozenTable({(g,): 0 for g in range(3)})
+    bad = model.check()
+    assert bad == old_check(model) and {v[0] for v in bad} >= {"rinv1", "linv1"}
+    # no record is kept over a plain dict, which can still be edited
+    model.interp["inv1_0"] = {(g,): (-g) % 3 for g in range(3)}
+    M.unit_filler(model, gen)
+    M.unit_filler(model, tower["assoc1"])   # reads comp1_0 alone
+    assert list(model._agreed) == ["assoc1"]
+
+
+def test_a_model_refuses_an_edit_of_its_own_tables(std3):
+    tower, bundle = std3
+    models = [M.build_strict(KG1(G.cyclic(3)), tower, bundle),
+              gpd.fundamental(gpd.connected_groupoid(2, G.cyclic(2)), tower)]
+    models += [M.restrict(models[0], C.tower_functor(tower, {}, tower)),
+               M.model_from_json(M.model_to_json(models[0]), tower)]
+    for model in models:
+        for gen in tower.gens():
+            table = model.interp_for(gen)
+            assert type(table) is M.FrozenTable, (model.label, gen.name)
+            x = next(iter(table))
+            for edit in (lambda: table.__setitem__(x, 0), lambda: table.__delitem__(x),
+                         table.clear, lambda: table.pop(x), table.popitem,
+                         lambda: table.setdefault(x, 0), lambda: table.update({x: 0})):
+                with pytest.raises(TypeError, match="replaced, never edited in place"):
+                    edit()
+            with pytest.raises(TypeError):
+                table |= {x: 0}
+            # a value: it pickles and copies as one, and a plain copy is a dict
+            for again in (pickle.loads(pickle.dumps(table)), copy.copy(table),
+                          copy.deepcopy(table)):
+                assert type(again) is M.FrozenTable and again == table
+            assert type(dict(table)) is dict and type(table | {}) is dict
+
+
+@pytest.mark.parametrize("name, out, want", [("comp1_0", lambda x: x[0], 132),
+                                             ("inv1_0", lambda x: 0, 8)])
+def test_a_first_check_sees_a_plain_table_edited_in_place(std3, name, out, want):
+    """A plain-dict copy that the unit filler read, edited in place, is
+    checked as it is now: the filler kept no record over it."""
+    tower, bundle = std3
+    model = M.build_strict(KG1(G.cyclic(3)), tower, bundle)
+    model.interp[name] = table = dict(model.interp[name])
+    for gen in tower.gens():
+        if gen.name in model._agreed:
+            model.interp[gen.name] = M.unit_filler(model, gen)
+    assert model._agreed and all(t is not table for _, read in model._agreed.values()
+                                 for _, t in read)
+    for x in table:
+        table[x] = out(x)
+    bad = model.check()
+    assert bad == old_check(model) and len(bad) == want
 
 
 def test_check_names_an_input_its_table_lacks(std3):
     tower, bundle = std3
     model = M.build_strict(KG1(G.cyclic(3)), tower, bundle)
     missing = ("inv1_0", (1,), "missing", "a row for this input", "none")
-    del model.interp["inv1_0"][(1,)]
-    assert missing in model.check()
+    with pytest.raises(TypeError):
+        del model.interp["inv1_0"][(1,)]
     # replaced, as a model's tables are, the generators that apply inv1_0
     # at 1 name the input outside its fiber product
-    model = M.build_strict(KG1(G.cyclic(3)), tower, bundle)
     table = dict(model.interp["inv1_0"])
     del table[(1,)]
     model.interp["inv1_0"] = table
@@ -786,6 +854,7 @@ def test_model_json_round_trip(std3):
     model = M.build_strict(KG1(G.cyclic(2)), tower, bundle)
     data = M.model_to_json(model)
     back = M.model_from_json(data, tower)
+    assert back.label == model.label == "KG1"
     assert back.carrier == model.carrier
     assert back.check() == []
     for gen in tower.gens():
@@ -889,11 +958,12 @@ def test_restrict_swapped_composition(std3):
 
 
 def test_morphism_validate_matches_the_per_input_check(std4):
-    """`ModelMorphism.validate` compares boundaries a row at a time and
-    each generator a column at a time; it accepts and refuses what the old
-    check, one cell and one input at a time, did, with the same message,
-    on criterion 07's morphisms, a two-object groupoid's identity and a
-    model file whose rows are shuffled, and on seeded broken copies."""
+    """`ModelMorphism.validate`, which the constructor runs, compares
+    boundaries a row at a time and each generator a column at a time; it
+    accepts and refuses what the old check, one cell and one input at a
+    time, did, with the same message, on criterion 07's morphisms, a
+    two-object groupoid's identity and a model file whose rows are
+    shuffled, and on seeded broken copies."""
     tower, bundle = std4
     s3, z2, z3, z4 = G.symmetric(3), G.cyclic(2), G.cyclic(3), G.cyclic(4)
     kg = {g: M.build_strict(KG1(g), tower, bundle) for g in (s3, z2, z3, z4)}
@@ -911,9 +981,9 @@ def test_morphism_validate_matches_the_per_input_check(std4):
              (mx, mx, [range(mx.carrier.count(d)) for d in range(mx.trunc + 1)]),
              (shuffled, kg[z3], [(0,), (0, 2, 1)])]
 
-    def outcome(check, morph):
+    def outcome(check):
         try:
-            check(morph)
+            check()
             return "ok"
         except (M.ModelError, KeyError) as e:
             return "%s: %s" % (type(e).__name__, e)
@@ -922,7 +992,8 @@ def test_morphism_validate_matches_the_per_input_check(std4):
     for ms, mt, dims in cases:
         maps = [list(dims[min(d, len(dims) - 1)]) for d in range(ms.trunc + 1)]
         morphs.append(M.ModelMorphism(ms, mt, maps))
-        assert outcome(M.ModelMorphism.validate, morphs[-1]) == "ok"
+        assert morphs[-1].maps == tuple(map(tuple, maps))
+        assert outcome(morphs[-1].validate) == "ok"
     seen = set()
     for k in range(400):
         if k % 2:   # break a map cell by cell
@@ -937,9 +1008,10 @@ def test_morphism_validate_matches_the_per_input_check(std4):
             ms, mt = rng.choice((kg[g], shuffled)) if g is z3 else kg[g], kg[h]
             f = [rng.randrange(h.order) for _ in range(g.order)]
             maps = [[0]] + [f] * ms.trunc
-        broken = M.ModelMorphism(ms, mt, maps)
-        want = outcome(old_validate, broken)
-        assert outcome(M.ModelMorphism.validate, broken) == want, maps
+        # made through the constructor, which validates
+        want = outcome(lambda: old_validate(types.SimpleNamespace(source=ms, target=mt,
+                                                                  maps=maps)))
+        assert outcome(lambda: M.ModelMorphism(ms, mt, maps)) == want, maps
         seen.add(re.sub(r"dim \d+|'\w+' at .*", "", want))
     assert seen >= {"ok", "ModelError: morphism does not commute with src at ",
                     "ModelError: morphism does not commute with tgt at ",
