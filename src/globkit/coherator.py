@@ -41,7 +41,7 @@ oracle for `normalize`, lives in `globkit.rewrite`.
 from __future__ import annotations
 
 from . import theta0
-from .globe import DEFAULT_TRUNC, MAX_DIM, GlobkitError, Interned, Table, disk
+from .globe import DEFAULT_TRUNC, MAX_DIM, GlobkitError, Interned, Record, Table, disk
 from .theta0 import GMap
 
 
@@ -259,13 +259,10 @@ def parallel(f, g):
     return glob_source(f) == glob_source(g) and glob_target(f) == glob_target(g)
 
 
-class Verdict:
+class Verdict(Record):
     """An admissibility verdict: true when `ok`, else with the `reason`."""
 
-    __slots__ = ("ok", "reason")
-
-    def __init__(self, ok, reason=None):
-        self.ok, self.reason = ok, reason
+    __slots__ = _fields = ("ok", "reason")
 
     def __bool__(self):
         return self.ok
@@ -286,7 +283,7 @@ def admissible(f, g):
     if f.target.dimension > n + 1:
         return Verdict(False, "dimension of target exceeds n+1 (%d > %d)"
                        % (f.target.dimension, n + 1))
-    return Verdict(True)
+    return Verdict(True, None)
 
 
 class Tower:
@@ -350,20 +347,11 @@ class Tower:
 # ---------------------------------------------------------------------------
 # The standard library of structural generators
 
-class PregroupoidBundle:
+class PregroupoidBundle(Record):
     """Named selections of composition, unit, and inverse generators:
-    `comp` and `inv` by (i, j), `unit` by i.  Bundles are equal when their
-    selections are."""
+    `comp` and `inv` by (i, j), `unit` by i."""
 
-    __slots__ = ("comp", "unit", "inv")
-
-    def __init__(self, comp, unit, inv):
-        self.comp, self.unit, self.inv = comp, unit, inv
-
-    def __eq__(self, other):
-        if type(other) is not PregroupoidBundle:
-            return NotImplemented
-        return (self.comp, self.unit, self.inv) == (other.comp, other.unit, other.inv)
+    __slots__ = _fields = ("comp", "unit", "inv")
 
     def comp_name(self, i, j):
         if (i, j) not in self.comp:
@@ -617,14 +605,11 @@ def verify_bundle(tower, bundle):
 # ---------------------------------------------------------------------------
 # Tower functors
 
-class TowerFunctor:
+class TowerFunctor(Record):
     """A morphism of towers: `assignment` maps each generator name of
     `source` to a term of `target`."""
 
-    __slots__ = ("source", "target", "assignment")
-
-    def __init__(self, source, target, assignment):
-        self.source, self.target, self.assignment = source, target, assignment
+    __slots__ = _fields = ("source", "target", "assignment")
 
     def translate(self, t):
         if isinstance(t, GMap):

@@ -15,14 +15,13 @@ explicitly after each separator or inferred as the largest compatible one;
 
 from __future__ import annotations
 
-import collections
 import itertools
 import re
 
 from . import coherator as coh
 from . import theta0
 from .coherator import InadmissibleError, TermError, Tower
-from .globe import DEFAULT_TRUNC, MAX_DIM, GlobkitError, Table, disk
+from .globe import DEFAULT_TRUNC, MAX_DIM, GlobkitError, Record, Table, disk
 from .theta0 import GMap, MatchingError
 
 
@@ -43,7 +42,10 @@ class CheckError(GlobkitError):
         super().__init__("line %d: %s" % (line, msg))
 
 
-Token = collections.namedtuple("Token", "kind value line col")
+class Token(Record):
+    """A token: its kind, its text, and its line and column, both from 1."""
+
+    __slots__ = _fields = ("kind", "value", "line", "col")
 
 
 # Each match is one token and the blanks before it: a comment, a newline,

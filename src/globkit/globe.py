@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import weakref
 from functools import lru_cache
+from operator import attrgetter
 
 DEFAULT_TRUNC = 6
 # the largest dimension of a table or truncation of a tower
@@ -45,28 +46,90 @@ def all_ints(row):
     return True
 
 
+class _Value:
+    """What a value reads off its fields alone.
+
+    A subclass lists its fields in `_fields`, which open its `__slots__`,
+    and its derived slots after them.  `_values()` reads the fields in one
+    call; a value prints as `Name(field=..., ...)` and pickles as its class
+    and fields, so unpickling goes through its constructor.  `_build()`
+    checks a new value and sets its derived slots."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls):
+        fields = cls.__dict__.get("_fields")
+        if fields:
+            get = attrgetter(*fields)   # one field: the value, not a tuple
+            cls._get = staticmethod(get if len(fields) > 1 else lambda self: (get(self),))
+
+    @classmethod
+    def _arity_error(cls):
+        return TypeError("%s takes the %d fields %s" % (cls.__name__, len(cls._fields),
+                                                        ", ".join(cls._fields)))
+
+    def _build(self):
+        """Check a new value and set its derived slots; a value of fields
+        alone has nothing to do."""
+
+    def _values(self):
+        return self._get(self)
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(
+            "%s=%r" % item for item in zip(self._fields, self._values())))
+
+
+class Record(_Value):
+    """A value fixed by its fields, made from them in order or after them by
+    name and then checked by `_build()`.  A class with laws checks them
+    there, through its public `validate()` where it has one.  Records are
+    compared and hashed by their fields; derived slots take no part."""
+
+    __slots__ = ()
+
+    def __init__(self, *args, **named):
+        fields = self._fields
+        if named or len(args) != len(fields):
+            if len(args) > len(fields) or set(named) != set(fields[len(args):]):
+                raise self._arity_error()
+            args += tuple(map(named.__getitem__, fields[len(args):]))
+        for name, value in zip(fields, args):
+            setattr(self, name, value)
+        self._build()
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 # The live interned values by (class,) + fields: each is built and checked
 # once while any reference to it is held, and dropped with the last one.
 _INTERNED = weakref.WeakValueDictionary()
 
 
-class Interned:
+class Interned(_Value):
     """A hash-consed immutable value: one live object per (class, fields).
 
-    A subclass lists its fields in `_fields`, which open its `__slots__`,
-    and its derived slots after them.  A new value is checked, and its
-    derived slots set, by the subclass's `_build()` before it is interned,
-    so a refused value never enters the table.  The lookup matches fields
-    by equality, under which 1.0 and True are 1, so a hit passes the same
-    field type checks, `_check_types()`, that `_build()` starts with.
-    Equality is identity, the hash of the fields is stored, copies and
-    pickles are the interned object, and `memo()` is the dict of composites
-    with this object as outer factor, built on first use, which dies with
-    it.
+    A new value is checked, and its derived slots set, by the subclass's
+    `_build()` before it is interned, so a refused value never enters the
+    table.  The lookup matches fields by equality, under which 1.0 and True
+    are 1, so a hit passes the same field type checks, `_check_types()`,
+    that `_build()` starts with.  Equality is identity, the hash of the
+    fields is stored, copies and pickles are the interned object, and
+    `memo()` is the dict of composites with this object as outer factor,
+    built on first use, which dies with it.
     """
 
     __slots__ = ("_hash", "_memo", "__weakref__")
-    _fields = ()
     _check_types = None   # a class with typed fields checks them in a staticmethod
 
     def __new__(cls, *fields):
@@ -80,8 +143,7 @@ class Interned:
                 cls._check_types(*fields)
             return self
         if len(fields) != len(cls._fields):
-            raise TypeError("%s takes the %d fields %s" % (cls.__name__, len(cls._fields),
-                                                           ", ".join(cls._fields)))
+            raise cls._arity_error()
         self = object.__new__(cls)
         for name, value in zip(cls._fields, fields):
             object.__setattr__(self, name, value)
@@ -91,25 +153,11 @@ class Interned:
         _INTERNED[key] = self
         return self
 
-    def _build(self):
-        """Check a new value and set its derived slots; a value of fields
-        alone has nothing to do."""
-
-    def _values(self):
-        return tuple(getattr(self, name) for name in self._fields)
-
     def __setattr__(self, name, value):
         raise AttributeError("%s is immutable" % type(self).__name__)
 
     def __hash__(self):
         return self._hash
-
-    def __reduce__(self):
-        return type(self), self._values()
-
-    def __repr__(self):
-        return "%s(%s)" % (type(self).__name__, ", ".join(
-            "%s=%r" % item for item in zip(self._fields, self._values())))
 
     def memo(self):
         """The composites with this object as outer factor, by inner factor."""
@@ -236,19 +284,18 @@ def disk(m):
     return Table((m,), ())
 
 
-class GlobularSet:
+class GlobularSet(Record):
     """A finite globular set: cell counts per dimension plus boundary maps.
 
-    Sets are compared, hashed and printed by `cells`, `src` and `tgt`.  A
-    set keeps what it alone determines, each computed on first use: the
+    A set keeps what it alone determines, each computed on first use: the
     faces of its cells along a word and its fiber product over a table, in
-    one memo keyed by word or by table that takes no part in equality, hash
-    or repr."""
+    one memo keyed by word or by table."""
 
     __slots__ = ("cells", "src", "tgt", "_memo")
+    _fields = __slots__[:3]
 
-    def __init__(self, cells, src, tgt):
-        self.cells, self.src, self.tgt, self._memo = cells, src, tgt, {}
+    def _build(self):
+        self._memo = {}
         if not self.cells or len(self.src) != len(self.cells) or \
                 len(self.tgt) != len(self.cells):
             raise GlobeError("globular set needs boundary rows for each of its %d "
@@ -273,17 +320,6 @@ class GlobularSet:
                 if self.src[d - 1][a] != self.src[d - 1][b] or \
                         self.tgt[d - 1][a] != self.tgt[d - 1][b]:
                     raise GlobeError("globular relations fail at dim %d cell %d" % (d, c))
-
-    def __eq__(self, other):
-        if type(other) is not GlobularSet:
-            return NotImplemented
-        return (self.cells, self.src, self.tgt) == (other.cells, other.src, other.tgt)
-
-    def __hash__(self):
-        return hash((self.cells, self.src, self.tgt))
-
-    def __repr__(self):
-        return "GlobularSet(cells=%r, src=%r, tgt=%r)" % (self.cells, self.src, self.tgt)
 
     @property
     def dim(self):
@@ -367,17 +403,14 @@ def disk_cell_word(m, d, c):
     return Word(d, m, "s" if c == 0 else "t")
 
 
-class SumRealization:
+class SumRealization(Record):
     """A table's amalgamated sum of disks, realized as a globular set.
 
     `legs[k][d][c]` is the carrier cell hit by cell (d, c) of the k-th disk;
     `owners[d][cell]` is (k, word D_d -> D_{i_k}): the lowest leg hitting
     the cell and the word presenting it in that leg's disk."""
 
-    __slots__ = ("table", "carrier", "legs", "owners")
-
-    def __init__(self, table, carrier, legs, owners):
-        self.table, self.carrier, self.legs, self.owners = table, carrier, legs, owners
+    __slots__ = _fields = ("table", "carrier", "legs", "owners")
 
 
 @lru_cache(maxsize=None)

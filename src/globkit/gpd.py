@@ -24,7 +24,7 @@ from functools import cache, cached_property, partial
 
 from . import coherator as coh
 from . import groups
-from .globe import GlobkitError, Table, realize_sum
+from .globe import GlobkitError, Record, Table, realize_sum
 from .model import FrozenTable, Model, _is_index, _json_field, product_spec, strict_carrier
 
 
@@ -32,33 +32,20 @@ class GroupoidError(GlobkitError):
     pass
 
 
-class Groupoid:
+class Groupoid(Record):
     """Objects 0..n-1, arrows with boundaries, composition/identity/inverse:
     `comp[g][f]` is g after f, or None, and `ident[x]` the identity at x.
+    The groupoid laws are checked on construction.
 
-    Groupoids are compared, hashed and printed by these six fields.  What
-    they alone determine is kept on the instance once computed and dies with
-    it: the lists of arrows by object and by hom-set, and the loop object at
-    each base object (`loop_object`)."""
+    What a groupoid alone determines is kept on the instance once computed
+    and dies with it: the lists of arrows by object and by hom-set, and the
+    loop object at each base object (`loop_object`)."""
 
-    def __init__(self, n_objects, src, tgt, comp, ident, inv):
-        self.n_objects, self.src, self.tgt = n_objects, src, tgt
-        self.comp, self.ident, self.inv = comp, ident, inv
+    _fields = ("n_objects", "src", "tgt", "comp", "ident", "inv")
+    __slots__ = _fields + ("__dict__", "__weakref__")
 
-    def _key(self):
-        return self.n_objects, self.src, self.tgt, self.comp, self.ident, self.inv
-
-    def __eq__(self, other):
-        if type(other) is not Groupoid:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return ("Groupoid(n_objects=%r, src=%r, tgt=%r, comp=%r, ident=%r, inv=%r)"
-                % self._key())
+    def _build(self):
+        self.validate()
 
     @property
     def n_arrows(self):
@@ -214,7 +201,7 @@ def build_groupoid(n_objects, arrows, compose_fn):
         if g is None:
             raise GroupoidError("arrow %d has no inverse" % f)
         inv.append(g)
-    return Groupoid(n_objects, src, tgt, tuple(comp), tuple(ident), tuple(inv)).validate()
+    return Groupoid(n_objects, src, tgt, tuple(comp), tuple(ident), tuple(inv))
 
 
 def point():
@@ -262,13 +249,14 @@ def disjoint_union(*parts):
     return build_groupoid(n_objects, arrows, compose_fn)
 
 
-class GFunctor:
-    """A functor of groupoids, by its maps on objects and on arrows."""
+class GFunctor(Record):
+    """A functor of groupoids, by its maps on objects and on arrows; the
+    functor laws are checked on construction."""
 
-    __slots__ = ("source", "target", "obj_map", "arr_map")
+    __slots__ = _fields = ("source", "target", "obj_map", "arr_map")
 
-    def __init__(self, source, target, obj_map, arr_map):
-        self.source, self.target, self.obj_map, self.arr_map = source, target, obj_map, arr_map
+    def _build(self):
+        self.validate()
 
     def validate(self):
         s, t = self.source, self.target
@@ -308,7 +296,7 @@ class GFunctor:
 def compose_functors(g, f):
     return GFunctor(f.source, g.target,
                     tuple(g.obj_map[x] for x in f.obj_map),
-                    tuple(g.arr_map[a] for a in f.arr_map)).validate()
+                    tuple(g.arr_map[a] for a in f.arr_map))
 
 
 def is_contractible(gpd):
@@ -320,17 +308,14 @@ def is_contractible(gpd):
 # ---------------------------------------------------------------------------
 # The globe diagram and its folk-class validators
 
-class GlobeDiagram:
+class GlobeDiagram(Record):
     """The disks D(n) (`disks[n]`), the functors sigma[n], tau[n] :
     D(n-1) -> D(n) (from index 1), the objects of each latching sum S(n-1)
     (`sphere_objects`), the object maps i_n : S(n-1) -> D(n) (`i_obj`) and
     the collapse witnesses p_n : D(n) -> D(n-1) (`collapse`, from index 1)."""
 
-    __slots__ = ("trunc", "disks", "sigma", "tau", "sphere_objects", "i_obj", "collapse")
-
-    def __init__(self, trunc, disks, sigma, tau, sphere_objects, i_obj, collapse):
-        self.trunc, self.disks, self.sigma, self.tau = trunc, disks, sigma, tau
-        self.sphere_objects, self.i_obj, self.collapse = sphere_objects, i_obj, collapse
+    __slots__ = _fields = ("trunc", "disks", "sigma", "tau", "sphere_objects", "i_obj",
+                           "collapse")
 
 
 def globe_diagram(trunc):
@@ -339,9 +324,9 @@ def globe_diagram(trunc):
     c2 = codiscrete(2)
     disks = [pt] + [c2 for _ in range(trunc)]
     sigma, tau = [None], [None]
-    id_c2 = GFunctor(c2, c2, (0, 1), tuple(range(4))).validate()
-    s1 = GFunctor(pt, c2, (0,), (c2.ident[0],)).validate()
-    t1 = GFunctor(pt, c2, (1,), (c2.ident[1],)).validate()
+    id_c2 = GFunctor(c2, c2, (0, 1), tuple(range(4)))
+    s1 = GFunctor(pt, c2, (0,), (c2.ident[0],))
+    t1 = GFunctor(pt, c2, (1,), (c2.ident[1],))
     sigma.append(s1)
     tau.append(t1)
     for n in range(2, trunc + 1):
@@ -356,7 +341,7 @@ def globe_diagram(trunc):
         # objects from n >= 2 on, the pushout keeps the same objects.
         sphere_objects.append([0, 1])
         i_obj.append((0, 1))
-    collapse = [None, GFunctor(c2, pt, (0, 0), (0, 0, 0, 0)).validate()]
+    collapse = [None, GFunctor(c2, pt, (0, 0), (0, 0, 0, 0))]
     for n in range(2, trunc + 1):
         collapse.append(id_c2)
     return GlobeDiagram(trunc, disks, sigma, tau, sphere_objects, i_obj, collapse)
@@ -482,16 +467,14 @@ def fundamental(X, tower, interp=None):
 # ---------------------------------------------------------------------------
 # Quillen-side constructions
 
-class PathObject:
+class PathObject(Record):
     """The path object `P` with its functor `r` from X; `squares[i]` is
     (u, v, h, k), a square from arrow u to arrow v.  A path object can be
     weakly referenced, as `perfbench`'s tracer does to count its squares
     once."""
 
-    __slots__ = ("P", "r", "squares", "__weakref__")
-
-    def __init__(self, P, r, squares):
-        self.P, self.r, self.squares = P, r, squares
+    _fields = ("P", "r", "squares")
+    __slots__ = _fields + ("__weakref__",)
 
 
 def path_object(X):
@@ -514,7 +497,7 @@ def path_object(X):
     r_obj = tuple(X.ident[x] for x in range(X.n_objects))
     r_arr = tuple(index[(X.ident[X.src[a]], X.ident[X.tgt[a]], a, a)]
                   for a in range(X.n_arrows))
-    r = GFunctor(X, P, r_obj, r_arr).validate()
+    r = GFunctor(X, P, r_obj, r_arr)
     return PathObject(P, r, tuple(sqs))
 
 
@@ -597,27 +580,11 @@ def quillen_pi_n(X, x, n):
 # ---------------------------------------------------------------------------
 # The comparison harness
 
-class ComparisonReport:
+class ComparisonReport(Record):
     """What `compare` found: pi_0 both ways, `pi1` by object as (model group
     name, aut group name), and whether every higher group is trivial."""
 
-    __slots__ = ("pi0_model", "pi0_gpd", "pi1", "higher_trivial")
-
-    def __init__(self, pi0_model, pi0_gpd, pi1, higher_trivial):
-        self.pi0_model, self.pi0_gpd, self.pi1 = pi0_model, pi0_gpd, pi1
-        self.higher_trivial = higher_trivial
-
-    def _key(self):
-        return self.pi0_model, self.pi0_gpd, self.pi1, self.higher_trivial
-
-    def __eq__(self, other):
-        if type(other) is not ComparisonReport:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __repr__(self):
-        return ("ComparisonReport(pi0_model=%r, pi0_gpd=%r, pi1=%r, higher_trivial=%r)"
-                % self._key())
+    __slots__ = _fields = ("pi0_model", "pi0_gpd", "pi1", "higher_trivial")
 
     def ok(self):
         return self.pi0_model == self.pi0_gpd and self.higher_trivial and \

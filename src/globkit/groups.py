@@ -9,22 +9,20 @@ from __future__ import annotations
 
 import itertools
 
-from .globe import GlobkitError
+from .globe import GlobkitError, Record
 
 
 class GroupError(GlobkitError):
     pass
 
 
-class Group:
+class Group(Record):
     """A named finite group: `mult[a][b]` is a * b.  The group laws are
-    checked on construction; groups are compared, hashed and printed by
-    name and table."""
+    checked on construction."""
 
-    __slots__ = ("name", "mult")
+    __slots__ = _fields = ("name", "mult")
 
-    def __init__(self, name, mult):
-        self.name, self.mult = name, mult
+    def _build(self):
         n = len(self.mult)
 
         def law(holds, what):
@@ -43,17 +41,6 @@ class Group:
                 law(False, "(%d*%d)*%d != %d*(%d*%d)" % (a, b, c, a, b, c))
         for a in range(n):
             law(any(self.mult[a][b] == 0 for b in range(n)), "element %d has no inverse" % a)
-
-    def __eq__(self, other):
-        if type(other) is not Group:
-            return NotImplemented
-        return (self.name, self.mult) == (other.name, other.mult)
-
-    def __hash__(self):
-        return hash((self.name, self.mult))
-
-    def __repr__(self):
-        return "Group(name=%r, mult=%r)" % (self.name, self.mult)
 
     @property
     def order(self):
@@ -240,7 +227,7 @@ def recognize(group):
     return "group of order %d" % group.order
 
 
-class CrossedModule:
+class CrossedModule(Record):
     """A boundary map d : A -> G with a G-action on A.
 
     `grp` is G, the base group, `agrp` A, the fiber group, `boundary[a]` is
@@ -249,11 +236,10 @@ class CrossedModule:
     checked on construction.
     """
 
-    __slots__ = ("grp", "agrp", "boundary", "action")
+    __slots__ = _fields = ("grp", "agrp", "boundary", "action")
 
-    def __init__(self, grp, agrp, boundary, action):
-        self.grp, self.agrp, self.boundary, self.action = grp, agrp, boundary, action
-        G, A, d, act = grp, agrp, boundary, action
+    def _build(self):
+        G, A, d, act = self._values()
 
         def law(holds, what):
             if not holds:

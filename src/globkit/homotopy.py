@@ -18,7 +18,7 @@ from __future__ import annotations
 from . import coherator as coh
 from . import gpd
 from .coherator import compose, eps, gen_term, tuple_term, wordt
-from .globe import GlobkitError, Table, sword, tword
+from .globe import GlobkitError, Record, Table, sword, tword
 
 
 class HomotopyError(GlobkitError):
@@ -249,22 +249,12 @@ def _corrections(tower, bundle, n, i, side):
         yield j, c_gen, d_gen
 
 
-class DivideResult:
+class DivideResult(Record):
     """The division maps on cells (`forward`, `backward`: cell -> cell) and
     on homotopy classes (`fwd_classes`, `bwd_classes`: class index -> class
-    index); results are equal when their maps are."""
+    index)."""
 
-    __slots__ = ("forward", "backward", "fwd_classes", "bwd_classes")
-
-    def __init__(self, forward, backward, fwd_classes, bwd_classes):
-        self.forward, self.backward = forward, backward
-        self.fwd_classes, self.bwd_classes = fwd_classes, bwd_classes
-
-    def __eq__(self, other):
-        if type(other) is not DivideResult:
-            return NotImplemented
-        return (self.forward, self.backward, self.fwd_classes, self.bwd_classes) == \
-            (other.forward, other.backward, other.fwd_classes, other.bwd_classes)
+    __slots__ = _fields = ("forward", "backward", "fwd_classes", "bwd_classes")
 
 
 def divide(model, bundle, n, i, gamma, u, v, side="left"):
@@ -383,20 +373,10 @@ def base_change_iso(model, bundle, n, u):
 # ---------------------------------------------------------------------------
 # Weak equivalences
 
-class WeqReport:
-    """The verdicts of the four characterizations of weak equivalence;
-    reports are equal when their verdicts are."""
+class WeqReport(Record):
+    """The verdicts of the four characterizations of weak equivalence."""
 
-    __slots__ = ("cond1", "cond2", "cond3", "cond4")
-
-    def __init__(self, cond1, cond2, cond3, cond4):
-        self.cond1, self.cond2, self.cond3, self.cond4 = cond1, cond2, cond3, cond4
-
-    def __eq__(self, other):
-        if type(other) is not WeqReport:
-            return NotImplemented
-        return (self.cond1, self.cond2, self.cond3, self.cond4) == \
-            (other.cond1, other.cond2, other.cond3, other.cond4)
+    __slots__ = _fields = ("cond1", "cond2", "cond3", "cond4")
 
     @property
     def agree(self):
@@ -440,7 +420,7 @@ def weak_equiv(morph, bundle):
         F = gpd.GFunctor(_pi_groupoid(G, bundle, n, g_cls),
                          _pi_groupoid(H, bundle, n, h_cls),
                          tuple(morph.apply(n - 1, u) for u in cells),
-                         tuple(h_of[morph.apply(n, cl[0])] for cl in g_classes)).validate()
+                         tuple(h_of[morph.apply(n, cl[0])] for cl in g_classes))
         homs = {(u, v): F.on_homs(u, v) for u in cells for v in cells
                 if parallel_cells(G, n - 1, u, v)}
         units = {iterated_unit(G, bundle, x, n - 1) for x in range(G.carrier.count(0))}

@@ -23,7 +23,7 @@ from itertools import starmap
 
 from . import groups
 from .coherator import TupleT
-from .globe import MAX_CELLS, GlobeError, GlobkitError, GlobularSet, realize_sum
+from .globe import MAX_CELLS, GlobeError, GlobkitError, GlobularSet, Record, realize_sum
 from .theta0 import GMap
 
 
@@ -282,7 +282,7 @@ class _Copies:
         return f - f % n + self.group.op(g % n, f % n)
 
 
-class StrictSpec:
+class StrictSpec(Record):
     """A strict model as data: a groupoid of 1-cells and one group A placed
     at dimension m (Brown-Higgins: a crossed module over a groupoid, when
     m = 2).
@@ -293,13 +293,9 @@ class StrictSpec:
     d(a) f, and above it every cell is an identity.
     """
 
-    __slots__ = ("arrows", "fiber", "m", "boundary", "action", "label")
-
-    def __init__(self, arrows, fiber, m, boundary, action, label):
-        # arrows: read through src, tgt, ident, inv and compose; fiber: A;
-        # boundary[x][a] = d(a), a loop at object x; action[f][a] = f . a
-        self.arrows, self.fiber, self.m = arrows, fiber, m
-        self.boundary, self.action, self.label = boundary, action, label
+    # arrows: read through src, tgt, ident, inv and compose; fiber: A;
+    # boundary[x][a] = d(a), a loop at object x; action[f][a] = f . a
+    __slots__ = _fields = ("arrows", "fiber", "m", "boundary", "action", "label")
 
     def comp(self, i, j, v, u):
         """v after u along their j-cells, for i-cells v and u."""
@@ -555,14 +551,14 @@ def model_from_json(data, tower):
 # ---------------------------------------------------------------------------
 # Morphisms of models
 
-class ModelMorphism:
+class ModelMorphism(Record):
     """A map of models: `maps[d][c]` is the image of the d-cell c.  Its rows
     are stored as tuples and validated once, when it is made."""
 
-    __slots__ = ("source", "target", "maps")
+    __slots__ = _fields = ("source", "target", "maps")
 
-    def __init__(self, source, target, maps):
-        self.source, self.target, self.maps = source, target, tuple(map(tuple, maps))
+    def _build(self):
+        self.maps = tuple(map(tuple, self.maps))
         self.validate()
 
     def apply(self, d, c):

@@ -313,7 +313,8 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
     """Each verb, in a fresh interpreter, imports the library modules it
     runs and no others: a tower verb only the term layers, `model-check` no
     homotopy or groupoid layer, and no verb the rewriting oracle.  No
-    library module imports `dataclasses` or `inspect`."""
+    library module imports `dataclasses` or `inspect`, or makes a named
+    tuple class at import (standard modules, such as `dis`, do)."""
     from globkit import gpd as P
     from globkit import groups as G
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
@@ -350,13 +351,19 @@ def test_each_verb_loads_only_the_modules_it_runs(tmp_path):
     names = sorted(f[:-3] for f in os.listdir(os.path.dirname(cli.__file__))
                    if f.endswith(".py") and not f.startswith("_"))
     assert len(names) > 5
-    code = ("import importlib, sys\n"
+    code = ("import collections, importlib, sys\n"
+            "namedtuple, callers = collections.namedtuple, []\n"
+            "def recorded(*args, **kwargs):\n"
+            "    callers.append(sys._getframe(1).f_globals['__name__'])\n"
+            "    return namedtuple(*args, **kwargs)\n"
+            "collections.namedtuple = recorded\n"
             "for name in sys.argv[1:]:\n"
             "    importlib.import_module('globkit.' + name)\n"
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+            "print(sorted({c for c in callers if c.partition('.')[0] == 'globkit'}))")
     proc = subprocess.run([sys.executable, "-c", code, *names], env=env,
                           capture_output=True, text=True, timeout=120)
-    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "[]\n[]\n"), proc.stderr
 
 
 def test_every_library_error_exits_with_its_code(monkeypatch, capsys):

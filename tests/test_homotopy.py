@@ -8,6 +8,7 @@ import pytest
 
 from globkit import coherator as C
 from globkit import dsl
+from globkit import gpd as P
 from globkit import groups as G
 from globkit import homotopy as H
 from globkit import model as M
@@ -565,6 +566,27 @@ def test_weq_on_crossed_modules(std3, std4):
         identity, projection = xmod_morphisms(tower, bundle)
         assert H.weak_equiv(identity, bundle) == H.WeqReport(True, True, True, True)
         assert H.weak_equiv(projection, bundle) == H.WeqReport(False, False, False, False)
+
+
+def test_disagreeing_conditions_are_named_in_the_error(std4, monkeypatch):
+    """A report that `weak_equiv` refuses prints its four verdicts: with the
+    first hom-set between two distinct 1-cells of KG1(S3) read as not
+    surjective, conditions 3 and 4 fail while 1 and 2 hold."""
+    tower, bundle = std4
+    m = M.build_strict(KG1(G.symmetric(3)), tower, bundle)
+    on_homs, forced = P.GFunctor.on_homs, []
+
+    def once_not_surjective(self, x, y):
+        if x != y and not forced:
+            forced.append((x, y))
+            return True, False
+        return on_homs(self, x, y)
+
+    monkeypatch.setattr(P.GFunctor, "on_homs", once_not_surjective)
+    with pytest.raises(H.HomotopyError) as err:
+        H.weak_equiv(M.morphism_from_dims(m, m, [(0,), tuple(range(6))]), bundle)
+    assert forced and str(err.value).endswith(
+        ": WeqReport(cond1=True, cond2=True, cond3=False, cond4=False)")
 
 
 def test_weak_equiv_computes_each_hom_classes_once(std4, monkeypatch):
